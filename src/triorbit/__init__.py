@@ -12,6 +12,7 @@ from .errors import (
     CanonicalizationFailed,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidBudget,
     InvalidPartition,
     NonPrimeModulus,
     NotAUnit,
@@ -125,6 +126,7 @@ __all__ = [
     "SingularMatrix",
     "IndexOutOfRange",
     "BudgetExceeded",
+    "InvalidBudget",
     "NotFree",
     "NotAUnit",
     "NotInvertible",

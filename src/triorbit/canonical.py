@@ -37,7 +37,13 @@ from .field import GF
 from .gl2 import GL2Element, act_left_unit, act_right, gl2_generators
 from .modpairs import ModulePair, enumeration_budget
 from .partitions import bell
-from .trimat import LowerTriMatrix, augmented_rank, matrix_rank
+from .trimat import (
+    LowerTriMatrix,
+    _echelon_insert,
+    augmented_rank,
+    matrix_rank,
+    solve_mod_p,
+)
 
 
 class Certificate:
@@ -228,17 +234,15 @@ def build_v(G: LowerTriMatrix, pivots) -> LowerTriMatrix:
             continue
         unknown_rows = sorted(j for (_, j) in involved)
         eqs = []
-        rhs = []
         for (i, j) in involved:
-            eqs.append([G.entry(i, r) for r in unknown_rows])
             target = 1 if j == l else 0
             if l not in unknown_rows:
                 target = f.sub(target, G.entry(i, l))  # fixed v_ll = 1 term
-            rhs.append(target)
-        sol = _solve_square(eqs, rhs, p)
+            eqs.append([G.entry(i, r) for r in unknown_rows] + [target])
+        sol = solve_mod_p(eqs, len(unknown_rows), p)
         if sol is None:
             raise SingularSystem(f"V system for column {l} is singular")
-        for r, val in zip(unknown_rows, sol):
+        for r, (val,) in zip(unknown_rows, sol):
             entries[(r, l)] = val
         if l not in unknown_rows:
             entries[(l, l)] = 1
@@ -249,28 +253,6 @@ def build_v(G: LowerTriMatrix, pivots) -> LowerTriMatrix:
     if not V.is_unit():
         raise SingularSystem("constructed V is not a unit")
     return V
-
-
-def _solve_square(rows, rhs, p):
-    """Solve a square system mod p; None when singular."""
-    m = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(m):
-        pivot = None
-        for r in range(col, m):
-            if aug[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col] % p, p - 2, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] % p:
-                factor = aug[r][col] % p
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-    return [aug[r][m] % p for r in range(m)]
 
 
 def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
@@ -555,25 +537,21 @@ def span_profile(pair):
     same triangular bijection.  The profile therefore separates orbits,
     and a free pair whose profile matches no canonical pair has no
     canonical form at all.
+
+    One pass computes it: the A- and B-columns j are added for j = n down
+    to 1 to an echelon basis of F_j whose vectors have distinct leads (first
+    nonzero index).  Distinct leads cannot cancel, so a vector of F_j
+    vanishes above i exactly when it uses only basis vectors with lead >= i,
+    and dim(F_j intersect V_i) is the number of leads >= i.
     """
     n, p = pair.n, pair.field.p
-    ident = [[int(r == s) for r in range(n)] for s in range(n)]
-    profile = []
-    cols = []
-    dims_by_j = {}
+    basis = {}
+    dims = []
     for j in range(n, 0, -1):
-        cols.append([pair.A.entry(r, j) for r in range(1, n + 1)])
-        cols.append([pair.B.entry(r, j) for r in range(1, n + 1)])
-        dim_f = matrix_rank(cols, p)
-        row = []
-        for i in range(1, n + 1):
-            dim_v = n - i + 1
-            dim_sum = matrix_rank(cols + ident[i - 1:], p)
-            row.append(dim_f + dim_v - dim_sum)
-        dims_by_j[j] = row
-    for j in range(1, n + 1):
-        profile.extend(dims_by_j[j])
-    return tuple(profile)
+        for M in (pair.A, pair.B):
+            _echelon_insert(basis, [M.entry(r, j) for r in range(1, n + 1)], p)
+        dims.append([sum(1 for lead in basis if lead >= i) for i in range(n)])
+    return tuple(d for row in reversed(dims) for d in row)
 
 
 def _canonical_span_profile(pair):
@@ -659,7 +637,8 @@ def canonicalize(pair: ModulePair, search_depth=4, search_limit=20000):
     non-free input.  Raises CanonicalizationFailed when the orbit
     invariant proves no canonical form exists (possible from n = 4 on) or,
     in principle, if the bounded word search stalls on a reachable input
-    (never observed; the acceptance suite tracks both counts).
+    (never observed; the acceptance suite tracks both counts) or a
+    self-check of the result (canonical shape, certificate) fails.
     """
     if not pair.is_free():
         raise NotFree("canonicalize requires a free pair")
@@ -706,7 +685,11 @@ def canonicalize(pair: ModulePair, search_depth=4, search_limit=20000):
         red.left(K, "k_step")
 
     result = red.pair
-    assert is_canonical(result), "pipeline ended off the canonical shape"
+    if not is_canonical(result):
+        raise CanonicalizationFailed(
+            "canonical-shape self-check failed: the pipeline ended off the canonical shape")
     cert = Certificate(red.U, red.Q)
-    assert verify_certificate(pair, result, cert), "certificate failed self-check"
+    if not verify_certificate(pair, result, cert):
+        raise CanonicalizationFailed(
+            "certificate self-check failed: U (input) Q differs from the result")
     return result, cert, Trace(red.stages, pivots)

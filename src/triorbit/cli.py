@@ -14,6 +14,7 @@ from .canonical import canonicalize, enumerate_canonical
 from .errors import (
     BudgetExceeded,
     CanonicalizationFailed,
+    InvalidBudget,
     InvalidPartition,
     NotCanonical,
     NotFree,
@@ -57,7 +58,7 @@ def cmd_enumerate(args):
         return 2
     try:
         pairs = enumerate_canonical(args.n, budget=enumeration_budget(None))
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, InvalidBudget) as exc:
         _print(f"error: {exc}")
         return 2
     if args.format == "structured":
@@ -100,6 +101,9 @@ def cmd_canonicalize(args):
     except CanonicalizationFailed as exc:
         _print(f"error: {exc}")
         return 1
+    except (BudgetExceeded, InvalidBudget) as exc:
+        _print(f"error: {exc}")
+        return 2
     if args.format == "structured":
         doc = {"canonical": pair_to_dict(result)}
         if args.certificate:
@@ -172,6 +176,9 @@ def cmd_convert(args):
 
 
 def cmd_verify(args):
+    if args.n < 2:
+        _print("error: --n must be at least 2")
+        return 2
     try:
         field = GF(args.p)
     except TriOrbitError as exc:
@@ -190,7 +197,7 @@ def cmd_verify(args):
     try:
         report = verify_classification(args.n, args.p,
                                        budget=enumeration_budget(None), **kwargs)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, InvalidBudget) as exc:
         _print(f"error: {exc}")
         return 2
     if args.format == "structured":

@@ -33,6 +33,10 @@ class BudgetExceeded(TriOrbitError, ValueError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
+class InvalidBudget(TriOrbitError, ValueError):
+    """TRIORBIT_BUDGET is set to something other than a positive integer."""
+
+
 class NotFree(TriOrbitError, ValueError):
     """The pair does not generate a free cyclic submodule."""
 
@@ -58,7 +62,13 @@ class SingularSystem(TriOrbitError, ValueError):
 
 
 class CanonicalizationFailed(TriOrbitError, RuntimeError):
-    """The reduction search exhausted its budget without reaching canonical shape."""
+    """A free pair could not be brought to canonical form.
+
+    Almost always because its orbit holds no canonical pair, which the
+    orbit invariant proves up front (possible from n = 4 on).  It is also
+    raised if the bounded word search stalls or a self-check of the result
+    fails; neither has been observed.
+    """
 
 
 class NotCanonical(TriOrbitError, ValueError):

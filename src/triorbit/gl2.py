@@ -8,7 +8,7 @@ elementary generating set drives the orbit search in the oracle module.
 
 from .errors import DimensionMismatch, NotAUnit, NotInvertible
 from .modpairs import ModulePair
-from .trimat import LowerTriMatrix
+from .trimat import LowerTriMatrix, solve_mod_p
 
 
 def gl2_is_invertible(X, Y, W, Z) -> bool:
@@ -98,11 +98,10 @@ class GL2Element:
 
         Ordering rows and columns as (1, n+1, 2, n+2, ...) turns the block
         matrix into a block lower triangular matrix with invertible 2x2
-        diagonal cells, so plain Gauss-Jordan elimination never meets a zero
-        pivot column and the inverse has lower triangular blocks again.
+        diagonal cells, so it is invertible and its inverse has lower
+        triangular blocks again; the kernel's solve on [M | I] gives it.
         """
         n, f = self.n, self.field
-        p = f.p
         size = 2 * n
         M = [[0] * size for _ in range(size)]
         for i in range(1, n + 1):
@@ -111,17 +110,9 @@ class GL2Element:
                 M[2 * i - 2][2 * j - 1] = self.Y.entry(i, j)
                 M[2 * i - 1][2 * j - 2] = self.W.entry(i, j)
                 M[2 * i - 1][2 * j - 1] = self.Z.entry(i, j)
-        aug = [row + [int(r == c) for c in range(size)] for r, row in enumerate(M)]
-        for col in range(size):
-            pivot = next(r for r in range(col, size) if aug[r][col] % p)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = f.inv(aug[col][col])
-            aug[col] = [v * inv % p for v in aug[col]]
-            for r in range(size):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-        inv_rows = [row[size:] for row in aug]
+        inv_rows = solve_mod_p(
+            [row + [int(r == c) for c in range(size)] for r, row in enumerate(M)],
+            size, f.p)
 
         def block(roff, coff):
             rows = [[inv_rows[2 * i + roff][2 * j + coff] for j in range(n)]

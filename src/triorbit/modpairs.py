@@ -11,7 +11,7 @@ import itertools
 import json
 import os
 
-from .errors import BudgetExceeded, DimensionMismatch, NotFree
+from .errors import BudgetExceeded, DimensionMismatch, InvalidBudget, NotFree
 from .field import GF
 from .trimat import LowerTriMatrix, augmented_rank, parse_matrix
 
@@ -19,12 +19,22 @@ DEFAULT_BUDGET = 2 ** 24
 
 
 def enumeration_budget(budget=None):
-    """Effective cap: explicit argument, else TRIORBIT_BUDGET, else 2**24."""
+    """Effective cap: explicit argument, else TRIORBIT_BUDGET, else 2**24.
+
+    Raises InvalidBudget when TRIORBIT_BUDGET is set to anything but a
+    positive integer.
+    """
     if budget is not None:
         return budget
     env = os.environ.get("TRIORBIT_BUDGET")
     if env:
-        return int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise InvalidBudget(f"TRIORBIT_BUDGET={env!r} is not a positive integer")
+        return cap
     return DEFAULT_BUDGET
 
 
@@ -201,10 +211,17 @@ def parse_pair(text: str) -> ModulePair:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
-        field = GF(int(obj["p"]))
-        n = int(obj["n"])
-        A = LowerTriMatrix.from_rows(field, [[int(v) for v in row] for row in obj["A"]])
-        B = LowerTriMatrix.from_rows(field, [[int(v) for v in row] for row in obj["B"]])
+        try:
+            field = GF(int(obj["p"]))
+            n = int(obj["n"])
+            A = [[int(v) for v in row] for row in obj["A"]]
+            B = [[int(v) for v in row] for row in obj["B"]]
+        except KeyError as exc:
+            raise ValueError(f"structured pair lacks the field {exc}") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"structured pair has a malformed field: {exc}") from None
+        A = LowerTriMatrix.from_rows(field, A)
+        B = LowerTriMatrix.from_rows(field, B)
         if A.n != n or B.n != n:
             raise ValueError(f"matrix size disagrees with declared n={n}")
         return ModulePair(A, B)

@@ -20,7 +20,7 @@ from .field import GF
 from .gl2 import gl2_generators
 from .modpairs import ModulePair, Submodule, enumeration_budget, ring_size
 from .partitions import bell
-from .trimat import LowerTriMatrix
+from .trimat import LowerTriMatrix, _echelon_insert
 
 
 class IndexedRing:
@@ -150,29 +150,6 @@ def _free_rows_gf2(arows, brows, n):
     return True
 
 
-def _free_rows_modp(arows, brows, n, p):
-    """Rank-n test on [A|B] by incremental elimination mod p."""
-    leads = {}
-    for i in range(n):
-        row = list(arows[i] + brows[i])
-        while True:
-            lead = None
-            for k, v in enumerate(row):
-                if v:
-                    lead = k
-                    break
-            if lead is None:
-                return False
-            known = leads.get(lead)
-            if known is None:
-                inv = pow(row[lead], p - 2, p)
-                leads[lead] = [v * inv % p for v in row]
-                break
-            factor = row[lead]
-            row = [(x - factor * y) % p for x, y in zip(row, known)]
-    return True
-
-
 class _Scan:
     """Shared result of the exhaustive pair scan for one (n, p)."""
 
@@ -204,10 +181,20 @@ class _Scan:
                 idx = base + b
                 if visited[idx]:
                     continue
-                if a_unit or (
-                    _free_rows_gf2(arows, rows[b], n) if gf2
-                    else _free_rows_modp(arows, rows[b], n, p)
-                ):
+                if a_unit:
+                    free = True
+                elif gf2:
+                    free = _free_rows_gf2(arows, rows[b], n)
+                else:
+                    # Rank-n test on [A|B], stopping at the first dependent row.
+                    basis = {}
+                    for arow, brow in zip(arows, rows[b]):
+                        if _echelon_insert(basis, arow + brow, p) is None:
+                            free = False
+                            break
+                    else:
+                        free = True
+                if free:
                     keys.append(idx)
                     unimodular.append(zero_diag[a] & zero_diag[b] == 0)
                     newly = 0

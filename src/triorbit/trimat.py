@@ -5,9 +5,9 @@ order (1,1), (2,1), (2,2), (3,1), ...).  Indices in the public API are
 1-based throughout, matching the algebra this package implements; the zero
 upper triangle is implicit.
 
-The module also provides the rank computations the classification needs:
-the rank of the augmented matrix [A|B], ranks of leading principal
-submatrices, and ranks of truncated copies.
+The module also holds the package's one mod-p elimination kernel and the
+rank computations built on it: the rank of the augmented matrix [A|B],
+ranks of leading principal submatrices and of truncated copies.
 """
 
 from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
@@ -232,44 +232,80 @@ def parse_matrix(field, lines):
     return LowerTriMatrix.from_rows(field, rows)
 
 
-# -- rank computations -----------------------------------------------------
+# -- the elimination kernel --------------------------------------------------
+
+
+def _echelon_insert(basis, row, p):
+    """Reduce ``row`` (residues mod p) against ``basis``; keep it if independent.
+
+    ``basis`` maps a lead, the index of the first nonzero entry, to a row
+    that is 1 there and 0 before it.  An independent row is stored
+    normalized under its new lead, which is returned; a dependent row
+    returns None.  This is the package's one mod-p elimination; it runs
+    per row in the oracle's pair scan, hence the inline lead search.
+    Callers outside the package use matrix_rank and solve_mod_p.
+    """
+    while True:
+        lead = None
+        for k, v in enumerate(row):
+            if v:
+                lead = k
+                break
+        if lead is None:
+            return None
+        known = basis.get(lead)
+        if known is None:
+            c = row[lead]
+            if c != 1:
+                c = pow(c, p - 2, p)
+                row = [v * c % p for v in row]
+            basis[lead] = row
+            return lead
+        factor = row[lead]
+        row = [(x - factor * y) % p for x, y in zip(row, known)]
 
 
 def matrix_rank(rows, p):
-    """Rank of a dense matrix (list of row lists) by Gaussian elimination mod p."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        pinv = pow(prow[col] % p, p - 2, p)
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] % p
-            if factor:
-                mult = factor * pinv % p
-                row = rows[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - mult * prow[c]) % p
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of a dense matrix (list of row lists) mod p: its independent rows."""
+    basis = {}
+    return sum(_echelon_insert(basis, [v % p for v in row], p) is not None
+               for row in rows)
+
+
+def solve_mod_p(rows, width, p):
+    """Solve M X = R mod p for a square M given as rows [M | R]; None if singular.
+
+    M is invertible exactly when each row is independent with its lead
+    among the first ``width`` columns; back-substitution from the last
+    lead then gives the unique X, as a list of rows.
+    """
+    basis = {}
+    for row in rows:
+        lead = _echelon_insert(basis, [v % p for v in row], p)
+        if lead is None or lead >= width:
+            return None
+    solution = [None] * width
+    for lead in range(width - 1, -1, -1):
+        row = basis[lead]
+        x = row[width:]
+        for k in range(lead + 1, width):
+            c = row[k]
+            if c:
+                x = [(a - c * b) % p for a, b in zip(x, solution[k])]
+        solution[lead] = x
+    return solution
 
 
 def augmented_rank(A: LowerTriMatrix, B: LowerTriMatrix) -> int:
-    """Rank of the n x 2n matrix [A|B]."""
+    """Rank of the n x 2n matrix [A|B].
+
+    The columns are taken in the order a_n, b_n, a_(n-1), ..., a_1, b_1, so
+    row i leads at its diagonal and a unimodular pair meets no reduction.
+    """
     A._check_compatible(B)
-    rows = [A.row(i) + B.row(i) for i in range(1, A.n + 1)]
+    n = A.n
+    rows = [[M.entry(i, j) for j in range(n, 0, -1) for M in (A, B)]
+            for i in range(1, n + 1)]
     return matrix_rank(rows, A.field.p)
 
 

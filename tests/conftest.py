@@ -1,6 +1,9 @@
 """Shared fixtures: the worked examples the implementation must reproduce."""
 
+import json
+
 import pytest
+from hypothesis import strategies as st
 
 from triorbit import GF, LowerTriMatrix, ModulePair
 
@@ -70,3 +73,49 @@ def fixture_t7(gf5):
     rows[6][0], rows[6][1], rows[6][2], rows[6][3] = 4, 1, 1, 1
     G = LowerTriMatrix.from_rows(gf5, rows)
     return ModulePair(A, G)
+
+
+# -- fuzzing input for pair files ----------------------------------------------
+
+# Small JSON values: moduli stay tiny (the primality test is trial
+# division) and matrices stay at n <= 3 so that canonicalize stays fast.
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 7) | st.text(max_size=4)
+                 | st.floats(-100, 100) | st.sampled_from([float("nan"), float("inf")]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids,
+                                                               max_size=3),
+    max_leaves=10)
+_matrices = st.lists(st.lists(st.integers(-2, 6), max_size=3), max_size=3) | _json_values
+_pair_objects = st.fixed_dictionaries({}, optional={
+    "n": st.integers(0, 3) | _json_values,
+    "p": st.sampled_from([2, 3, 4, 5]) | _json_values,
+    "A": _matrices,
+    "B": _matrices,
+})
+_text_lines = st.lists(
+    st.lists(st.integers(-2, 6).map(str) | st.text(max_size=2), max_size=4).map(" ".join),
+    max_size=8).map("\n".join)
+_any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+def _lower(n):
+    return st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(
+        lambda rows: [[v if j <= i else 0 for j, v in enumerate(row)]
+                      for i, row in enumerate(rows)])
+
+
+def _well_formed(n):
+    return st.tuples(st.sampled_from([2, 3, 5]), _lower(n), _lower(n)).flatmap(
+        lambda t: st.sampled_from([
+            json.dumps({"n": n, "p": t[0], "A": t[1], "B": t[2]}),
+            f"{n} {t[0]}\n" + "\n".join(" ".join(map(str, r)) for r in t[1])
+            + "\n\n" + "\n".join(" ".join(map(str, r)) for r in t[2]),
+        ]))
+
+
+# Text that parse_pair may meet: arbitrary, text-form-like, JSON-like, or
+# a well-formed pair (free or not) in either form.
+pair_texts = (_any_text | _text_lines | _pair_objects.map(json.dumps)
+              | st.integers(1, 3).flatmap(_well_formed))

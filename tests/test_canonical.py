@@ -370,13 +370,64 @@ def test_profile_compatibility_predicts_success_small_scales():
             assert span_profile(pair) in profiles
 
 
-def test_free_pair_without_canonical_form(gf2):
+@pytest.mark.parametrize("p", [2, 3])
+def test_free_pair_without_canonical_form(p):
     # A genuinely unreachable orbit: the nilpotent chains of A and B are
-    # entangled so that the span profile matches no canonical pair.
-    A = LowerTriMatrix.zero(gf2, 4).with_entry(2, 1, 1).with_entry(4, 2, 1)
-    B = LowerTriMatrix.zero(gf2, 4).with_entry(1, 1, 1).with_entry(3, 2, 1)
+    # entangled so that the span profile matches no canonical pair.  The
+    # same witness is free with an unreachable profile over every field.
+    f = GF(p)
+    A = LowerTriMatrix.zero(f, 4).with_entry(2, 1, 1).with_entry(4, 2, 1)
+    B = LowerTriMatrix.zero(f, 4).with_entry(1, 1, 1).with_entry(3, 2, 1)
     pair = ModulePair(A, B)
     assert pair.is_free()
     assert span_profile(pair) not in reachable_profiles(4)
     with pytest.raises(CanonicalizationFailed):
+        canonicalize(pair)
+
+
+def _span_dims_by_counting(pair):
+    """dim(F_j intersect V_i) by listing F_j: p**d of its vectors vanish above i."""
+    n, p = pair.n, pair.field.p
+    span = {(0,) * n}
+    dims = {}
+    for j in range(n, 0, -1):
+        for M in (pair.A, pair.B):
+            col = [M.entry(r, j) for r in range(1, n + 1)]
+            span = {tuple((x + t * c) % p for x, c in zip(v, col))
+                    for v in span for t in range(p)}
+        for i in range(1, n + 1):
+            count = sum(1 for v in span if not any(v[:i - 1]))
+            d = 0
+            while p ** d < count:
+                d += 1
+            assert p ** d == count
+            dims[(j, i)] = d
+    return tuple(dims[(j, i)] for j in range(1, n + 1) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_span_profile_matches_vector_count(n, p):
+    # Every pair, free or not: the one-pass echelon count against the
+    # vectors of F_j intersect V_i themselves.
+    f = GF(p)
+    for A in ring_matrices(f, n):
+        for B in ring_matrices(f, n):
+            pair = ModulePair(A, B)
+            assert span_profile(pair) == _span_dims_by_counting(pair)
+
+
+@pytest.mark.parametrize("check,message", [
+    ("verify_certificate", "certificate self-check"),
+    ("is_canonical", "canonical-shape self-check"),
+])
+def test_self_checks_raise_without_asserts(gf2, monkeypatch, check, message):
+    # The final checks are explicit raises, not asserts, so they hold
+    # under python -O as well.
+    import triorbit.canonical as canonical
+
+    pair = ModulePair(LowerTriMatrix.identity(gf2, 3),
+                      LowerTriMatrix.single(gf2, 3, 2, 1))
+    canonicalize(pair)
+    monkeypatch.setattr(canonical, check, lambda *args: False)
+    with pytest.raises(CanonicalizationFailed, match=message):
         canonicalize(pair)

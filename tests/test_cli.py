@@ -1,8 +1,12 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from triorbit.cli import main
+from tests.conftest import pair_texts
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +43,12 @@ def test_enumerate_counts(capsys):
 def test_enumerate_rejects_n1(capsys):
     code, _ = run_cli(capsys, "enumerate", "--n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_verify_rejects_n_below_2(capsys, n):
+    code, out = run_cli(capsys, "verify", "--n", str(n), "--p", "2")
+    assert (code, out) == (2, "error: --n must be at least 2\n")
 
 
 def test_enumerate_structured_with_partitions(capsys):
@@ -104,6 +114,12 @@ def test_canonicalize_parse_error_exits_2(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(capsys, "canonicalize", "--input", str(tmp_path / "missing.txt"))
     assert code == 2
+    for doc in ({"n": 2, "p": 2, "A": [[1, 0], [0, 1]]},
+                {"n": 2, "p": 2, "A": 5, "B": [[1, 0], [0, 1]]}):
+        f.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "canonicalize", "--input", str(f))
+        assert code == 2
+        assert out.startswith("error: bad pair file")
 
 
 def test_canonicalize_p_mismatch(tmp_path, capsys):
@@ -216,6 +232,12 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TRIORBIT_BUDGET", "1000000")
     code, _ = run_cli(capsys, "verify", "--n", "2", "--p", "3")
     assert code == 0
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("TRIORBIT_BUDGET", bad)
+        for argv in (("verify", "--n", "2", "--p", "3"), ("enumerate", "--n", "3")):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2
+            assert "not a positive integer" in out
 
 
 def test_verify_exclusive_flags(capsys):
@@ -223,3 +245,13 @@ def test_verify_exclusive_flags(capsys):
                         "--exhaustive", "--samples", "10")
     assert code == 2
     assert "mutually exclusive" in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_texts)
+def test_canonicalize_any_file_exits_0_1_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pair.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert main(["canonicalize", "--input", path]) in (0, 1, 2)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
 from triorbit import (
     GF,
     BudgetExceeded,
+    TriOrbitError,
     LowerTriMatrix,
     ModulePair,
     NotFree,
@@ -12,6 +14,7 @@ from triorbit import (
     parse_pair,
 )
 from triorbit.modpairs import format_pair, ring_matrices, unit_matrices
+from tests.conftest import pair_texts
 
 
 def all_pairs(field, n):
@@ -163,3 +166,13 @@ def test_pair_file_rejects_upper_entries():
 def test_pair_file_rejects_bad_header():
     with pytest.raises(ValueError):
         parse_pair("2\n1 0\n0 1\n\n0 0\n0 0\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_texts)
+def test_parse_pair_raises_only_value_errors(text):
+    try:
+        pair = parse_pair(text)
+    except (ValueError, TriOrbitError):
+        return
+    assert isinstance(pair, ModulePair)

@@ -13,7 +13,7 @@ from triorbit import (
     truncated_b_rank,
 )
 from triorbit.modpairs import ring_matrices, unit_matrices
-from triorbit.trimat import matrix_rank, parse_matrix
+from triorbit.trimat import matrix_rank, parse_matrix, solve_mod_p
 
 
 def test_identity_multiplication(gf5):
@@ -189,3 +189,20 @@ def test_matrix_rank_against_row_space_enumeration():
             for c2 in (0, 1):
                 span.add(tuple((c1 * x + c2 * y) % 2 for x, y in zip(*rows)))
         assert len(span) == 2 ** r
+
+
+def test_solve_mod_p_against_enumeration():
+    # Every 2 x 2 system over GF(3): the solve returns the solution found
+    # by trying all vectors, and None exactly when the determinant is 0.
+    p = 3
+    for m in itertools.product(range(p), repeat=4):
+        M = [list(m[:2]), list(m[2:])]
+        for rhs in itertools.product(range(p), repeat=2):
+            got = solve_mod_p([row + [b] for row, b in zip(M, rhs)], 2, p)
+            if (m[0] * m[3] - m[1] * m[2]) % p == 0:
+                assert got is None
+                continue
+            sols = [x for x in itertools.product(range(p), repeat=2)
+                    if all((r[0] * x[0] + r[1] * x[1]) % p == b for r, b in zip(M, rhs))]
+            assert len(sols) == 1
+            assert got == [[v] for v in sols[0]]
