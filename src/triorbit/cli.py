@@ -94,6 +94,9 @@ def cmd_canonicalize(args):
         _print(f"error: --p {args.p} disagrees with the pair file (p={pair.field.p})")
         return 2
     try:
+        # canonicalize caches its budgeted tables per n, so a bad
+        # TRIORBIT_BUDGET is rejected here on every call.
+        enumeration_budget(None)
         result, cert, trace = canonicalize(pair)
     except NotFree:
         _print("error: the pair is not free")
@@ -244,7 +247,8 @@ def build_parser():
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--p", type=int, required=True)
     p_verify.add_argument("--exhaustive", action="store_true",
-                          help="full pair scan with the default check budget")
+                          help="the default check (every free pair when few, else a "
+                               "seeded sample); only rejects --samples")
     p_verify.add_argument("--samples", type=int,
                           help="check this many sampled free pairs instead")
     p_verify.add_argument("--seed", type=int)

@@ -8,19 +8,39 @@ ints and stay cheap to hash and compare.
 from .errors import NonPrimeModulus, ZeroInverse
 
 
+# Miller-Rabin with the bases below is exact for every integer under this
+# bound (Sorenson and Webster, 2015); GF refuses moduli at or above it.
+MAX_MODULUS = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; p stays small in this package."""
+    """Deterministic Miller-Rabin test, exact for p < MAX_MODULUS.
+
+    Raises ValueError at or above MAX_MODULUS, where these bases no longer
+    decide primality.
+    """
+    if p >= MAX_MODULUS:
+        raise ValueError(f"{p} is beyond the exact range of is_prime")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -30,6 +50,9 @@ class GF:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= MAX_MODULUS:
+            raise NonPrimeModulus(
+                f"modulus {p} is too large: primality is exact only below {MAX_MODULUS}")
         if not isinstance(p, int) or p < 2 or not is_prime(p):
             raise NonPrimeModulus(f"modulus {p!r} is not prime")
         self.p = p

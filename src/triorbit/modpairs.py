@@ -220,6 +220,9 @@ def parse_pair(text: str) -> ModulePair:
             raise ValueError(f"structured pair lacks the field {exc}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"structured pair has a malformed field: {exc}") from None
+        for v in itertools.chain(*A, *B):
+            if not 0 <= v < field.p:
+                raise ValueError(f"entry {v} is not a canonical residue mod {field.p}")
         A = LowerTriMatrix.from_rows(field, A)
         B = LowerTriMatrix.from_rows(field, B)
         if A.n != n or B.n != n:

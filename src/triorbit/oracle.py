@@ -1,239 +1,138 @@
 """Exhaustive, assumption-free verification by orbit enumeration.
 
-Every pair of ring elements is scanned; free pairs are grouped into
-submodules (unit orbits), the submodules into group orbits by generator
-closure with union-find, and the resulting decomposition is confronted
-with the claimed classification: orbit count equals the Bell number, each
-orbit holds exactly one canonical submodule, the canonicalizer lands on
-it, and exactly one orbit is unimodular.
+A free pair and its unit multiples generate the same submodule, so each
+free submodule is keyed by its least generating pair, which has a normal
+form (``_normal_form``).  The free submodules are enumerated straight in
+that form, grouped into group orbits by generator closure with union-find,
+and the resulting decomposition is confronted with the claimed
+classification: orbit count equals the Bell number, each orbit holds
+exactly one canonical submodule, the canonicalizer lands on it, and
+exactly one orbit is unimodular.
 
-Ring elements are packed into integers (base-p digits of the lower
-triangle, most significant first) so that integer order equals the
-entry-wise total order and the hot loops run on flat lookup tables.
+A key is the tuple of the n rows of [A|B], each a tuple of 2n residues.
+Keys are listed in ModulePair order, so a submodule's ordinal is the rank
+of its least generating pair.
 """
 
+import bisect
+import itertools
 import random
 
 from .canonical import canonicalize, enumerate_canonical, is_canonical
 from .errors import BudgetExceeded, CanonicalizationFailed, VerificationFailed
 from .field import GF
 from .gl2 import gl2_generators
-from .modpairs import ModulePair, Submodule, enumeration_budget, ring_size
+from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
+                       unit_count, unit_matrices)
 from .partitions import bell
 from .trimat import LowerTriMatrix, _echelon_insert
 
 
-class IndexedRing:
-    """Packed-integer tables for T_n(GF(p)) at desk scale."""
+def _normal_form(rows, p):
+    """Key of the submodule generated by the rows of [A|B]; None if not free.
 
-    def __init__(self, field, n):
-        self.field = field
-        self.n = n
-        self.p = field.p
-        self.m = n * (n + 1) // 2
-        self.count = self.p ** self.m
-        p, m = self.p, self.m
-        digits = []
-        for idx in range(self.count):
-            d = []
-            rem = idx
-            for k in range(m):
-                d.append(rem // p ** (m - 1 - k))
-                rem %= p ** (m - 1 - k)
-            digits.append(tuple(d))
-        self.digits = digits
-        self._diag_pos = [i * (i - 1) // 2 + (i - 1) for i in range(1, n + 1)]
-        # Bitmask of diagonal positions holding zero; unimodularity of a
-        # pair is then zero_diag[a] & zero_diag[b] == 0.
-        self.zero_diag = [
-            sum(1 << i for i, pos in enumerate(self._diag_pos) if digits[idx][pos] == 0)
-            for idx in range(self.count)
-        ]
-        self.units = [idx for idx in range(self.count) if self.zero_diag[idx] == 0]
-        if self.p == 2:
-            # Row r of element idx as an n-bit integer, highest column last.
-            self.rows = [
-                tuple(
-                    sum(digits[idx][i * (i - 1) // 2 + (j - 1)] << (j - 1)
-                        for j in range(1, i + 1))
-                    for i in range(1, n + 1)
-                )
-                for idx in range(self.count)
-            ]
-        else:
-            self.rows = [
-                tuple(
-                    tuple(digits[idx][i * (i - 1) // 2 + (j - 1)] if j <= i else 0
-                          for j in range(1, n + 1))
-                    for i in range(1, n + 1)
-                )
-                for idx in range(self.count)
-            ]
-        self._left = {}
-        self._right = {}
-        self._add = None
-
-    def pack(self, M: LowerTriMatrix) -> int:
-        idx = 0
-        for e in M.entries:
-            idx = idx * self.p + e
-        return idx
-
-    def unpack(self, idx: int) -> LowerTriMatrix:
-        return LowerTriMatrix(self.field, self.n, self.digits[idx])
-
-    def unpack_pair(self, key: int) -> ModulePair:
-        return ModulePair(self.unpack(key // self.count), self.unpack(key % self.count))
-
-    def mul_idx(self, a: int, b: int) -> int:
-        da, db = self.digits[a], self.digits[b]
-        p = self.p
-        out = 0
-        for i in range(1, self.n + 1):
-            ibase = i * (i - 1) // 2 - 1
-            for j in range(1, i + 1):
-                acc = 0
-                for k in range(j, i + 1):
-                    acc += da[ibase + k] * db[k * (k - 1) // 2 + j - 1]
-                out = out * p + acc % p
-        return out
-
-    def add_idx(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._add is None:
-            self._add = [
-                [self._add_direct(x, y) for y in range(self.count)]
-                for x in range(self.count)
-            ]
-        return self._add[a][b]
-
-    def _add_direct(self, a, b):
-        p = self.p
-        out = 0
-        for x, y in zip(self.digits[a], self.digits[b]):
-            out = out * p + (x + y) % p
-        return out
-
-    def left_table(self, u: int):
-        """u * x for every x, as a flat list indexed by x."""
-        table = self._left.get(u)
-        if table is None:
-            table = [self.mul_idx(u, x) for x in range(self.count)]
-            self._left[u] = table
-        return table
-
-    def right_table(self, c: int):
-        """x * c for every x, as a flat list indexed by x."""
-        table = self._right.get(c)
-        if table is None:
-            table = [self.mul_idx(x, c) for x in range(self.count)]
-            self._right[c] = table
-        return table
+    Proof.  Row i of u(A, B), for a unit u, is u_i1 r_1 + ... + u_ii r_i
+    with u_ii != 0, where r_k is row k of [A|B]; so it ranges over
+    S_i = span(r_1..r_i) minus span(r_1..r_(i-1)), independently for each
+    i.  ModulePair order compares the A-halves of all rows before any
+    B-half, and the rows vary independently, so the least pair of the unit
+    orbit takes in every row the least 2n-vector of S_i (its entries past
+    column i of A and of B are 0 throughout).  Let L
+    be the set of leads (first nonzero index) of span(r_1..r_(i-1)).  The
+    vectors of span(r_1..r_i) that vanish on L form a line whose lead l
+    lies outside L; let v be its vector with entry 1 at l.  Any other
+    element of S_i is c v + w with w in span(r_1..r_(i-1)): if w = 0 and
+    c != 1 it is larger at l; if lead(w) < l its lead comes earlier; if
+    lead(w) > l it is nonzero at lead(w), where v is 0.  So v is the least
+    element of S_i.  The loop below reduces r_i at the leads of L in
+    ascending order, each step subtracting a basis row that is 0 before
+    its lead, so earlier leads stay 0 and the result lies on that line;
+    ``_echelon_insert`` then scales it to 1 at l and stores it, or finds
+    it zero when r_i depends on the rows above.  Hence the key is the one
+    tuple of rows in which row i is 0 at the leads of the rows above it
+    and 1 at its own lead.
+    """
+    basis = {}
+    leads = []
+    key = []
+    for row in rows:
+        for k in leads:
+            c = row[k]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, basis[k])]
+        lead = _echelon_insert(basis, row, p)
+        if lead is None:
+            return None
+        bisect.insort(leads, lead)
+        key.append(tuple(basis[lead]))
+    return tuple(key)
 
 
-def _free_rows_gf2(arows, brows, n):
-    """Rank-n test on [A|B] with bit-packed rows over GF(2)."""
-    basis = [0] * (2 * n)
+def _pair_key(pair):
+    """Key of the submodule generated by a free pair."""
+    return _normal_form([pair.A.row(i) + pair.B.row(i) for i in range(1, pair.n + 1)],
+                        pair.field.p)
+
+
+def _key_pair(field, key):
+    """The least generating pair of the submodule with this key."""
+    n = len(key)
+    A = [x for i, row in enumerate(key) for x in row[:i + 1]]
+    B = [x for i, row in enumerate(key) for x in row[n:n + i + 1]]
+    return ModulePair(LowerTriMatrix(field, n, A), LowerTriMatrix(field, n, B))
+
+
+def _free_submodule_keys(field, n, budget):
+    """Every key at (n, p), in ModulePair order.
+
+    Row i of a key is supported on the columns a_1..a_i, b_1..b_i; it is 0
+    at the i - 1 leads of the rows above, so it is a nonzero vector of the
+    remaining i + 1 positions scaled to lead 1: (p^(i+1) - 1)/(p - 1)
+    choices, with its lead among those positions.
+    """
+    total = ring_size(field, n) ** 2
+    cap = enumeration_budget(budget)
+    if total > cap:
+        raise BudgetExceeded(
+            f"{total} pairs at n={n}, p={field.p} exceed the cap {cap}")
+    p = field.p
+    keys = [()]
     for i in range(n):
-        r = (brows[i] << n) | arows[i]
-        while r:
-            hb = r.bit_length() - 1
-            e = basis[hb]
-            if e:
-                r ^= e
-            else:
-                basis[hb] = r
-                break
-        else:
-            return False
-    return True
+        support = [*range(i + 1), *range(n, n + i + 1)]
+        grown = []
+        for key in keys:
+            # A row's lead is its first 1: the entries before it are 0.
+            leads = [row.index(1) for row in key]
+            free = [k for k in support if k not in leads]
+            for t, lead in enumerate(free):
+                rest = free[t + 1:]
+                for values in itertools.product(range(p), repeat=len(rest)):
+                    row = [0] * (2 * n)
+                    row[lead] = 1
+                    for k, v in zip(rest, values):
+                        row[k] = v
+                    grown.append(key + (tuple(row),))
+        keys = grown
 
+    def position(key):
+        # The pair's entries, A then B, as the digits of one base-p number,
+        # which orders keys as ModulePair does and keeps the sort small.
+        value = 0
+        for half in (slice(n), slice(n, None)):
+            for row in key:
+                for x in row[half]:
+                    value = value * p + x
+        return value
 
-class _Scan:
-    """Shared result of the exhaustive pair scan for one (n, p)."""
-
-    def __init__(self, field, n, budget):
-        total = ring_size(field, n) ** 2
-        cap = enumeration_budget(budget)
-        if total > cap:
-            raise BudgetExceeded(
-                f"{total} pairs at n={n}, p={field.p} exceed the cap {cap}")
-        ring = IndexedRing(field, n)
-        self.ring = ring
-        count = ring.count
-        units = ring.units
-        left = [ring.left_table(u) for u in units]
-        rows = ring.rows
-        zero_diag = ring.zero_diag
-        n_units = len(units)
-        visited = bytearray(total)
-        keys = []
-        unimodular = []
-        p = ring.p
-        gf2 = p == 2
-        free_pairs = 0
-        for a in range(count):
-            base = a * count
-            arows = rows[a]
-            a_unit = zero_diag[a] == 0
-            for b in range(count):
-                idx = base + b
-                if visited[idx]:
-                    continue
-                if a_unit:
-                    free = True
-                elif gf2:
-                    free = _free_rows_gf2(arows, rows[b], n)
-                else:
-                    # Rank-n test on [A|B], stopping at the first dependent row.
-                    basis = {}
-                    for arow, brow in zip(arows, rows[b]):
-                        if _echelon_insert(basis, arow + brow, p) is None:
-                            free = False
-                            break
-                    else:
-                        free = True
-                if free:
-                    keys.append(idx)
-                    unimodular.append(zero_diag[a] & zero_diag[b] == 0)
-                    newly = 0
-                    for lt in left:
-                        j = lt[a] * count + lt[b]
-                        if not visited[j]:
-                            visited[j] = 1
-                            newly += 1
-                    # A free pair has a trivial unit stabilizer, so its unit
-                    # orbit must have exactly one pair per unit.
-                    assert newly == n_units
-                    free_pairs += newly
-                else:
-                    visited[idx] = 1
-        self.keys = keys
-        self.unimodular = unimodular
-        self.free_pairs = free_pairs
-        self.left_tables = left
-        self.key_ordinal = {k: i for i, k in enumerate(keys)}
-
-    def normalize(self, a, b):
-        """Submodule key of the pair (a, b): minimum over the unit orbit."""
-        count = self.ring.count
-        best = None
-        for lt in self.left_tables:
-            cand = lt[a] * count + lt[b]
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    def normalize_pair(self, pair):
-        return self.normalize(self.ring.pack(pair.A), self.ring.pack(pair.B))
+    keys.sort(key=position)
+    return keys
 
 
 def enumerate_free_submodules(n, p, budget=None):
     """All free cyclic submodules at (n, p), ascending by key."""
     field = GF(p)
-    scan = _Scan(field, n, budget)
-    return [Submodule(scan.ring.unpack_pair(k)) for k in scan.keys]
+    return [Submodule(_key_pair(field, key))
+            for key in _free_submodule_keys(field, n, budget)]
 
 
 class OrbitSummary:
@@ -355,34 +254,40 @@ class _UnionFind:
         self.parent[ry] = rx
 
 
-def _decompose(scan, generators):
-    """Union-find orbit decomposition of the submodule keys."""
-    ring = scan.ring
-    count = ring.count
-    uf = _UnionFind(len(scan.keys))
-    gen_blocks = []
-    for g in generators:
-        gen_blocks.append((
-            ring.pack(g.X), ring.pack(g.Y), ring.pack(g.W), ring.pack(g.Z)))
-    tables = {}
+def _block_rows(g):
+    """Rows of the 2n x 2n matrix [X Y; W Z] of g, as (column, entry) lists."""
+    rows = [g.X.row(i) + g.Y.row(i) for i in range(1, g.n + 1)]
+    rows += [g.W.row(i) + g.Z.row(i) for i in range(1, g.n + 1)]
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
-    def table(c):
-        t = tables.get(c)
-        if t is None:
-            t = ring.right_table(c)
-            tables[c] = t
-        return t
 
-    for ordinal, key in enumerate(scan.keys):
-        a, b = key // count, key % count
-        for (x, y, w, z) in gen_blocks:
-            a2 = ring.add_idx(table(x)[a], table(w)[b])
-            b2 = ring.add_idx(table(y)[a], table(z)[b])
-            target = scan.key_ordinal[scan.normalize(a2, b2)]
-            uf.union(ordinal, target)
+def _decompose(keys, generators, p):
+    """Union-find orbit decomposition of the submodule keys.
+
+    (A, B) g = (AX + BW, AY + BZ), so each row of [A|B] moves to itself
+    times [X Y; W Z].  Keys share most of their rows, so the image of a
+    row under a generator is computed once.
+    """
+    ordinal = {key: i for i, key in enumerate(keys)}
+    uf = _UnionFind(len(keys))
+    moves = [(_block_rows(g), {}) for g in generators]
+    for i, key in enumerate(keys):
+        for block, images in moves:
+            moved = []
+            for row in key:
+                image = images.get(row)
+                if image is None:
+                    out = [0] * len(row)
+                    for x, entries in zip(row, block):
+                        if x:
+                            for j, v in entries:
+                                out[j] += x * v
+                    image = images[row] = tuple(v % p for v in out)
+                moved.append(image)
+            uf.union(i, ordinal[_normal_form(moved, p)])
     groups = {}
-    for ordinal in range(len(scan.keys)):
-        groups.setdefault(uf.find(ordinal), []).append(ordinal)
+    for i in range(len(keys)):
+        groups.setdefault(uf.find(i), []).append(i)
     return [groups[root] for root in sorted(groups)]
 
 
@@ -394,31 +299,33 @@ def orbit_decomposition(n, p, budget=None, generators=None):
 
 def _build_report(n, p, budget=None, generators=None):
     field = GF(p)
-    scan = _Scan(field, n, budget)
+    keys = _free_submodule_keys(field, n, budget)
     if generators is None:
         generators = gl2_generators(field, n)
-    orbits = _decompose(scan, generators)
+    orbits = _decompose(keys, generators, p)
 
     canonical_pairs = enumerate_canonical(n, field) if n >= 2 else []
-    canonical_ordinals = {}
+    canonical_of = {}
     for cp in canonical_pairs:
-        ordinal = scan.key_ordinal[scan.normalize_pair(cp)]
-        canonical_ordinals.setdefault(ordinal, []).append(cp)
+        canonical_of.setdefault(_pair_key(cp), []).append(cp)
 
     report = OrbitReport(n, p)
-    report.free_pairs = scan.free_pairs
-    report.free_submodules = len(scan.keys)
+    # A free pair has a trivial unit stabilizer, so every submodule has
+    # exactly one generating pair per unit.
+    report.free_pairs = len(keys) * unit_count(field, n)
+    report.free_submodules = len(keys)
     report.orbit_count = len(orbits)
 
-    orbit_of_ordinal = {}
+    orbit_of = {}
     orbit_canonical = []
     for idx, members in enumerate(orbits):
-        for ordinal in members:
-            orbit_of_ordinal[ordinal] = idx
         canon = []
-        for ordinal in members:
-            canon.extend(canonical_ordinals.get(ordinal, []))
-        flags = {scan.unimodular[ordinal] for ordinal in members}
+        for i in members:
+            orbit_of[keys[i]] = idx
+            canon.extend(canonical_of.get(keys[i], []))
+        # Unimodular: a_ii or b_ii is nonzero in every row i.
+        flags = {all(row[k] or row[n + k] for k, row in enumerate(keys[i]))
+                 for i in members}
         summary = OrbitSummary(
             size=len(members),
             canonical_count=len(canon),
@@ -427,10 +334,9 @@ def _build_report(n, p, budget=None, generators=None):
             mixed_flags=len(flags) > 1,
         )
         report.orbits.append(summary)
-        orbit_canonical.append(scan.key_ordinal[scan.normalize_pair(canon[0])]
-                               if len(canon) == 1 else None)
+        orbit_canonical.append(_pair_key(canon[0]) if len(canon) == 1 else None)
     assert sum(o.size for o in report.orbits) == report.free_submodules
-    return report, (scan, orbits, orbit_of_ordinal, orbit_canonical)
+    return report, (keys, orbits, orbit_of, orbit_canonical)
 
 
 def random_free_pairs(field, n, count, seed):
@@ -458,10 +364,9 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
     report is wrapped in a VerificationFailed exception instead of being
     returned with failing verdicts.
     """
-    report, (scan, orbits, orbit_of_ordinal, orbit_canonical) = _build_report(
+    report, (keys, orbits, orbit_of, orbit_canonical) = _build_report(
         n, p, budget, generators)
-    ring = scan.ring
-    field = ring.field
+    field = GF(p)
 
     report.verdicts["orbit_count_equals_bell"] = report.orbit_count == report.bell
     report.verdicts["one_canonical_per_orbit"] = all(
@@ -470,10 +375,8 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
     # Exactly one orbit of unimodular submodules, the one holding (I, 0).
     flags_consistent = not any(o.mixed_flags for o in report.orbits)
     unim_orbits = [i for i, o in enumerate(report.orbits) if o.unimodular]
-    identity_key = scan.normalize(
-        ring.pack(LowerTriMatrix.identity(field, n)),
-        ring.pack(LowerTriMatrix.zero(field, n)))
-    identity_orbit = orbit_of_ordinal[scan.key_ordinal[identity_key]]
+    identity_orbit = orbit_of[_pair_key(ModulePair(
+        LowerTriMatrix.identity(field, n), LowerTriMatrix.zero(field, n)))]
     report.verdicts["single_unimodular_orbit"] = (
         flags_consistent and unim_orbits == [identity_orbit])
     # Free pairs outside the unimodular orbit are non-unimodular and free,
@@ -482,12 +385,11 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
 
     # Canonicalizer agreement with the orbit decomposition.
     if report.free_pairs <= exhaustive_check_cap:
+        units = list(unit_matrices(field, n))
         to_check = []
-        count = ring.count
-        for ordinal, key in enumerate(scan.keys):
-            a, b = key // count, key % count
-            for lt in scan.left_tables:
-                to_check.append(ring.unpack_pair(lt[a] * count + lt[b]))
+        for key in keys:
+            pair = _key_pair(field, key)
+            to_check.extend(ModulePair(u * pair.A, u * pair.B) for u in units)
         report.sampled = False
     else:
         to_check = random_free_pairs(field, n, samples, seed)
@@ -503,10 +405,8 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
             agreed = False
             continue
         report.search_activations += trace.search_steps
-        ordinal = scan.key_ordinal[scan.normalize_pair(pair)]
-        expected = orbit_canonical[orbit_of_ordinal[ordinal]]
-        got = scan.key_ordinal[scan.normalize_pair(result)]
-        if expected is None or got != expected or not is_canonical(result):
+        expected = orbit_canonical[orbit_of[_pair_key(pair)]]
+        if expected is None or _pair_key(result) != expected or not is_canonical(result):
             agreed = False
             if report.counterexample is None:
                 report.counterexample = pair
@@ -520,8 +420,7 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
             # Pick a minimal witness: the least key of a failing orbit.
             for i, o in enumerate(report.orbits):
                 if o.canonical_count != 1 or o.mixed_flags:
-                    members = orbits[i]
-                    report.counterexample = ring.unpack_pair(scan.keys[min(members)])
+                    report.counterexample = _key_pair(field, keys[min(orbits[i])])
                     break
         if raise_on_failure:
             raise VerificationFailed(report)

@@ -242,8 +242,9 @@ def _echelon_insert(basis, row, p):
     that is 1 there and 0 before it.  An independent row is stored
     normalized under its new lead, which is returned; a dependent row
     returns None.  This is the package's one mod-p elimination; it runs
-    per row in the oracle's pair scan, hence the inline lead search.
-    Callers outside the package use matrix_rank and solve_mod_p.
+    per row of every generator move in the oracle's decomposition, hence
+    the inline lead search.  Callers outside the package use matrix_rank
+    and solve_mod_p.
     """
     while True:
         lead = None

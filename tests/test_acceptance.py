@@ -51,7 +51,7 @@ from triorbit import (
 )
 from triorbit.cli import main as cli_main
 from triorbit.modpairs import ring_matrices
-from triorbit.oracle import _build_report, random_free_pairs
+from triorbit.oracle import _build_report, _key_pair, _pair_key, random_free_pairs
 from tests.conftest import TABLE_N4, make_pair
 
 SAMPLE_SEED = 2024
@@ -79,8 +79,8 @@ def build_report_cached(n, p):
 
 def oracle_orbit(oracle_data, pair):
     """Index of the oracle orbit holding the submodule generated by pair."""
-    scan, orbits, orbit_of, orbit_canonical = oracle_data
-    return orbit_of[scan.key_ordinal[scan.normalize_pair(pair)]]
+    keys, orbits, orbit_of, orbit_canonical = oracle_data
+    return orbit_of[_pair_key(pair)]
 
 
 def canonicalization_tally(n, p):
@@ -290,10 +290,10 @@ def test_jump_maps_are_counted_by_zigzag_numbers():
 
 @pytest.mark.parametrize("n,p", [(3, 2), (4, 2)])
 def test_flag_profile_separates_oracle_orbits(n, p):
-    report, (scan, orbits, orbit_of, orbit_canonical) = build_report_cached(n, p)
+    report, (keys, orbits, orbit_of, orbit_canonical) = build_report_cached(n, p)
     profiles = []
     for members in orbits:
-        seen = {flag_profile(scan.ring.unpack_pair(scan.keys[ordinal]))
+        seen = {flag_profile(_key_pair(GF(p), keys[ordinal]))
                 for ordinal in members}
         assert len(seen) == 1, "flag profile is not constant on an oracle orbit"
         profiles.append(seen.pop())
@@ -397,9 +397,9 @@ def check_canonicalizations(n, p, oracle_data):
         elif flag_profile(o.result) != o.profile:
             problems.append(("result has another flag profile", o.pair))
         elif data is not None:
-            scan, orbits, orbit_of, orbit_canonical = data
+            keys, orbits, orbit_of, orbit_canonical = data
             expected = orbit_canonical[oracle_orbit(data, o.pair)]
-            if scan.key_ordinal[scan.normalize_pair(o.result)] != expected:
+            if _pair_key(o.result) != expected:
                 problems.append(("result lies in another oracle orbit", o.pair))
     return len(outcomes), failures, problems
 

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -115,7 +116,8 @@ def test_canonicalize_parse_error_exits_2(tmp_path, capsys):
     code, _ = run_cli(capsys, "canonicalize", "--input", str(tmp_path / "missing.txt"))
     assert code == 2
     for doc in ({"n": 2, "p": 2, "A": [[1, 0], [0, 1]]},
-                {"n": 2, "p": 2, "A": 5, "B": [[1, 0], [0, 1]]}):
+                {"n": 2, "p": 2, "A": 5, "B": [[1, 0], [0, 1]]},
+                {"n": 2, "p": 2, "A": [[3, 0], [-1, 5]], "B": [[0, 0], [1, 0]]}):
         f.write_text(json.dumps(doc))
         code, out = run_cli(capsys, "canonicalize", "--input", str(f))
         assert code == 2
@@ -224,7 +226,7 @@ def test_verify_determinism(capsys):
     assert first == second
 
 
-def test_budget_env_override(capsys, monkeypatch):
+def test_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TRIORBIT_BUDGET", "100")
     code, out = run_cli(capsys, "verify", "--n", "2", "--p", "3")
     assert code == 2
@@ -238,6 +240,28 @@ def test_budget_env_override(capsys, monkeypatch):
             code, out = run_cli(capsys, *argv)
             assert code == 2
             assert "not a positive integer" in out
+    # canonicalize caches per n: a bad budget still exits 2 after a first call.
+    f = tmp_path / "pair.txt"
+    f.write_text("3 2\n1 0 0\n0 1 0\n0 0 1\n\n0 0 0\n0 0 0\n0 0 0\n")
+    monkeypatch.delenv("TRIORBIT_BUDGET")
+    code, _ = run_cli(capsys, "canonicalize", "--input", str(f))
+    assert code == 0
+    monkeypatch.setenv("TRIORBIT_BUDGET", "abc")
+    code, out = run_cli(capsys, "canonicalize", "--input", str(f))
+    assert code == 2
+    assert "not a positive integer" in out
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 89 - 1])
+def test_huge_modulus_exits_quickly(tmp_path, capsys, p):
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"n": 2, "p": p, "A": [[1, 0], [5, 7]], "B": [[0, 0], [1, 0]]}))
+    start = time.perf_counter()
+    canon_code, _ = run_cli(capsys, "canonicalize", "--input", str(f))
+    verify_code, _ = run_cli(capsys, "verify", "--n", "2", "--p", str(p))
+    assert time.perf_counter() - start < 10
+    assert canon_code in (0, 1, 2)
+    assert verify_code in (0, 1, 2)
 
 
 def test_verify_exclusive_flags(capsys):

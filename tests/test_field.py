@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triorbit import GF, NonPrimeModulus, ZeroInverse, is_prime
+from triorbit.field import MAX_MODULUS
 
 
 def test_context_construction():
@@ -65,7 +66,26 @@ def test_element_reduction_is_canonical(p, v):
     assert 0 <= f.element(v) < p
 
 
+def is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(31):
         assert is_prime(n) == (n in primes)
+    for n in range(10 ** 5):
+        assert is_prime(n) == is_prime_by_trial_division(n)
+
+
+def test_is_prime_large_values():
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 61 + 1)
+    # Strong pseudoprime to the bases 2, 3, 5 and 7.
+    assert not is_prime(3215031751)
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(ValueError):
+        is_prime(MAX_MODULUS)
+    # 2^89 - 1 is prime, but beyond the range where primality is exact.
+    with pytest.raises(NonPrimeModulus):
+        GF(2 ** 89 - 1)

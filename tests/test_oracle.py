@@ -15,41 +15,8 @@ from triorbit import (
     verify_classification,
 )
 from triorbit.errors import VerificationFailed
-from triorbit.modpairs import unit_matrices
-from triorbit.oracle import IndexedRing, random_free_pairs
-
-
-def test_indexed_ring_matches_matrix_arithmetic(gf2):
-    ring = IndexedRing(gf2, 3)
-    import random
-
-    rng = random.Random(0)
-    for _ in range(200):
-        a = rng.randrange(ring.count)
-        b = rng.randrange(ring.count)
-        assert ring.unpack(ring.mul_idx(a, b)) == ring.unpack(a) * ring.unpack(b)
-        assert ring.unpack(ring.add_idx(a, b)) == ring.unpack(a) + ring.unpack(b)
-
-
-def test_indexed_ring_matches_matrix_arithmetic_odd_p():
-    f = GF(3)
-    ring = IndexedRing(f, 2)
-    for a in range(ring.count):
-        for b in range(ring.count):
-            assert ring.unpack(ring.mul_idx(a, b)) == ring.unpack(a) * ring.unpack(b)
-            assert ring.unpack(ring.add_idx(a, b)) == ring.unpack(a) + ring.unpack(b)
-
-
-def test_indexed_ring_order_matches_pair_order(gf2):
-    ring = IndexedRing(gf2, 2)
-    mats = [ring.unpack(i) for i in range(ring.count)]
-    assert mats == sorted(mats)
-
-
-def test_unit_list_matches_matrix_units(gf2):
-    ring = IndexedRing(gf2, 3)
-    expected = sorted(ring.pack(u) for u in unit_matrices(gf2, 3))
-    assert ring.units == expected
+from triorbit.modpairs import ring_matrices
+from triorbit.oracle import _key_pair, _pair_key, random_free_pairs
 
 
 def test_free_submodule_enumeration_counts():
@@ -59,12 +26,28 @@ def test_free_submodule_enumeration_counts():
     assert len(enumerate_free_submodules(3, 2)) == 315
 
 
-def test_free_submodules_agree_with_high_level_keys(gf2):
-    subs = enumerate_free_submodules(2, 2)
+def free_pairs_by_brute_force(n, p):
+    field = GF(p)
+    ring = list(ring_matrices(field, n))
+    return [pair for pair in (ModulePair(A, B) for A in ring for B in ring)
+            if pair.is_free()]
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_free_submodules_agree_with_high_level_keys(n, p):
+    subs = enumerate_free_submodules(n, p)
     keys = {cyclic_submodule(s.generator) for s in subs}
     assert len(keys) == len(subs)
     for sub, key in zip(sorted(subs), sorted(keys)):
         assert sub.generator == key.generator
+    # The normal form of every free pair is its brute-force least generator.
+    for pair in free_pairs_by_brute_force(n, p):
+        assert _key_pair(pair.field, _pair_key(pair)) == cyclic_submodule(pair).generator
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_free_pair_count_matches_brute_force(n, p):
+    assert orbit_decomposition(n, p).free_pairs == len(free_pairs_by_brute_force(n, p))
 
 
 def test_canonical_pairs_appear_as_submodules(gf2):
@@ -167,23 +150,22 @@ def test_orbit_decomposition_deterministic_under_generator_order():
 def test_single_generator_moves_stay_in_orbit(gf2):
     from triorbit.oracle import _build_report
 
-    report, (scan, orbits, orbit_of, _) = _build_report(3, 2)
+    report, (keys, orbits, orbit_of, _) = _build_report(3, 2)
     gens = gl2_generators(gf2, 3)
-    count = scan.ring.count
-    for ordinal, key in enumerate(scan.keys[::5]):
-        pair = scan.ring.unpack_pair(key)
-        home = orbit_of[scan.key_ordinal[scan.normalize_pair(pair)]]
+    for key in keys[::5]:
+        pair = _key_pair(gf2, key)
+        home = orbit_of[_pair_key(pair)]
         for g in gens:
             moved = act_right(pair, g)
-            assert orbit_of[scan.key_ordinal[scan.normalize_pair(moved)]] == home
+            assert orbit_of[_pair_key(moved)] == home
 
 
 def test_unimodular_orbit_size_matches_pointwise_count(gf2):
     from triorbit.oracle import _build_report
 
     for (n, p) in [(2, 2), (3, 2)]:
-        report, (scan, orbits, orbit_of, _) = _build_report(n, p)
-        unim_keys = sum(1 for flag in scan.unimodular if flag)
+        report, (keys, orbits, orbit_of, _) = _build_report(n, p)
+        unim_keys = sum(1 for key in keys if _key_pair(GF(p), key).is_unimodular())
         orbit_sizes = [o.size for o in report.orbits if o.unimodular]
         assert sum(orbit_sizes) == unim_keys
 
