@@ -83,6 +83,9 @@ def test_is_prime_large_values():
     assert not is_prime(2 ** 61 + 1)
     # Strong pseudoprime to the bases 2, 3, 5 and 7.
     assert not is_prime(3215031751)
+    # psi_12 = 399165290221 * 798330580441: strong pseudoprime to every
+    # base from 2 to 37, so base 41 is needed below MAX_MODULUS.
+    assert not is_prime(318665857834031151167461)
     assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
     with pytest.raises(ValueError):
         is_prime(MAX_MODULUS)

@@ -36,6 +36,7 @@ def free_pairs_by_brute_force(n, p):
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
 def test_free_submodules_agree_with_high_level_keys(n, p):
     subs = enumerate_free_submodules(n, p)
+    assert subs == sorted(subs)
     keys = {cyclic_submodule(s.generator) for s in subs}
     assert len(keys) == len(subs)
     for sub, key in zip(sorted(subs), sorted(keys)):
