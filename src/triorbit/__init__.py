@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidBudget,
+    InvalidEntry,
     InvalidPartition,
     NonPrimeModulus,
     NotAUnit,
@@ -49,6 +50,7 @@ from .gl2 import (
     act_right,
     gl2_generators,
     gl2_is_invertible,
+    orbit_generators,
     unit_generators,
 )
 from .canonical import (
@@ -109,6 +111,7 @@ __all__ = [
     "is_prime",
     "leading_rank",
     "orbit_decomposition",
+    "orbit_generators",
     "pair_to_partition",
     "parse_pair",
     "partition_to_pair",
@@ -127,6 +130,7 @@ __all__ = [
     "IndexOutOfRange",
     "BudgetExceeded",
     "InvalidBudget",
+    "InvalidEntry",
     "NotFree",
     "NotAUnit",
     "NotInvertible",

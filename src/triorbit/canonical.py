@@ -115,25 +115,16 @@ def is_canonical(pair: ModulePair) -> bool:
     """Check the canonical-shape invariants directly."""
     A, B = pair.A, pair.B
     n = pair.n
-    for i in range(1, n + 1):
-        if A.entry(i, i) not in (0, 1):
-            return False
-        if B.entry(i, i) != 0:
-            return False
-        for j in range(1, i):
-            if A.entry(i, j) != 0:
-                return False
-            if B.entry(i, j) not in (0, 1):
-                return False
     columns = []
-    for i in range(1, n + 1):
-        nonzeros = int(A.entry(i, i) != 0)
-        for j in range(1, i):
-            if B.entry(i, j):
-                nonzeros += 1
-                columns.append(j)
-        if nonzeros != 1:
+    for i, (a, b) in enumerate(zip(A.rows(), B.rows())):
+        # Row i + 1: A is 0/1 on the diagonal and 0 below it, B is 0 on
+        # the diagonal and 0/1 below it, and the row holds one nonzero.
+        if a[i] not in (0, 1) or b[i] != 0 or any(a[:i]):
             return False
+        used = [j for j in range(i) if b[j]]
+        if any(b[j] != 1 for j in used) or a[i] + len(used) != 1:
+            return False
+        columns += used
     if len(columns) != len(set(columns)):
         return False
     # Consequence of the shape: n nonzero entries and full rank.
@@ -276,7 +267,7 @@ def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
         else:
             assert not any(H.row(i)), "unit row of H is nonzero"
     hwork = [H.row(i) for i in range(1, n + 1)]
-    kwork = [[int(r == c) for c in range(n)] for r in range(n)]
+    kwork = _identity_rows(n)
     for (ipiv, jpiv) in sorted(pivots, reverse=True):
         prow_h = hwork[ipiv - 1]
         prow_k = kwork[ipiv - 1]
@@ -289,6 +280,16 @@ def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
 
 
 # -- the reduction pipeline ---------------------------------------------------
+
+
+def _identity_rows(n):
+    """The n x n identity as mutable rows, for accumulating elementary moves.
+
+    The recorded factors below are products of elementary transvections;
+    each one is applied to the rows as its row or column operation, which
+    gives the same matrix as multiplying the factors out.
+    """
+    return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
 class _Reduction:
@@ -320,29 +321,15 @@ class _Reduction:
 
 
 def _offense(pair):
-    """Entries of the A part (plus B diagonal) blocking canonical shape."""
-    A, B = pair.A, pair.B
-    score = 0
-    for i in range(1, pair.n + 1):
-        if A.entry(i, i) not in (0, 1):
-            score += 1
-        if B.entry(i, i) != 0:
-            score += 1
-        for j in range(1, i):
-            if A.entry(i, j) != 0:
-                score += 1
-    return score
+    """Entries of the A part (plus B diagonal) blocking canonical shape.
 
-
-def _a_part_ready(pair):
-    A, B = pair.A, pair.B
-    for i in range(1, pair.n + 1):
-        if A.entry(i, i) not in (0, 1) or B.entry(i, i) != 0:
-            return False
-        for j in range(1, i):
-            if A.entry(i, j) != 0:
-                return False
-    return True
+    These are the diagonal entries of A outside {0, 1}, the nonzero
+    diagonal entries of B and the nonzero entries of A below its diagonal;
+    phase one is done exactly when none is left.
+    """
+    adiag = pair.A.diag()
+    below = sum(1 for v in pair.A.entries if v) - sum(1 for a in adiag if a)
+    return below + sum(1 for a in adiag if a > 1) + sum(1 for b in pair.B.diag() if b)
 
 
 def _clear_b_diagonal(red):
@@ -388,7 +375,7 @@ def _similarity(red):
     n, f = red.n, red.field
     p = f.p
     work = [red.pair.A.row(i) for i in range(1, n + 1)]
-    P = LowerTriMatrix.identity(f, n)
+    pwork = _identity_rows(n)
     changed = False
     for dist in range(1, n):
         for j in range(1, n - dist + 1):
@@ -406,9 +393,12 @@ def _similarity(red):
                 work[k][j - 1] = (work[k][j - 1] + t * work[k][i - 1]) % p
             jrow = list(work[j - 1])
             work[i - 1] = [(a - t * b) % p for a, b in zip(work[i - 1], jrow)]
-            P = P * LowerTriMatrix.identity(f, n).with_entry(i, j, t)
+            # P = P (I + t e_ij): column j of P += t * column i
+            for prow in pwork:
+                prow[j - 1] = (prow[j - 1] + t * prow[i - 1]) % p
             changed = True
     if changed:
+        P = LowerTriMatrix.from_rows(f, pwork)
         red.left(P.inverse(), "similarity_left")
         red.right(GL2Element.block_diag(P, LowerTriMatrix.identity(f, n)),
                   "similarity_right")
@@ -434,7 +424,7 @@ def _row_clear(red):
     n, f = red.n, red.field
     p = f.p
     work = [red.pair.A.row(i) for i in range(1, n + 1)]
-    L = LowerTriMatrix.identity(f, n)
+    lwork = _identity_rows(n)
     changed = False
     for i in range(2, n + 1):
         for j in range(i - 1, 0, -1):
@@ -442,10 +432,11 @@ def _row_clear(red):
             if v and work[j - 1][j - 1] == 1:
                 t = f.neg(v)
                 work[i - 1] = [(a + t * b) % p for a, b in zip(work[i - 1], work[j - 1])]
-                L = LowerTriMatrix.identity(f, n).with_entry(i, j, t) * L
+                # L = (I + t e_ij) L: row i of L += t * row j
+                lwork[i - 1] = [(a + t * b) % p for a, b in zip(lwork[i - 1], lwork[j - 1])]
                 changed = True
     if changed:
-        red.left(L, "row_clearing")
+        red.left(LowerTriMatrix.from_rows(f, lwork), "row_clearing")
         assert [red.pair.A.row(i) for i in range(1, n + 1)] == work
 
 
@@ -456,8 +447,9 @@ def _col_clear(red):
     so each column operation touches exactly its target entry.
     """
     n, f = red.n, red.field
+    p = f.p
     work = [red.pair.A.row(i) for i in range(1, n + 1)]
-    X = LowerTriMatrix.identity(f, n)
+    xwork = _identity_rows(n)
     changed = False
     for i in range(2, n + 1):
         if work[i - 1][i - 1] != 1:
@@ -466,10 +458,13 @@ def _col_clear(red):
             v = work[i - 1][j - 1]
             if v:
                 t = f.neg(v)
-                X = X * LowerTriMatrix.identity(f, n).with_entry(i, j, t)
+                # X = X (I + t e_ij): column j of X += t * column i
+                for xrow in xwork:
+                    xrow[j - 1] = (xrow[j - 1] + t * xrow[i - 1]) % p
                 work[i - 1][j - 1] = 0
                 changed = True
     if changed:
+        X = LowerTriMatrix.from_rows(f, xwork)
         red.right(GL2Element.block_diag(X, LowerTriMatrix.identity(f, n)),
                   "column_clearing")
         assert [red.pair.A.row(i) for i in range(1, n + 1)] == work
@@ -497,7 +492,7 @@ def _trailing_echelon(red):
     p = f.p
     A = red.pair.A
     work = [red.pair.B.row(i) for i in range(1, n + 1)]
-    L = LowerTriMatrix.identity(f, n)
+    lwork = _identity_rows(n)
     changed = False
     owner = {}
     for i in range(1, n + 1):
@@ -513,10 +508,12 @@ def _trailing_echelon(red):
             t = f.neg(f.div(work[i - 1][trail - 1], work[prev - 1][trail - 1]))
             work[i - 1] = [(a + t * b) % p
                            for a, b in zip(work[i - 1], work[prev - 1])]
-            L = LowerTriMatrix.identity(f, n).with_entry(i, prev, t) * L
+            # L = (I + t e_(i,prev)) L: row i of L += t * row prev
+            lwork[i - 1] = [(a + t * b) % p
+                            for a, b in zip(lwork[i - 1], lwork[prev - 1])]
             changed = True
     if changed:
-        red.left(L, "trailing_echelon")
+        red.left(LowerTriMatrix.from_rows(f, lwork), "trailing_echelon")
         assert [red.pair.B.row(i) for i in range(1, n + 1)] == work
 
 
@@ -549,7 +546,7 @@ def span_profile(pair):
     dims = []
     for j in range(n, 0, -1):
         for M in (pair.A, pair.B):
-            _echelon_insert(basis, [M.entry(r, j) for r in range(1, n + 1)], p)
+            _echelon_insert(basis, M.column(j), p)
         dims.append([sum(1 for lead in basis if lead >= i) for i in range(n)])
     return tuple(d for row in reversed(dims) for d in row)
 
@@ -655,7 +652,7 @@ def canonicalize(pair: ModulePair, search_depth=4, search_limit=20000):
     max_rounds = pair.n * pair.n + 2
     for _ in range(max_rounds):
         _cleanup(red)
-        if _a_part_ready(red.pair):
+        if _offense(red.pair) == 0:
             break
         if generators is None:
             generators = gl2_generators(red.field, red.n)

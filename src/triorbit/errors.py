@@ -25,6 +25,10 @@ class SingularMatrix(TriOrbitError, ValueError):
     """Inverse of a non-unit triangular matrix was requested."""
 
 
+class InvalidEntry(TriOrbitError, ValueError):
+    """A matrix entry lies outside the canonical residues [0, p)."""
+
+
 class IndexOutOfRange(TriOrbitError, IndexError):
     """A 1-based matrix index lies outside [1, n]."""
 

@@ -2,8 +2,10 @@
 
 A block matrix [X Y; W Z] with lower triangular blocks is invertible
 exactly when x_ii z_ii - y_ii w_ii is nonzero for every index i.  The group
-acts on pairs from the right; units of T_n act from the left.  A finite
-elementary generating set drives the orbit search in the oracle module.
+acts on pairs from the right; units of T_n act from the left.  Two finite
+generating sets are kept: ``gl2_generators``, the elementary moves of the
+canonicalizer's word search, and the much smaller ``orbit_generators``
+that the oracle's orbit decomposition multiplies every submodule by.
 """
 
 from .errors import DimensionMismatch, NotAUnit, NotInvertible
@@ -34,6 +36,16 @@ class GL2Element:
         self.Y = Y
         self.W = W
         self.Z = Z
+
+    @classmethod
+    def _trusted(cls, X, Y, W, Z):
+        """[X Y; W Z] without the invertibility test; the caller vouches for it."""
+        g = object.__new__(cls)
+        g.X = X
+        g.Y = Y
+        g.W = W
+        g.Z = Z
+        return g
 
     @property
     def n(self):
@@ -84,9 +96,15 @@ class GL2Element:
         )
 
     def __mul__(self, other):
+        """Block product, without re-testing invertibility.
+
+        Both factors are invertible with lower triangular blocks, so the
+        product has lower triangular blocks and the inverse h^-1 g^-1: it
+        lies in the group, and the constructor's test could only pass.
+        """
         if not isinstance(other, GL2Element):
             return NotImplemented
-        return GL2Element(
+        return GL2Element._trusted(
             self.X * other.X + self.Y * other.W,
             self.X * other.Y + self.Y * other.Z,
             self.W * other.X + self.Z * other.W,
@@ -167,7 +185,7 @@ def unit_generators(field, n):
 
 
 def gl2_generators(field, n):
-    """Elementary generating set used by the orbit search.
+    """Elementary generating set used by the canonicalizer's word search.
 
     Unit embeddings on either diagonal block, single-entry transvection
     blocks on either off-diagonal, and the swap.
@@ -191,4 +209,55 @@ def gl2_generators(field, n):
                 push(GL2Element.upper(E))
                 push(GL2Element.lower(E))
     push(GL2Element.swap(field, n))
+    return gens
+
+
+def _primitive_root(p):
+    """The least generator of the cyclic group GF(p)^*."""
+    order = p - 1
+    primes = []
+    m, q = order, 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    g = 1
+    while True:
+        g += 1
+        if all(pow(g, order // q, p) != 1 for q in primes):
+            return g
+
+
+def orbit_generators(field, n):
+    """A small generating set of GL2(T_n): 2n elements at p = 2, 3n above.
+
+    The swap, upper(e_ii) for every i, block_diag(t_(i+1,i)(1), I) for
+    i < n, and at p > 2 block_diag(d_i(g), I) for a primitive root g.
+
+    Proof.  The diagonal cells give a surjection of GL2(T_n) onto
+    GL2(F_p)^n; its kernel U is the unipotent radical and the elements
+    with diagonal blocks form a complement, the Levi factor.  Conjugating
+    by the swap turns upper(e_ii) into lower(e_ii), and the two
+    transvections generate SL2(F_p) in coordinate i; diag(g, 1) there has
+    determinant g, so adding it gives GL2(F_p), which is SL2(F_p) itself
+    at p = 2.  Hence the set yields the Levi factor.  U is generated by
+    the groups I + M e_ij (M a 2x2 matrix, i > j).  Levi-conjugates of
+    the subdiagonal transvection give I + a M_11 b^-1 e_(i+1,i) for all
+    a, b in GL2(F_p), whose products are all of I + M e_(i+1,i), and
+    commutators [I + M e_ij, I + N e_jk] = I + MN e_ik reach every i > j.
+    """
+    one = LowerTriMatrix.identity(field, n)
+    gens = [GL2Element.swap(field, n)]
+    gens += [GL2Element.upper(LowerTriMatrix.single(field, n, i, i))
+             for i in range(1, n + 1)]
+    gens += [GL2Element.block_diag(one.with_entry(i + 1, i, 1), one)
+             for i in range(1, n)]
+    if field.p > 2:
+        g = _primitive_root(field.p)
+        gens += [GL2Element.block_diag(one.with_entry(i, i, g), one)
+                 for i in range(1, n + 1)]
     return gens

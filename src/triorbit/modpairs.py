@@ -202,6 +202,13 @@ def is_outlier_oracle(pair: ModulePair, budget=None) -> bool:
 # -- pair files --------------------------------------------------------------
 
 
+def _json_int(value):
+    """A JSON number that is an integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise ValueError(f"structured pair holds {value!r} where an integer belongs")
+    return value
+
+
 def parse_pair(text: str) -> ModulePair:
     """Read a pair from text or structured form.
 
@@ -212,13 +219,13 @@ def parse_pair(text: str) -> ModulePair:
     if stripped.startswith("{"):
         obj = json.loads(text)
         try:
-            field = GF(int(obj["p"]))
-            n = int(obj["n"])
-            A = [[int(v) for v in row] for row in obj["A"]]
-            B = [[int(v) for v in row] for row in obj["B"]]
+            field = GF(_json_int(obj["p"]))
+            n = _json_int(obj["n"])
+            A = [[_json_int(v) for v in row] for row in obj["A"]]
+            B = [[_json_int(v) for v in row] for row in obj["B"]]
         except KeyError as exc:
             raise ValueError(f"structured pair lacks the field {exc}") from None
-        except (TypeError, OverflowError) as exc:
+        except TypeError as exc:
             raise ValueError(f"structured pair has a malformed field: {exc}") from None
         for v in itertools.chain(*A, *B):
             if not 0 <= v < field.p:

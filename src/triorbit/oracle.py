@@ -21,7 +21,7 @@ import random
 from .canonical import canonicalize, enumerate_canonical, is_canonical
 from .errors import BudgetExceeded, CanonicalizationFailed, VerificationFailed
 from .field import GF
-from .gl2 import gl2_generators
+from .gl2 import orbit_generators
 from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
                        unit_count, unit_matrices)
 from .partitions import bell
@@ -301,7 +301,7 @@ def _build_report(n, p, budget=None, generators=None):
     field = GF(p)
     keys = _free_submodule_keys(field, n, budget)
     if generators is None:
-        generators = gl2_generators(field, n)
+        generators = orbit_generators(field, n)
     orbits = _decompose(keys, generators, p)
 
     canonical_pairs = enumerate_canonical(n, field) if n >= 2 else []

@@ -3,14 +3,16 @@
 Only the lower triangle is stored (row-major, so entries appear in the
 order (1,1), (2,1), (2,2), (3,1), ...).  Indices in the public API are
 1-based throughout, matching the algebra this package implements; the zero
-upper triangle is implicit.
+upper triangle is implicit.  The public constructor checks every entry;
+the ring operations, whose results are reduced mod p by construction,
+build them through ``_trusted`` instead.
 
 The module also holds the package's one mod-p elimination kernel and the
 rank computations built on it: the rank of the augmented matrix [A|B],
 ranks of leading principal submatrices and of truncated copies.
 """
 
-from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidEntry, SingularMatrix
 from .field import GF
 
 
@@ -21,6 +23,43 @@ def _tri_len(n):
 def _pos(i, j):
     """Offset of 1-based (i, j), j <= i, inside the packed lower triangle."""
     return i * (i - 1) // 2 + (j - 1)
+
+
+def _trusted(field, n, entries):
+    """A LowerTriMatrix built without the public constructor's checks.
+
+    For the ring operations only: ``entries`` must be a tuple of
+    n(n+1)/2 residues already reduced into [0, p).
+    """
+    M = object.__new__(LowerTriMatrix)
+    M.field = field
+    M.n = n
+    M.entries = entries
+    return M
+
+
+_PRODUCT_PLANS = {}
+
+
+def _product_plan(n):
+    """The packed identity of size n and the offsets the product walks.
+
+    Row i of LR is the sum over k <= i of L_ik times row k of R, and row k
+    of R occupies entries[k(k-1)/2 : k(k+1)/2].  The plan lists, per lower
+    position (i, k) in packed order, its offset, the offset of (i, 1) and
+    the bounds of row k; both parts are computed once per n.
+    """
+    plan = _PRODUCT_PLANS.get(n)
+    if plan is None:
+        one = tuple(int(i == j) for i in range(1, n + 1) for j in range(1, i + 1))
+        steps = [(_pos(i, k), _pos(i, 1), _pos(k, 1), _pos(k, k) + 1)
+                 for i in range(1, n + 1) for k in range(1, i + 1)]
+        plan = _PRODUCT_PLANS[n] = (one, steps)
+    return plan
+
+
+_DIAGONAL_OFFSETS = {}
+_IDENTITY = {}
 
 
 class LowerTriMatrix:
@@ -36,7 +75,8 @@ class LowerTriMatrix:
             raise DimensionMismatch(
                 f"expected {_tri_len(n)} packed entries for n={n}, got {len(entries)}"
             )
-        assert all(0 <= e < field.p for e in entries)
+        if min(entries) < 0 or max(entries) >= field.p:
+            raise InvalidEntry(f"entries must lie in [0, {field.p}): {list(entries)}")
         self.field = field
         self.n = n
         self.entries = entries
@@ -45,19 +85,27 @@ class LowerTriMatrix:
 
     @classmethod
     def zero(cls, field, n):
-        return cls(field, n, (0,) * _tri_len(n))
+        if n < 1:
+            raise DimensionMismatch(f"dimension {n} < 1")
+        return _trusted(field, n, (0,) * _tri_len(n))
 
     @classmethod
     def identity(cls, field, n):
-        return cls.diagonal(field, [1] * n)
+        key = (field.p, n)
+        one = _IDENTITY.get(key)
+        if one is None:
+            one = _IDENTITY[key] = cls.diagonal(field, [1] * n)
+        return one
 
     @classmethod
     def diagonal(cls, field, diag):
         n = len(diag)
+        if n < 1:
+            raise DimensionMismatch(f"dimension {n} < 1")
         entries = [0] * _tri_len(n)
         for i, d in enumerate(diag, start=1):
             entries[_pos(i, i)] = d % field.p
-        return cls(field, n, entries)
+        return _trusted(field, n, tuple(entries))
 
     @classmethod
     def single(cls, field, n, i, j, value=1):
@@ -94,17 +142,31 @@ class LowerTriMatrix:
             raise IndexOutOfRange(f"({i},{j}) outside [1,{self.n}]^2")
         if j > i:
             return 0
-        return self.entries[_pos(i, j)]
+        return self.entries[i * (i - 1) // 2 + j - 1]
 
     def diag(self):
-        return tuple(self.entries[_pos(i, i)] for i in range(1, self.n + 1))
+        offsets = _DIAGONAL_OFFSETS.get(self.n)
+        if offsets is None:
+            offsets = _DIAGONAL_OFFSETS[self.n] = [
+                _pos(i, i) for i in range(1, self.n + 1)]
+        return tuple(map(self.entries.__getitem__, offsets))
 
     def row(self, i):
         """Full row i as a list of n residues."""
-        return [self.entry(i, j) for j in range(1, self.n + 1)]
+        if not 1 <= i <= self.n:
+            raise IndexOutOfRange(f"row {i} outside [1,{self.n}]")
+        start = _pos(i, 1)
+        return [*self.entries[start:start + i], *(0,) * (self.n - i)]
 
     def rows(self):
         return [self.row(i) for i in range(1, self.n + 1)]
+
+    def column(self, j):
+        """Full column j as a list of n residues."""
+        if not 1 <= j <= self.n:
+            raise IndexOutOfRange(f"column {j} outside [1,{self.n}]")
+        e = self.entries
+        return [0] * (j - 1) + [e[i * (i - 1) // 2 + j - 1] for i in range(j, self.n + 1)]
 
     def with_entry(self, i, j, value):
         """A copy with entry (i, j) replaced (j <= i required)."""
@@ -112,7 +174,7 @@ class LowerTriMatrix:
             raise IndexOutOfRange(f"({i},{j}) is not a lower position")
         entries = list(self.entries)
         entries[_pos(i, j)] = value % self.field.p
-        return LowerTriMatrix(self.field, self.n, entries)
+        return _trusted(self.field, self.n, tuple(entries))
 
     def is_zero(self):
         return not any(self.entries)
@@ -122,7 +184,8 @@ class LowerTriMatrix:
     def _check_compatible(self, other):
         if not isinstance(other, LowerTriMatrix):
             raise DimensionMismatch(f"expected LowerTriMatrix, got {type(other)}")
-        if self.n != other.n or self.field != other.field:
+        if self.n != other.n or (self.field is not other.field
+                                 and self.field != other.field):
             raise DimensionMismatch(
                 f"incompatible operands: n={self.n},p={self.field.p} vs "
                 f"n={other.n},p={other.field.p}"
@@ -130,44 +193,55 @@ class LowerTriMatrix:
 
     def __add__(self, other):
         self._check_compatible(other)
+        if not any(other.entries):
+            return self
         p = self.field.p
-        return LowerTriMatrix(
+        return _trusted(
             self.field, self.n,
-            tuple((a + b) % p for a, b in zip(self.entries, other.entries)),
+            tuple([(a + b) % p for a, b in zip(self.entries, other.entries)]),
         )
 
     def __sub__(self, other):
         self._check_compatible(other)
         p = self.field.p
-        return LowerTriMatrix(
+        return _trusted(
             self.field, self.n,
-            tuple((a - b) % p for a, b in zip(self.entries, other.entries)),
+            tuple([(a - b) % p for a, b in zip(self.entries, other.entries)]),
         )
 
     def __neg__(self):
         p = self.field.p
-        return LowerTriMatrix(self.field, self.n, tuple(-a % p for a in self.entries))
+        return _trusted(self.field, self.n, tuple([-a % p for a in self.entries]))
 
     def scale(self, c):
         p = self.field.p
         c %= p
-        return LowerTriMatrix(self.field, self.n, tuple(c * a % p for a in self.entries))
+        return _trusted(self.field, self.n, tuple([c * a % p for a in self.entries]))
 
     def __mul__(self, other):
-        """Ring product; (LR)_ij = sum over j <= k <= i of L_ik R_kj."""
+        """Ring product; row i of LR is the sum over k <= i of L_ik (row k of R).
+
+        A zero or identity operand returns at once, and zero entries of L
+        are skipped, so sparse factors cost only their nonzero entries.
+        """
         self._check_compatible(other)
-        p = self.field.p
         left = self.entries
         right = other.entries
-        out = []
-        for i in range(1, self.n + 1):
-            ibase = i * (i - 1) // 2 - 1
-            for j in range(1, i + 1):
-                acc = 0
-                for k in range(j, i + 1):
-                    acc += left[ibase + k] * right[k * (k - 1) // 2 + j - 1]
-                out.append(acc % p)
-        return LowerTriMatrix(self.field, self.n, out)
+        one, steps = _product_plan(self.n)
+        if right == one or not any(left):
+            return self
+        if left == one or not any(right):
+            return other
+        out = [0] * len(left)
+        for t, row_i, start_k, stop_k in steps:
+            c = left[t]
+            if c:
+                j = row_i
+                for v in right[start_k:stop_k]:
+                    out[j] += c * v
+                    j += 1
+        p = self.field.p
+        return _trusted(self.field, self.n, tuple([v % p for v in out]))
 
     def is_unit(self):
         """Invertible in T_n iff every diagonal entry is nonzero."""
@@ -189,7 +263,7 @@ class LowerTriMatrix:
                 for k in range(j, i):
                     acc += self.entries[_pos(i, k)] * inv_entries[_pos(k, j)]
                 inv_entries[_pos(i, j)] = (-acc * inv_diag[i - 1]) % f.p
-        return LowerTriMatrix(f, n, inv_entries)
+        return _trusted(f, n, tuple(inv_entries))
 
     # -- comparisons -------------------------------------------------------
 
@@ -305,8 +379,12 @@ def augmented_rank(A: LowerTriMatrix, B: LowerTriMatrix) -> int:
     """
     A._check_compatible(B)
     n = A.n
-    rows = [[M.entry(i, j) for j in range(n, 0, -1) for M in (A, B)]
-            for i in range(1, n + 1)]
+    rows = []
+    for i in range(1, n + 1):
+        start = _pos(i, 1)
+        a = A.entries[start:start + i][::-1]
+        b = B.entries[start:start + i][::-1]
+        rows.append([0] * (2 * (n - i)) + [v for ab in zip(a, b) for v in ab])
     return matrix_rank(rows, A.field.p)
 
 

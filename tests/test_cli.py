@@ -117,7 +117,10 @@ def test_canonicalize_parse_error_exits_2(tmp_path, capsys):
     assert code == 2
     for doc in ({"n": 2, "p": 2, "A": [[1, 0], [0, 1]]},
                 {"n": 2, "p": 2, "A": 5, "B": [[1, 0], [0, 1]]},
-                {"n": 2, "p": 2, "A": [[3, 0], [-1, 5]], "B": [[0, 0], [1, 0]]}):
+                {"n": 2, "p": 2, "A": [[3, 0], [-1, 5]], "B": [[0, 0], [1, 0]]},
+                {"n": 2, "p": 2, "A": [[1.9, 0], [0, 1]], "B": [[0, 0], [True, 0]]},
+                {"n": 2.0, "p": 2, "A": [[1, 0], [0, 1]], "B": [[0, 0], [1, 0]]},
+                {"n": 2, "p": True, "A": [[1, 0], [0, 1]], "B": [[0, 0], [1, 0]]}):
         f.write_text(json.dumps(doc))
         code, out = run_cli(capsys, "canonicalize", "--input", str(f))
         assert code == 2

@@ -14,6 +14,7 @@ from triorbit import (
     cyclic_submodule,
     gl2_generators,
     gl2_is_invertible,
+    orbit_generators,
 )
 from triorbit.modpairs import ring_matrices, unit_matrices
 
@@ -169,3 +170,45 @@ def test_left_unit_action_preserves_submodule(gf2):
             key = cyclic_submodule(pair)
             for u in unit_matrices(gf2, 2):
                 assert cyclic_submodule(act_left_unit(u, pair)) == key
+
+
+# -- the oracle's small generating set ----------------------------------------
+
+
+@pytest.mark.parametrize("n, p, size", [(2, 2, 4), (3, 2, 6), (1, 3, 3), (3, 5, 9)])
+def test_orbit_generators_size(n, p, size):
+    gens = orbit_generators(GF(p), n)
+    assert len(gens) == size == (2 * n if p == 2 else 3 * n)
+    assert len(set(gens)) == size
+
+
+def test_orbit_generators_generate_the_group_n2_p2(gf2):
+    closure = mulclose(orbit_generators(gf2, 2))
+    assert closure == set(all_valid_gl2(gf2, 2))
+    assert len(closure) == 576
+
+
+def test_orbit_generators_at_dimension_one_give_full_group():
+    assert len(mulclose(orbit_generators(GF(3), 1))) == 48  # |GL_2(GF(3))|
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (2, 5)])
+def test_orbit_generators_give_the_same_orbits(n, p):
+    from triorbit.oracle import _decompose, _free_submodule_keys
+
+    f = GF(p)
+    keys = _free_submodule_keys(f, n, None)
+    assert (_decompose(keys, orbit_generators(f, n), p)
+            == _decompose(keys, gl2_generators(f, n), p))
+
+
+def test_product_is_a_valid_element(gf5):
+    # The product is built without the invertibility test; it must still
+    # be a valid element, equal to the one the public constructor builds.
+    gens = gl2_generators(gf5, 2)
+    for g in gens[::3]:
+        for h in gens[::4]:
+            gh = g * h
+            assert gl2_is_invertible(gh.X, gh.Y, gh.W, gh.Z)
+            assert gh == GL2Element(gh.X, gh.Y, gh.W, gh.Z)
+            assert gh * h.inverse() == g

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -156,6 +158,20 @@ def test_pair_file_structured_form():
     assert pair.field.p == 5
     assert pair.A.entry(2, 2) == 4
     assert pair.B.entry(2, 1) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.0), ("n", True), ("p", 2.0), ("p", True), ("p", "2"),
+    ("A", 1.9), ("A", True), ("A", 1.0), ("B", False), ("B", "1"),
+])
+def test_pair_file_structured_form_rejects_non_integers(field, value):
+    doc = {"n": 2, "p": 2, "A": [[1, 0], [0, 1]], "B": [[0, 0], [1, 0]]}
+    if field in ("A", "B"):
+        doc[field][1][0] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError):
+        parse_pair(json.dumps(doc))
 
 
 def test_pair_file_rejects_upper_entries():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from triorbit import (
     GF,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidEntry,
     LowerTriMatrix,
     SingularMatrix,
     augmented_rank,
@@ -206,3 +208,96 @@ def test_solve_mod_p_against_enumeration():
                     if all((r[0] * x[0] + r[1] * x[1]) % p == b for r, b in zip(M, rhs))]
             assert len(sols) == 1
             assert got == [[v] for v in sols[0]]
+
+
+# -- the product kernel against a reference ----------------------------------
+
+
+def reference_product(L, R):
+    """(LR)_ij = sum over j <= k <= i of L_ik R_kj, as a plain triple loop."""
+    n, p = L.n, L.field.p
+    rows = [[sum(L.entry(i, k) * R.entry(k, j) for k in range(1, n + 1)) % p
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return LowerTriMatrix.from_rows(L.field, rows)
+
+
+def assert_well_formed(M):
+    """Entries in [0, p), and equal to the same matrix built publicly."""
+    p = M.field.p
+    assert isinstance(M.entries, tuple)
+    assert all(0 <= e < p for e in M.entries)
+    public = LowerTriMatrix(M.field, M.n, M.entries)
+    assert M == public and hash(M) == hash(public)
+
+
+def check_operations(L, R, c):
+    product = L * R
+    assert_well_formed(product)
+    assert product == reference_product(L, R)
+    for M in (L + R, L - R, -L, L.scale(c), L.with_entry(L.n, 1, c)):
+        assert_well_formed(M)
+    assert L + R == LowerTriMatrix(
+        L.field, L.n, [(a + b) % L.field.p for a, b in zip(L.entries, R.entries)])
+    assert (L - R) + R == L
+    assert L + (-L) == LowerTriMatrix.zero(L.field, L.n)
+    if L.is_unit():
+        inv = L.inverse()
+        assert_well_formed(inv)
+        assert L * inv == LowerTriMatrix.identity(L.field, L.n)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2)])
+def test_product_kernel_matches_reference_exhaustively(n, p):
+    f = GF(p)
+    ring = list(ring_matrices(f, n))
+    for L in ring:
+        for R in ring:
+            check_operations(L, R, (L.entries[0] + 2 * R.entries[-1]) % p)
+
+
+def seeded_operand(rng, f, n):
+    """A zero, identity, single-entry, sparse or dense matrix."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return LowerTriMatrix.zero(f, n)
+    if kind == 1:
+        return LowerTriMatrix.identity(f, n)
+    if kind == 2:
+        i = rng.randint(1, n)
+        return LowerTriMatrix.single(f, n, i, rng.randint(1, i), rng.randrange(1, f.p))
+    m = n * (n + 1) // 2
+    if kind == 3:
+        return LowerTriMatrix(f, n, [rng.randrange(f.p) if rng.random() < 0.2 else 0
+                                     for _ in range(m)])
+    return LowerTriMatrix(f, n, [rng.randrange(f.p) for _ in range(m)])
+
+
+@pytest.mark.parametrize("n, p", [(6, 3), (7, 5)])
+def test_product_kernel_matches_reference_on_seeded_pairs(n, p):
+    rng = random.Random(1000 * n + p)
+    f = GF(p)
+    for _ in range(2000):
+        L = seeded_operand(rng, f, n)
+        R = seeded_operand(rng, f, n)
+        check_operations(L, R, rng.randrange(-p, 2 * p))
+
+
+def test_constructor_rejects_out_of_range_entries(gf5):
+    for bad in ([1, 5, 0], [1, -1, 0], [7, 0, 0]):
+        with pytest.raises(InvalidEntry):
+            LowerTriMatrix(gf5, 2, bad)
+    # InvalidEntry is a ValueError and a package error.
+    with pytest.raises(ValueError):
+        LowerTriMatrix(gf5, 2, [0, 0, 5])
+
+
+def test_row_column_and_diagonal_reads(gf5):
+    M = LowerTriMatrix.from_rows(gf5, [[1, 0, 0], [2, 3, 0], [4, 0, 1]])
+    assert M.rows() == [[1, 0, 0], [2, 3, 0], [4, 0, 1]]
+    assert [M.column(j) for j in (1, 2, 3)] == [[1, 2, 4], [0, 3, 0], [0, 0, 1]]
+    assert M.diag() == (1, 3, 1)
+    for bad in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            M.row(bad)
+        with pytest.raises(IndexOutOfRange):
+            M.column(bad)
