@@ -7,9 +7,9 @@ lower with 0/1 entries, every row holds exactly one nonzero entry across
 and returns a certificate (U, Q) with U (A, B) Q equal to the output,
 checkable by plain multiplication.  Not every orbit contains a canonical
 pair: from n = 4 on there are free pairs whose nilpotent structure is
-entangled across A and B, and the exact orbit invariant ``span_profile``
-proves them unreachable; canonicalize raises CanonicalizationFailed for
-those inputs.
+entangled across A and B, and the exact orbit invariant ``jump_map``
+proves them unreachable in one elimination pass; canonicalize raises
+CanonicalizationFailed for those inputs.
 
 The reduction runs in two phases.  Phase one drives the A part to diagonal
 0/1 shape: clear the B diagonal, clear mixed-eigenvalue entries by
@@ -22,6 +22,7 @@ normalizes them with a right unit V, and clears below-pivot residue with a
 left unit K.
 """
 
+import functools
 import heapq
 import itertools
 
@@ -524,63 +525,76 @@ def _cleaned_offense(pair):
     return _offense(red.pair)
 
 
-def span_profile(pair):
-    """Orbit invariant: dim(F_j intersect V_i) for all i, j.
+def jump_map(pair):
+    """The tuple (j(1), ..., j(n)): the column step at which each lead enters.
 
-    F_j is the span of columns j..n of A and B together and V_i the span
-    of the last n-i+1 standard basis vectors.  Right multiplication by any
-    group element rewrites column j as a combination of columns k >= j, so
-    it preserves every F_j outright; a left unit maps F_j and V_i by the
-    same triangular bijection.  The profile therefore separates orbits,
-    and a free pair whose profile matches no canonical pair has no
-    canonical form at all.
-
-    One pass computes it: the A- and B-columns j are added for j = n down
-    to 1 to an echelon basis of F_j whose vectors have distinct leads (first
-    nonzero index).  Distinct leads cannot cancel, so a vector of F_j
-    vanishes above i exactly when it uses only basis vectors with lead >= i,
-    and dim(F_j intersect V_i) is the number of leads >= i.
+    The A- and B-columns j are added for j = n down to 1 to an echelon
+    basis of F_j, the span of columns j..n of A and B together, whose
+    vectors have distinct leads (first nonzero index); lead r enters at
+    step j(r), or never if the pair is not free (then j(r) = 0).  Column j
+    vanishes above row j, so j(r) <= r, and no value is taken more than
+    twice.  Distinct leads cannot cancel, so with V_i the span of the last
+    n-i+1 standard basis vectors, dim(F_j intersect V_i) = #{r >= i :
+    j(r) >= j}, and j(r) is the largest j at which that count drops from
+    i = r to r+1: the jump map and ``span_profile`` determine each other.
     """
     n, p = pair.n, pair.field.p
     basis = {}
-    dims = []
+    jumps = [0] * n
     for j in range(n, 0, -1):
         for M in (pair.A, pair.B):
-            _echelon_insert(basis, M.column(j), p)
-        dims.append([sum(1 for lead in basis if lead >= i) for i in range(n)])
-    return tuple(d for row in reversed(dims) for d in row)
+            lead = _echelon_insert(basis, M.column(j), p)
+            if lead is not None:
+                jumps[lead] = j
+    return tuple(jumps)
 
 
-def _canonical_span_profile(pair):
-    """span_profile specialized to canonical pairs by counting basis vectors."""
-    n = pair.n
-    profile = []
-    for j in range(1, n + 1):
-        indices = []
-        for k in range(j, n + 1):
-            if pair.A.entry(k, k):
-                indices.append(k)
-            for r in range(k + 1, n + 1):
-                if pair.B.entry(r, k):
-                    indices.append(r)
-        for i in range(1, n + 1):
-            profile.append(sum(1 for x in indices if x >= i))
-    return tuple(profile)
+def span_profile(pair):
+    """Orbit invariant: dim(F_j intersect V_i) for all i, j, read off ``jump_map``.
+
+    A group element rewrites column j as a combination of columns k >= j,
+    preserving every F_j; a left unit maps F_j and V_i by one bijection.
+    """
+    jumps = jump_map(pair)
+    return tuple(sum(1 for c in jumps[i:] if c >= j)
+                 for j in range(1, pair.n + 1) for i in range(pair.n))
 
 
-_PROFILE_CACHE = {}
+def is_canonical_jump_map(jumps):
+    """True iff the values j(r) != r are pairwise distinct.
+
+    Exactly the jump maps of canonical pairs pass; as jump maps and span
+    profiles determine each other, a pair's ``span_profile`` matches a
+    canonical pair iff its jump map passes.  Proof.  The columns of a
+    canonical pair are 0 or distinct unit vectors e_r, as each row r holds
+    a single 1; they enter the basis unreduced, at j(r) = r when a_rr = 1
+    and at j(r) = c < r when b_rc = 1.  The 1s of B sit in distinct
+    columns, so the values j(r) != r are distinct.  Conversely, for a
+    passing j, a_rr = 1 where j(r) = r and b_(r,j(r)) = 1 elsewhere is a
+    canonical pair, and by the above its jump map is j.  This bijection
+    onto the canonical pairs shows that exactly Bell(n) jump maps pass.
+    """
+    moved = [c for r, c in enumerate(jumps, start=1) if c != r]
+    return len(moved) == len(set(moved))
 
 
 def reachable_profiles(n):
-    """Span profiles of all canonical pairs at dimension n (field independent)."""
-    cached = _PROFILE_CACHE.get(n)
-    if cached is None:
-        cached = frozenset(_canonical_span_profile(cp) for cp in enumerate_canonical(n))
-        _PROFILE_CACHE[n] = cached
-    return cached
+    """Span profiles of all Bell(n) canonical pairs: the reference for tests."""
+    return frozenset(span_profile(c) for c in enumerate_canonical(n))
 
 
-def _search_word(pair, generators, depth, node_limit):
+# The word search's bounds: the longest word tried and the nodes expanded.
+SEARCH_DEPTH = 4
+SEARCH_LIMIT = 20000
+
+
+@functools.lru_cache(maxsize=None)
+def _search_generators(field, n):
+    """``gl2_generators(field, n)`` as a tuple, built once per (p, n)."""
+    return tuple(gl2_generators(field, n))
+
+
+def _search_word(pair, generators):
     """Best-first search for a short generator word lowering the offense.
 
     Nodes are scored by the offense remaining after a cleanup pass on the
@@ -608,14 +622,14 @@ def _search_word(pair, generators, depth, node_limit):
         if item and item[0] == 0:
             return item[4]
     expanded = 0
-    while heap and expanded < node_limit:
+    while heap and expanded < SEARCH_LIMIT:
         score, length, _, node_pair, word = heapq.heappop(heap)
         if score == 0:
             return word
         if best is None or (score, length) < (best[0], best[1]):
             best = (score, length, word)
         expanded += 1
-        if length >= depth:
+        if length >= SEARCH_DEPTH:
             continue
         for g in generators:
             item = push(node_pair, word + (g,))
@@ -626,37 +640,31 @@ def _search_word(pair, generators, depth, node_limit):
     return None
 
 
-def canonicalize(pair: ModulePair, search_depth=4, search_limit=20000):
+def canonicalize(pair: ModulePair):
     """Reduce a free pair to its canonical form.
 
     Returns (canonical pair, certificate, trace); the certificate is
     checked by multiplication before returning.  Raises NotFree on
-    non-free input.  Raises CanonicalizationFailed when the orbit
-    invariant proves no canonical form exists (possible from n = 4 on) or,
-    in principle, if the bounded word search stalls on a reachable input
+    non-free input.  Raises CanonicalizationFailed when the jump map
+    proves no canonical form exists (possible from n = 4 on) or, in
+    principle, if the bounded word search stalls on a reachable input
     (never observed; the acceptance suite tracks both counts) or a
     self-check of the result (canonical shape, certificate) fails.
     """
     if not pair.is_free():
         raise NotFree("canonicalize requires a free pair")
-    if pair.n >= 2 and span_profile(pair) not in reachable_profiles(pair.n):
-        # The span profile is exactly orbit-invariant, so a mismatch with
-        # every canonical pair proves no canonical form exists; searching
-        # would only exhaust its budget on the same conclusion.
+    if not is_canonical_jump_map(jump_map(pair)):
+        # The jump map is an orbit invariant: no word search could succeed.
         raise CanonicalizationFailed(
             "the orbit invariant matches no canonical pair; "
             "this free pair generates an orbit without a canonical form")
     red = _Reduction(pair, record=True)
-    generators = None
-    pivots = []
     max_rounds = pair.n * pair.n + 2
     for _ in range(max_rounds):
         _cleanup(red)
         if _offense(red.pair) == 0:
             break
-        if generators is None:
-            generators = gl2_generators(red.field, red.n)
-        word = _search_word(red.pair, generators, search_depth, search_limit)
+        word = _search_word(red.pair, _search_generators(red.field, red.n))
         if word is None:
             raise CanonicalizationFailed(
                 f"search budget exhausted at offense {_offense(red.pair)}")

@@ -68,10 +68,11 @@ class SingularSystem(TriOrbitError, ValueError):
 class CanonicalizationFailed(TriOrbitError, RuntimeError):
     """A free pair could not be brought to canonical form.
 
-    Almost always because its orbit holds no canonical pair, which the
-    orbit invariant proves up front (possible from n = 4 on).  It is also
-    raised if the bounded word search stalls or a self-check of the result
-    fails; neither has been observed.
+    Almost always because its orbit holds no canonical pair: two rows
+    r, r' other than c share the jump j(r) = j(r') = c, as
+    ``canonical.jump_map`` shows up front (possible from n = 4 on).  It is
+    also raised if the word search stalls or a self-check fails; neither
+    has been observed.
     """
 
 

@@ -10,7 +10,7 @@ that the oracle's orbit decomposition multiplies every submodule by.
 
 from .errors import DimensionMismatch, NotAUnit, NotInvertible
 from .modpairs import ModulePair
-from .trimat import LowerTriMatrix, solve_mod_p
+from .trimat import LowerTriMatrix, _trusted
 
 
 def gl2_is_invertible(X, Y, W, Z) -> bool:
@@ -87,14 +87,6 @@ class GL2Element:
         zero = LowerTriMatrix.zero(W.field, W.n)
         return cls(one, zero, W, one)
 
-    def is_identity(self):
-        return (
-            self.X == LowerTriMatrix.identity(self.field, self.n)
-            and self.Z == self.X
-            and self.Y.is_zero()
-            and self.W.is_zero()
-        )
-
     def __mul__(self, other):
         """Block product, without re-testing invertibility.
 
@@ -112,32 +104,37 @@ class GL2Element:
         )
 
     def inverse(self):
-        """Invert via the interleaved 2n x 2n matrix.
+        """Invert by forward substitution over the 2x2 diagonal cells.
 
-        Ordering rows and columns as (1, n+1, 2, n+2, ...) turns the block
-        matrix into a block lower triangular matrix with invertible 2x2
-        diagonal cells, so it is invertible and its inverse has lower
-        triangular blocks again; the kernel's solve on [M | I] gives it.
+        Cell (i, k) of the block matrix is G_ik = [x_ik y_ik; w_ik z_ik].
+        The blocks are lower triangular, so G_ik = 0 for k > i, and the
+        membership test makes every G_ii invertible.  Solving G H = I cell
+        by cell then gives a lower triangular H in the same cells,
+        H_ij = G_ii^-1 (delta_ij I - sum over j <= k < i of G_ik H_kj), whose
+        diagonal cells G_ii^-1 are invertible, so it lies in the group.
         """
-        n, f = self.n, self.field
-        size = 2 * n
-        M = [[0] * size for _ in range(size)]
+        n, f, p = self.n, self.field, self.field.p
+        x, y, w, z = self.X.entries, self.Y.entries, self.W.entries, self.Z.entries
+        hx, hy, hw, hz = ([0] * len(x) for _ in range(4))
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                M[2 * i - 2][2 * j - 2] = self.X.entry(i, j)
-                M[2 * i - 2][2 * j - 1] = self.Y.entry(i, j)
-                M[2 * i - 1][2 * j - 2] = self.W.entry(i, j)
-                M[2 * i - 1][2 * j - 1] = self.Z.entry(i, j)
-        inv_rows = solve_mod_p(
-            [row + [int(r == c) for c in range(size)] for r, row in enumerate(M)],
-            size, f.p)
-
-        def block(roff, coff):
-            rows = [[inv_rows[2 * i + roff][2 * j + coff] for j in range(n)]
-                    for i in range(n)]
-            return LowerTriMatrix.from_rows(f, rows)
-
-        return GL2Element(block(0, 0), block(0, 1), block(1, 0), block(1, 1))
+            row = i * (i - 1) // 2  # packed offset of (i, 1)
+            ii = row + i - 1
+            inv_det = f.inv(x[ii] * z[ii] - y[ii] * w[ii])
+            # G_ii^-1 = [a b; c d] = det^-1 [z -y; -w x]
+            a, b, c, d = (v * inv_det for v in (z[ii], -y[ii], -w[ii], x[ii]))
+            for j in range(1, i + 1):
+                s11 = s22 = int(i == j)
+                s12 = s21 = 0
+                for k in range(j, i):
+                    g, h = row + k - 1, k * (k - 1) // 2 + j - 1
+                    s11 -= x[g] * hx[h] + y[g] * hw[h]
+                    s12 -= x[g] * hy[h] + y[g] * hz[h]
+                    s21 -= w[g] * hx[h] + z[g] * hw[h]
+                    s22 -= w[g] * hy[h] + z[g] * hz[h]
+                t = row + j - 1
+                hx[t], hy[t] = (a * s11 + b * s21) % p, (a * s12 + b * s22) % p
+                hw[t], hz[t] = (c * s11 + d * s21) % p, (c * s12 + d * s22) % p
+        return GL2Element._trusted(*(_trusted(f, n, tuple(v)) for v in (hx, hy, hw, hz)))
 
     def __eq__(self, other):
         return (

@@ -191,7 +191,7 @@ def test_convert_bad_partition_exits_2(capsys):
 
 
 def test_verify_passing_configuration(capsys):
-    code, out = run_cli(capsys, "verify", "--n", "2", "--p", "3", "--exhaustive")
+    code, out = run_cli(capsys, "verify", "--n", "2", "--p", "3")
     assert code == 0
     assert "orbits:           2" in out
     assert "overall: pass" in out
@@ -267,11 +267,12 @@ def test_huge_modulus_exits_quickly(tmp_path, capsys, p):
     assert verify_code in (0, 1, 2)
 
 
-def test_verify_exclusive_flags(capsys):
-    code, out = run_cli(capsys, "verify", "--n", "2", "--p", "2",
-                        "--exhaustive", "--samples", "10")
-    assert code == 2
-    assert "mutually exclusive" in out
+def test_verify_exclusive_flags():
+    # verify has no --exhaustive option, so argparse rejects it.
+    for argv in (["--exhaustive"], ["--exhaustive", "--samples", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "2", "--p", "2", *argv])
+        assert exc.value.code == 2
 
 
 @settings(max_examples=100, deadline=None)
