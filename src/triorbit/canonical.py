@@ -12,14 +12,17 @@ proves them unreachable in one elimination pass; canonicalize raises
 CanonicalizationFailed for those inputs.
 
 The reduction runs in two phases.  Phase one drives the A part to diagonal
-0/1 shape: clear the B diagonal, clear mixed-eigenvalue entries by
-triangular similarity, scale the diagonal, then clear remaining entries by
-row and column operations.  Entries whose row and column diagonals both
-vanish admit none of those moves; a bounded best-first search over short
-generator words handles them, and every activation is flagged in the
-trace.  Phase two zeroes the unit rows of B, selects pivot columns,
-normalizes them with a right unit V, and clears below-pivot residue with a
-left unit K.
+0/1 shape: clear the B diagonal, then clear mixed-eigenvalue entries by
+triangular similarity, scale the diagonal, and clear remaining entries by
+row and column operations.  Those last four passes read only A; one kernel,
+``_sweep_a``, sweeps A's rows as plain lists and returns the elementary
+moves from which the recorded factors are built.  Entries whose row and
+column diagonals both vanish admit none of those moves; a bounded
+best-first search over short generator words handles them, scoring each
+node with the same kernel and no matrix arithmetic, and every activation is
+flagged in the trace.  Phase two zeroes the unit rows of B, selects pivot
+columns, normalizes them with a right unit V, and clears below-pivot
+residue with a left unit K.
 """
 
 import functools
@@ -247,6 +250,21 @@ def build_v(G: LowerTriMatrix, pivots) -> LowerTriMatrix:
     return V
 
 
+def _transvection_product(field, n, moves):
+    """The product of the I + t e_ij for (i, j, t) in ``moves`` (0-based), in order.
+
+    Row operations applied in turn multiply to their moves in reverse
+    order.  Each factor right-multiplies the running product: column j +=
+    t * column i, which is nonzero from row i on.
+    """
+    p = field.p
+    rows = [[int(r == c) for c in range(r + 1)] for r in range(n)]
+    for i, j, t in moves:
+        for row in rows[i:]:
+            row[j] = (row[j] + t * row[i]) % p
+    return LowerTriMatrix(field, n, [v for row in rows for v in row])
+
+
 def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
     """The left unit K clearing below-pivot residue from pivot columns of H.
 
@@ -268,57 +286,42 @@ def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
         else:
             assert not any(H.row(i)), "unit row of H is nonzero"
     hwork = [H.row(i) for i in range(1, n + 1)]
-    kwork = _identity_rows(n)
+    moves = []
     for (ipiv, jpiv) in sorted(pivots, reverse=True):
         prow_h = hwork[ipiv - 1]
-        prow_k = kwork[ipiv - 1]
         for i in range(ipiv + 1, n + 1):
             c = hwork[i - 1][jpiv - 1]
             if c:
                 hwork[i - 1] = [(a - c * b) % p for a, b in zip(hwork[i - 1], prow_h)]
-                kwork[i - 1] = [(a - c * b) % p for a, b in zip(kwork[i - 1], prow_k)]
-    return LowerTriMatrix.from_rows(A.field, kwork)
+                moves.append((i - 1, ipiv - 1, -c % p))  # row i -= c * row ipiv
+    return _transvection_product(A.field, n, moves[::-1])
 
 
 # -- the reduction pipeline ---------------------------------------------------
 
 
-def _identity_rows(n):
-    """The n x n identity as mutable rows, for accumulating elementary moves.
-
-    The recorded factors below are products of elementary transvections;
-    each one is applied to the rows as its row or column operation, which
-    gives the same matrix as multiplying the factors out.
-    """
-    return [[int(r == c) for c in range(n)] for r in range(n)]
-
-
 class _Reduction:
     """Working state: current pair plus accumulated certificate factors."""
 
-    __slots__ = ("pair", "field", "n", "record", "U", "Q", "stages")
+    __slots__ = ("pair", "field", "n", "U", "Q", "stages")
 
-    def __init__(self, pair, record=True):
+    def __init__(self, pair):
         self.pair = pair
         self.field = pair.field
         self.n = pair.n
-        self.record = record
-        if record:
-            self.U = LowerTriMatrix.identity(self.field, self.n)
-            self.Q = GL2Element.identity(self.field, self.n)
-            self.stages = []
+        self.U = LowerTriMatrix.identity(self.field, self.n)
+        self.Q = GL2Element.identity(self.field, self.n)
+        self.stages = []
 
     def left(self, u, label):
         self.pair = ModulePair(u * self.pair.A, u * self.pair.B)
-        if self.record:
-            self.U = u * self.U
-            self.stages.append(Stage(label, "left", u, self.pair))
+        self.U = u * self.U
+        self.stages.append(Stage(label, "left", u, self.pair))
 
     def right(self, g, label):
         self.pair = act_right(self.pair, g)
-        if self.record:
-            self.Q = self.Q * g
-            self.stages.append(Stage(label, "right", g, self.pair))
+        self.Q = self.Q * g
+        self.stages.append(Stage(label, "right", g, self.pair))
 
 
 def _offense(pair):
@@ -341,142 +344,116 @@ def _clear_b_diagonal(red):
     the B diagonal is already zero, so canonical pairs stay fixed points.
     """
     f = red.field
-    adiag = red.pair.A.diag()
     bdiag = red.pair.B.diag()
     if not any(bdiag):
         return
-    xs, ys, ws, zs = [], [], [], []
-    for a, b in zip(adiag, bdiag):
-        if a != 0:
-            xs.append(1)
-            ys.append(f.neg(f.mul(f.inv(a), b)))
-            ws.append(0)
-            zs.append(1)
-        else:
-            xs.append(0)
-            ys.append(f.neg(1))
-            ws.append(1)
-            zs.append(0)
-    g = GL2Element(
-        LowerTriMatrix.diagonal(f, xs),
-        LowerTriMatrix.diagonal(f, ys),
-        LowerTriMatrix.diagonal(f, ws),
-        LowerTriMatrix.diagonal(f, zs),
-    )
+    cells = [(1, f.neg(f.mul(f.inv(a), b)), 0, 1) if a else (0, f.neg(1), 1, 0)
+             for a, b in zip(red.pair.A.diag(), bdiag)]  # (x, y, w, z) per index
+    g = GL2Element(*(LowerTriMatrix.diagonal(f, block) for block in zip(*cells)))
     red.right(g, "diagonal_clearing")
 
 
-def _similarity(red):
-    """Conjugate by transvections to clear entries with distinct diagonals.
+def _lower_rows(M):
+    """Row r of M as the list of its r + 1 lower entries; they flatten to M.entries."""
+    e = M.entries
+    return [list(e[r * (r + 1) // 2:(r + 1) * (r + 2) // 2]) for r in range(M.n)]
 
-    Sweeping by distance below the diagonal keeps cleared entries cleared:
-    conjugating at (i, j) only disturbs positions strictly farther from the
-    diagonal.
+
+def _sweep_a(rows, p):
+    """The four cleanup passes that read only A, swept over its rows in place.
+
+    ``rows`` is A as ``_lower_rows`` gives it.  Each pass yields its moves:
+    transvections (i, j, t), 0-based i > j, or the scale list.  No move
+    changes a diagonal entry.
+    - Similarity, A -> P^-1 A P with P the moves' product: clears entries
+      whose two diagonals differ.  Sweeping by distance below the diagonal
+      keeps cleared entries cleared, as conjugating at (i, j) only disturbs
+      positions strictly farther from the diagonal.
+    - Scaling by the diagonal unit sending nonzero diagonals to 1 (None
+      when that is the identity); the diagonal is 0/1 from here on.
+    - Row clearing, row i += t row j, below a unit diagonal.  Rows ascend
+      and columns descend inside a row, so disturbed positions are always
+      processed later in the same pass.
+    - Column clearing, column j += t column i, right of a unit diagonal.
+      After the row pass unit-diagonal columns are clear below the
+      diagonal, so each move changes exactly its target entry.
     """
-    n, f = red.n, red.field
-    p = f.p
-    work = [red.pair.A.row(i) for i in range(1, n + 1)]
-    pwork = _identity_rows(n)
-    changed = False
+    n = len(rows)
+    moves = []
     for dist in range(1, n):
-        for j in range(1, n - dist + 1):
+        for j in range(n - dist):
             i = j + dist
-            cij = work[i - 1][j - 1]
-            if cij == 0:
+            row, jrow = rows[i], rows[j]
+            cij, cii, cjj = row[j], row[i], jrow[j]
+            if cij == 0 or cii == cjj:
                 continue
-            cii = work[i - 1][i - 1]
-            cjj = work[j - 1][j - 1]
-            if cii == cjj:
-                continue
-            t = f.neg(f.div(cij, f.sub(cii, cjj)))
-            # column j += t * column i, then row i -= t * row j
-            for k in range(n):
-                work[k][j - 1] = (work[k][j - 1] + t * work[k][i - 1]) % p
-            jrow = list(work[j - 1])
-            work[i - 1] = [(a - t * b) % p for a, b in zip(work[i - 1], jrow)]
-            # P = P (I + t e_ij): column j of P += t * column i
-            for prow in pwork:
-                prow[j - 1] = (prow[j - 1] + t * prow[i - 1]) % p
-            changed = True
-    if changed:
-        P = LowerTriMatrix.from_rows(f, pwork)
-        red.left(P.inverse(), "similarity_left")
-        red.right(GL2Element.block_diag(P, LowerTriMatrix.identity(f, n)),
-                  "similarity_right")
-        assert [red.pair.A.row(i) for i in range(1, n + 1)] == work
+            t = -cij * pow(cii - cjj, p - 2, p) % p
+            # Column j += t * column i (nonzero from row i on), then
+            # row i -= t * row j (nonzero up to column j).
+            for krow in rows[i:]:
+                krow[j] = (krow[j] + t * krow[i]) % p
+            for c in range(j + 1):
+                row[c] = (row[c] - t * jrow[c]) % p
+            moves.append((i, j, t))
+    yield moves
 
-
-def _scale(red):
-    """Left-multiply by the diagonal unit sending nonzero diagonals to 1."""
-    f = red.field
-    adiag = red.pair.A.diag()
-    scale = [f.inv(a) if a != 0 else 1 for a in adiag]
+    scale = [pow(row[r], p - 2, p) if row[r] else 1 for r, row in enumerate(rows)]
     if all(s == 1 for s in scale):
-        return
-    red.left(LowerTriMatrix.diagonal(f, scale), "scaling")
+        yield None
+    else:
+        for r, s in enumerate(scale):
+            rows[r] = [v * s % p for v in rows[r]]
+        yield scale
 
+    moves = []
+    for i in range(1, n):
+        row = rows[i]
+        for j in range(i - 1, -1, -1):
+            if row[j] and rows[j][j] == 1:
+                t = -row[j] % p
+                jrow = rows[j]
+                for c in range(j + 1):
+                    row[c] = (row[c] + t * jrow[c]) % p
+                moves.append((i, j, t))
+    yield moves
 
-def _row_clear(red):
-    """Left row operations clearing A entries below a unit diagonal.
-
-    Rows ascend and columns descend inside a row, so disturbed positions
-    are always processed later in the same pass.
-    """
-    n, f = red.n, red.field
-    p = f.p
-    work = [red.pair.A.row(i) for i in range(1, n + 1)]
-    lwork = _identity_rows(n)
-    changed = False
-    for i in range(2, n + 1):
-        for j in range(i - 1, 0, -1):
-            v = work[i - 1][j - 1]
-            if v and work[j - 1][j - 1] == 1:
-                t = f.neg(v)
-                work[i - 1] = [(a + t * b) % p for a, b in zip(work[i - 1], work[j - 1])]
-                # L = (I + t e_ij) L: row i of L += t * row j
-                lwork[i - 1] = [(a + t * b) % p for a, b in zip(lwork[i - 1], lwork[j - 1])]
-                changed = True
-    if changed:
-        red.left(LowerTriMatrix.from_rows(f, lwork), "row_clearing")
-        assert [red.pair.A.row(i) for i in range(1, n + 1)] == work
-
-
-def _col_clear(red):
-    """Right column operations clearing A entries right of a unit diagonal.
-
-    After the row pass, unit-diagonal columns are clear below the diagonal,
-    so each column operation touches exactly its target entry.
-    """
-    n, f = red.n, red.field
-    p = f.p
-    work = [red.pair.A.row(i) for i in range(1, n + 1)]
-    xwork = _identity_rows(n)
-    changed = False
-    for i in range(2, n + 1):
-        if work[i - 1][i - 1] != 1:
-            continue
-        for j in range(1, i):
-            v = work[i - 1][j - 1]
-            if v:
-                t = f.neg(v)
-                # X = X (I + t e_ij): column j of X += t * column i
-                for xrow in xwork:
-                    xrow[j - 1] = (xrow[j - 1] + t * xrow[i - 1]) % p
-                work[i - 1][j - 1] = 0
-                changed = True
-    if changed:
-        X = LowerTriMatrix.from_rows(f, xwork)
-        red.right(GL2Element.block_diag(X, LowerTriMatrix.identity(f, n)),
-                  "column_clearing")
-        assert [red.pair.A.row(i) for i in range(1, n + 1)] == work
+    moves = []
+    for i in range(1, n):
+        row = rows[i]
+        if row[i] == 1:
+            for j in range(i):
+                if row[j]:
+                    moves.append((i, j, -row[j] % p))
+                    row[j] = 0
+    yield moves
 
 
 def _cleanup(red):
+    """Phase one: clear the B diagonal, then apply the moves of ``_sweep_a``.
+
+    Each pass's moves become recorded factors, and the A they produce is
+    checked against the swept rows.
+    """
     _clear_b_diagonal(red)
-    _similarity(red)
-    _scale(red)
-    _row_clear(red)
-    _col_clear(red)
+    f, n = red.field, red.n
+    one = LowerTriMatrix.identity(f, n)
+    rows = _lower_rows(red.pair.A)
+    passes = ("similarity", "scaling", "row_clearing", "column_clearing")
+    for label, moves in zip(passes, _sweep_a(rows, f.p)):
+        if not moves:
+            continue
+        if label == "similarity":
+            P = _transvection_product(f, n, moves)
+            red.left(P.inverse(), "similarity_left")
+            red.right(GL2Element.block_diag(P, one), "similarity_right")
+        elif label == "scaling":
+            red.left(LowerTriMatrix.diagonal(f, moves), label)
+        elif label == "row_clearing":
+            red.left(_transvection_product(f, n, moves[::-1]), label)
+        else:
+            X = _transvection_product(f, n, moves)
+            red.right(GL2Element.block_diag(X, one), label)
+        assert red.pair.A.entries == tuple(v for row in rows for v in row)
 
 
 def _trailing_echelon(red):
@@ -493,8 +470,7 @@ def _trailing_echelon(red):
     p = f.p
     A = red.pair.A
     work = [red.pair.B.row(i) for i in range(1, n + 1)]
-    lwork = _identity_rows(n)
-    changed = False
+    moves = []
     owner = {}
     for i in range(1, n + 1):
         if A.entry(i, i) != 0:
@@ -509,20 +485,37 @@ def _trailing_echelon(red):
             t = f.neg(f.div(work[i - 1][trail - 1], work[prev - 1][trail - 1]))
             work[i - 1] = [(a + t * b) % p
                            for a, b in zip(work[i - 1], work[prev - 1])]
-            # L = (I + t e_(i,prev)) L: row i of L += t * row prev
-            lwork[i - 1] = [(a + t * b) % p
-                            for a, b in zip(lwork[i - 1], lwork[prev - 1])]
-            changed = True
-    if changed:
-        red.left(LowerTriMatrix.from_rows(f, lwork), "trailing_echelon")
+            moves.append((i - 1, prev - 1, t))  # row i += t * row prev
+    if moves:
+        red.left(_transvection_product(f, n, moves[::-1]), "trailing_echelon")
         assert [red.pair.B.row(i) for i in range(1, n + 1)] == work
 
 
 def _cleaned_offense(pair):
-    """Offense score after a full (unrecorded) cleanup pass."""
-    red = _Reduction(pair, record=False)
-    _cleanup(red)
-    return _offense(red.pair)
+    """``_offense`` of the pair after ``_cleanup``, computed on A' alone.
+
+    A' is A with column c replaced by column c of B wherever a_cc = 0, if
+    some b_cc != 0; else A' = A.  Proof.  ``_clear_b_diagonal`` acts by
+    diagonal blocks with (x_cc, w_cc) = (1, 0) where a_cc != 0 and (0, 1)
+    where a_cc = 0, so AX + BW = A', and it zeroes B's diagonal.  Each later
+    pass left-multiplies by a lower triangular unit u, and diag(uB) =
+    diag(u) diag(B) stays zero, or right-multiplies by block_diag(M, I),
+    which leaves B alone; and each decides its moves from A alone.  So the
+    cleanup ends on A'' = ``_sweep_a`` of A', with a 0/1 diagonal, and a
+    zero B diagonal: ``_offense`` counts the nonzero entries of A'' below
+    the diagonal.  No matrix, group element or pair is built.
+    """
+    n = pair.n
+    rows = _lower_rows(pair.A)
+    if any(pair.B.diag()):
+        b = pair.B.entries
+        for c in range(n):
+            if rows[c][c] == 0:
+                for r in range(c, n):
+                    rows[r][c] = b[r * (r + 1) // 2 + c]
+    for _ in _sweep_a(rows, pair.field.p):
+        pass
+    return sum(1 for r in range(1, n) for v in rows[r][:r] if v)
 
 
 def jump_map(pair):
@@ -531,9 +524,10 @@ def jump_map(pair):
     The A- and B-columns j are added for j = n down to 1 to an echelon
     basis of F_j, the span of columns j..n of A and B together, whose
     vectors have distinct leads (first nonzero index); lead r enters at
-    step j(r), or never if the pair is not free (then j(r) = 0).  Column j
-    vanishes above row j, so j(r) <= r, and no value is taken more than
-    twice.  Distinct leads cannot cancel, so with V_i the span of the last
+    step j(r), or never (then j(r) = 0).  Each entering lead adds one
+    dimension, so the leads number dim F_1 = rank [A|B]: the pair is free
+    iff no j(r) is 0.  Column j vanishes above row j, so j(r) <= r, and no
+    value is taken more than twice.  Distinct leads cannot cancel, so with V_i the span of the last
     n-i+1 standard basis vectors, dim(F_j intersect V_i) = #{r >= i :
     j(r) >= j}, and j(r) is the largest j at which that count drops from
     i = r to r+1: the jump map and ``span_profile`` determine each other.
@@ -597,9 +591,11 @@ def _search_generators(field, n):
 def _search_word(pair, generators):
     """Best-first search for a short generator word lowering the offense.
 
-    Nodes are scored by the offense remaining after a cleanup pass on the
-    resulting pair.  Returns the first word reaching score zero, else the
-    best strictly improving word, else None.
+    A node is scored by ``_cleaned_offense``: the offense a cleanup pass
+    would leave, read off A' by the ``_sweep_a`` kernel without building a
+    pair, so each child costs one ``act_right`` (looked up by that name at
+    call time).  Returns the first word reaching score zero, else the best
+    strictly improving word, else None.
     """
     base = _cleaned_offense(pair)
     counter = itertools.count()
@@ -645,20 +641,21 @@ def canonicalize(pair: ModulePair):
 
     Returns (canonical pair, certificate, trace); the certificate is
     checked by multiplication before returning.  Raises NotFree on
-    non-free input.  Raises CanonicalizationFailed when the jump map
+    non-free input, read off ``jump_map``.  Raises CanonicalizationFailed when the jump map
     proves no canonical form exists (possible from n = 4 on) or, in
     principle, if the bounded word search stalls on a reachable input
     (never observed; the acceptance suite tracks both counts) or a
     self-check of the result (canonical shape, certificate) fails.
     """
-    if not pair.is_free():
+    jumps = jump_map(pair)
+    if 0 in jumps:
         raise NotFree("canonicalize requires a free pair")
-    if not is_canonical_jump_map(jump_map(pair)):
+    if not is_canonical_jump_map(jumps):
         # The jump map is an orbit invariant: no word search could succeed.
         raise CanonicalizationFailed(
             "the orbit invariant matches no canonical pair; "
             "this free pair generates an orbit without a canonical form")
-    red = _Reduction(pair, record=True)
+    red = _Reduction(pair)
     max_rounds = pair.n * pair.n + 2
     for _ in range(max_rounds):
         _cleanup(red)

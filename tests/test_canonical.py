@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -25,7 +26,15 @@ from triorbit import (
     select_pivots,
     verify_certificate,
 )
-from triorbit.canonical import reachable_profiles, span_profile
+from triorbit.canonical import (
+    _cleaned_offense,
+    _cleanup,
+    _offense,
+    _Reduction,
+    jump_map,
+    reachable_profiles,
+    span_profile,
+)
 from triorbit.modpairs import ring_matrices, unit_matrices
 from triorbit.oracle import random_free_pairs
 from tests.conftest import make_pair
@@ -232,6 +241,15 @@ def test_canonicalize_rejects_non_free(gf2):
     Z = LowerTriMatrix.zero(gf2, 2)
     with pytest.raises(NotFree):
         canonicalize(ModulePair(Z, Z))
+    # Rank n - 1: the last row of [A|B] is the sum of two rows above it.
+    A3 = LowerTriMatrix.from_rows(gf2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    A5 = LowerTriMatrix.diagonal(gf2, [1, 1, 1, 1, 0]).with_entry(5, 1, 1).with_entry(5, 4, 1)
+    B5 = LowerTriMatrix.zero(gf2, 5).with_entry(2, 1, 1).with_entry(4, 3, 1).with_entry(5, 3, 1)
+    for pair in (ModulePair(A3, LowerTriMatrix.zero(gf2, 3)), ModulePair(A5, B5)):
+        assert augmented_rank(pair.A, pair.B) == pair.n - 1
+        assert 0 in jump_map(pair)
+        with pytest.raises(NotFree):
+            canonicalize(pair)
 
 
 def test_canonicalize_fixes_canonical_pairs(gf2):
@@ -346,6 +364,47 @@ def test_search_reduced_states_flagged(gf2):
     result, cert, trace = canonicalize(pair)
     assert trace.search_activated
     assert is_canonical(result)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cleaned_offense_equals_offense_after_cleanup(n, p):
+    # The search's A-only score against a recorded cleanup of the pair, on
+    # seeded pairs and 6-step generator walks from them.
+    f = GF(p)
+    gens = gl2_generators(f, n)
+    rng = random.Random(n * p)
+    swapped = 0
+    for pair in random_free_pairs(f, n, 20, seed=p):
+        node = pair
+        for _ in range(7):
+            red = _Reduction(node)
+            _cleanup(red)
+            assert _cleaned_offense(node) == _offense(red.pair)
+            swapped += any(a == 0 and b for a, b in zip(node.A.diag(), node.B.diag()))
+            node = act_right(node, rng.choice(gens))
+    # Some inputs take columns of B into A' (b_cc != 0 where a_cc = 0).
+    assert swapped
+
+
+@pytest.mark.parametrize("n,p,count,steps,searched", [
+    (4, 2, 2000, 140, 127),
+    (5, 2, 300, 59, 42),
+    (3, 3, 2000, 14, 14),
+])
+def test_search_totals_on_seeded_pairs(n, p, count, steps, searched):
+    # Search steps and searching pairs over seed-0 samples, as measured
+    # before the search scored nodes on A alone: the score and the search
+    # order fix every word, so these totals pin both.
+    total = pairs = 0
+    for pair in random_free_pairs(GF(p), n, count, 0):
+        try:
+            _, _, trace = canonicalize(pair)
+        except CanonicalizationFailed:
+            continue
+        total += trace.search_steps
+        pairs += trace.search_activated
+    assert (total, pairs) == (steps, searched)
 
 
 # -- reachability invariant -------------------------------------------------------

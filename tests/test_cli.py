@@ -243,7 +243,8 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
             code, out = run_cli(capsys, *argv)
             assert code == 2
             assert "not a positive integer" in out
-    # canonicalize caches per n: a bad budget still exits 2 after a first call.
+    # canonicalize reads no budget; cli.cmd_canonicalize validates
+    # TRIORBIT_BUDGET itself, so a bad value exits 2 even after a good call.
     f = tmp_path / "pair.txt"
     f.write_text("3 2\n1 0 0\n0 1 0\n0 0 1\n\n0 0 0\n0 0 0\n0 0 0\n")
     monkeypatch.delenv("TRIORBIT_BUDGET")
