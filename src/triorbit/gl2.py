@@ -10,7 +10,7 @@ that the oracle's orbit decomposition multiplies every submodule by.
 
 from .errors import DimensionMismatch, NotAUnit, NotInvertible
 from .modpairs import ModulePair
-from .trimat import LowerTriMatrix, _trusted
+from .trimat import LowerTriMatrix, _product_sum, _trusted
 
 
 def gl2_is_invertible(X, Y, W, Z) -> bool:
@@ -88,7 +88,8 @@ class GL2Element:
         return cls(one, zero, W, one)
 
     def __mul__(self, other):
-        """Block product, without re-testing invertibility.
+        """Block product, without re-testing invertibility; each block, such
+        as X X' + Y W', is one pass of the kernel ``_product_sum``.
 
         Both factors are invertible with lower triangular blocks, so the
         product has lower triangular blocks and the inverse h^-1 g^-1: it
@@ -96,11 +97,15 @@ class GL2Element:
         """
         if not isinstance(other, GL2Element):
             return NotImplemented
+        self.X._check_compatible(other.X)
+        f, n, p = self.field, self.n, self.field.p
+        x, y, w, z = self.X.entries, self.Y.entries, self.W.entries, self.Z.entries
+        x2, y2, w2, z2 = other.X.entries, other.Y.entries, other.W.entries, other.Z.entries
         return GL2Element._trusted(
-            self.X * other.X + self.Y * other.W,
-            self.X * other.Y + self.Y * other.Z,
-            self.W * other.X + self.Z * other.W,
-            self.W * other.Y + self.Z * other.Z,
+            _trusted(f, n, _product_sum(p, n, ((x, x2), (y, w2)))),
+            _trusted(f, n, _product_sum(p, n, ((x, y2), (y, z2)))),
+            _trusted(f, n, _product_sum(p, n, ((w, x2), (z, w2)))),
+            _trusted(f, n, _product_sum(p, n, ((w, y2), (z, z2)))),
         )
 
     def inverse(self):

@@ -3,11 +3,12 @@
 A free pair and its unit multiples generate the same submodule, so each
 free submodule is keyed by its least generating pair, which has a normal
 form (``_normal_form``).  The free submodules are enumerated straight in
-that form, grouped into group orbits by generator closure with union-find,
-and the resulting decomposition is confronted with the claimed
-classification: orbit count equals the Bell number, each orbit holds
-exactly one canonical submodule, the canonicalizer lands on it, and
-exactly one orbit is unimodular.
+that form and grouped into group orbits with union-find, walking each
+generator's cycles on the keys and reducing only the images that are not
+keys already (``_decompose``).  The resulting decomposition is
+confronted with the claimed classification: orbit count equals the Bell
+number, each orbit holds exactly one canonical submodule, the
+canonicalizer lands on it, and exactly one orbit is unimodular.
 
 A key is the tuple of the n rows of [A|B], each a tuple of 2n residues.
 Keys are listed in ModulePair order, so a submodule's ordinal is the rank
@@ -21,7 +22,7 @@ import random
 from .canonical import canonicalize, enumerate_canonical, is_canonical
 from .errors import BudgetExceeded, CanonicalizationFailed, VerificationFailed
 from .field import GF
-from .gl2 import orbit_generators
+from .gl2 import GL2Element, orbit_generators
 from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
                        unit_count, unit_matrices)
 from .partitions import bell
@@ -261,30 +262,76 @@ def _block_rows(g):
     return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
 
+def _order(g):
+    """Multiplicative order of g: the least m >= 1 with g^m the identity."""
+    one = GL2Element.identity(g.field, g.n)
+    power, m = g, 1
+    while power != one:
+        power = power * g
+        m += 1
+    return m
+
+
 def _decompose(keys, generators, p):
     """Union-find orbit decomposition of the submodule keys.
 
     (A, B) g = (AX + BW, AY + BZ), so each row of [A|B] moves to itself
     times [X Y; W Z].  Keys share most of their rows, so the image of a
-    row under a generator is computed once.
+    row under a generator is computed once; generators are taken one at
+    a time, so only one such cache is alive.
+
+    Lookup before reduction.  Keys are exactly the normal forms
+    (``_normal_form`` returns every key unchanged), so moved rows that
+    equal a key K are the least generating pair of their submodule, whose
+    key is K; only a moved tuple that is no key is reduced.
+
+    Cycle walk.  A generator g of order m permutes the keys, and each
+    cycle's length divides m.  From a start s not yet visited under g the
+    walk takes s -> g s -> g^2 s ..., uniting each image with the key
+    before it and marking it visited, until it returns to s or has taken
+    m - 1 steps.  A cycle shorter than m closes within those steps; one
+    that has not closed has length m, and its closing edge
+    g (g^(m-1) s) = s joins two keys already united.  Every cycle is
+    walked whole, so its members are never starts again, and every edge
+    of g's permutation is accounted for.
+
+    The union keeps the lower index as the root, so each root is the least
+    member of its component, and grouping by root and sorting give the
+    same orbit list for any order of unions.
     """
     ordinal = {key: i for i, key in enumerate(keys)}
     uf = _UnionFind(len(keys))
-    moves = [(_block_rows(g), {}) for g in generators]
-    for i, key in enumerate(keys):
-        for block, images in moves:
-            moved = []
-            for row in key:
-                image = images.get(row)
-                if image is None:
-                    out = [0] * len(row)
-                    for x, entries in zip(row, block):
-                        if x:
-                            for j, v in entries:
-                                out[j] += x * v
-                    image = images[row] = tuple(v % p for v in out)
-                moved.append(image)
-            uf.union(i, ordinal[_normal_form(moved, p)])
+    for g in generators:
+        steps = _order(g) - 1
+        block = _block_rows(g)
+        images = {}
+        done = bytearray(len(keys))
+        for start in range(len(keys)):
+            if done[start]:
+                continue
+            i, key = start, keys[start]
+            for _ in range(steps):
+                moved = []
+                for row in key:
+                    image = images.get(row)
+                    if image is None:
+                        out = [0] * len(row)
+                        for x, entries in zip(row, block):
+                            if x:
+                                for j, v in entries:
+                                    out[j] += x * v
+                        image = images[row] = tuple(v % p for v in out)
+                    moved.append(image)
+                key = tuple(moved)
+                j = ordinal.get(key)
+                if j is None:
+                    key = _normal_form(moved, p)
+                    j = ordinal[key]
+                if j == start:
+                    break
+                uf.union(i, j)
+                done[j] = 1
+                i = j
     groups = {}
     for i in range(len(keys)):
         groups.setdefault(uf.find(i), []).append(i)

@@ -12,6 +12,8 @@ rank computations built on it: the rank of the augmented matrix [A|B],
 ranks of leading principal submatrices and of truncated copies.
 """
 
+import operator
+
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidEntry, SingularMatrix
 from .field import GF
 
@@ -56,6 +58,51 @@ def _product_plan(n):
                  for i in range(1, n + 1) for k in range(1, i + 1)]
         plan = _PRODUCT_PLANS[n] = (one, steps)
     return plan
+
+
+def _accumulate(out, left, right, steps):
+    """Add the product of the packed factors left and right into out, unreduced.
+
+    The package's one product loop.  Row i of LR is the sum over k <= i of
+    L_ik times row k of R, so zero entries of L are skipped and sparse
+    factors cost only their nonzero entries.
+    """
+    for t, row_i, start_k, stop_k in steps:
+        c = left[t]
+        if c:
+            j = row_i
+            for v in right[start_k:stop_k]:
+                out[j] += c * v
+                j += 1
+
+
+def _product_sum(p, n, terms):
+    """Packed entries of L1 R1 + L2 R2 + ... for the packed (L, R) pairs in terms.
+
+    A term with a zero factor adds nothing and one with an identity factor
+    adds the other factor.  A sum left with one such addend returns it as
+    it is; otherwise every term accumulates into one list, reduced mod p
+    once.
+    """
+    one, steps = _product_plan(n)
+    live = []  # (L, R), or (None, M) for a term that adds M itself
+    for left, right in terms:
+        if right == one:
+            left, right = right, left
+        if left == one:
+            if any(right):
+                live.append((None, right))
+        elif any(left) and any(right):
+            live.append((left, right))
+    if len(live) == 1 and live[0][0] is None:
+        return live[0][1]
+    out = [0] * len(one)
+    for left, right in live:
+        if left is None:
+            out = [a + b for a, b in zip(out, right)]
+        else:
+            _accumulate(out, left, right, steps)
+    return tuple([v % p for v in out])
 
 
 _DIAGONAL_OFFSETS = {}
@@ -219,10 +266,8 @@ class LowerTriMatrix:
         return _trusted(self.field, self.n, tuple([c * a % p for a in self.entries]))
 
     def __mul__(self, other):
-        """Ring product; row i of LR is the sum over k <= i of L_ik (row k of R).
-
-        A zero or identity operand returns at once, and zero entries of L
-        are skipped, so sparse factors cost only their nonzero entries.
+        """Ring product; a zero or identity operand returns at once, and
+        otherwise ``_accumulate`` builds it, reduced mod p once.
         """
         self._check_compatible(other)
         left = self.entries
@@ -233,13 +278,7 @@ class LowerTriMatrix:
         if left == one or not any(right):
             return other
         out = [0] * len(left)
-        for t, row_i, start_k, stop_k in steps:
-            c = left[t]
-            if c:
-                j = row_i
-                for v in right[start_k:stop_k]:
-                    out[j] += c * v
-                    j += 1
+        _accumulate(out, left, right, steps)
         p = self.field.p
         return _trusted(self.field, self.n, tuple([v % p for v in out]))
 
@@ -248,21 +287,30 @@ class LowerTriMatrix:
         return all(self.entries[_pos(i, i)] for i in range(1, self.n + 1))
 
     def inverse(self):
-        """Two-sided inverse by forward substitution; stays lower triangular."""
+        """Two-sided inverse by forward substitution; stays lower triangular.
+
+        Column j of the inverse solves M x = e_j top to bottom: x_j is
+        1/m_jj and x_i = -(m_ij x_j + ... + m_i(i-1) x_(i-1)) / m_ii, the
+        m_ik being the slice of packed row i from column j to column i - 1.
+        """
         if not self.is_unit():
             raise SingularMatrix("matrix has a zero diagonal entry")
         f = self.field
         n = self.n
+        p = f.p
+        e = self.entries
+        starts = [i * (i + 1) // 2 for i in range(n)]  # packed offset of row i + 1
+        inv_diag = [f.inv(e[start + i]) for i, start in enumerate(starts)]
         inv_entries = [0] * _tri_len(n)
-        inv_diag = [f.inv(self.entries[_pos(i, i)]) for i in range(1, n + 1)]
-        for j in range(1, n + 1):
-            # Solve M x = e_j for column j, top to bottom.
-            inv_entries[_pos(j, j)] = inv_diag[j - 1]
-            for i in range(j + 1, n + 1):
-                acc = 0
-                for k in range(j, i):
-                    acc += self.entries[_pos(i, k)] * inv_entries[_pos(k, j)]
-                inv_entries[_pos(i, j)] = (-acc * inv_diag[i - 1]) % f.p
+        for j in range(n):
+            column = [inv_diag[j]]  # entries j..i-1 of column j, 0-based
+            inv_entries[starts[j] + j] = inv_diag[j]
+            for i in range(j + 1, n):
+                start = starts[i]
+                acc = sum(map(operator.mul, e[start + j:start + i], column))
+                x = (-acc * inv_diag[i]) % p
+                inv_entries[start + j] = x
+                column.append(x)
         return _trusted(f, n, tuple(inv_entries))
 
     # -- comparisons -------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from triorbit import (
     GF,
     BudgetExceeded,
+    GL2Element,
     LowerTriMatrix,
     ModulePair,
     act_right,
@@ -12,11 +13,13 @@ from triorbit import (
     enumerate_free_submodules,
     gl2_generators,
     orbit_decomposition,
+    orbit_generators,
     verify_classification,
 )
 from triorbit.errors import VerificationFailed
 from triorbit.modpairs import ring_matrices
-from triorbit.oracle import _key_pair, _pair_key, random_free_pairs
+from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _normal_form,
+                             _order, _pair_key, random_free_pairs)
 
 
 def test_free_submodule_enumeration_counts():
@@ -187,3 +190,69 @@ def test_report_serialization_shape():
     text = report.format_text()
     assert "orbit report for n=2, p=2" in text
     assert "overall: pass" in text
+
+
+def reference_decomposition(keys, generators, p):
+    """Every key times every generator, reduced to its key, joined by union-find."""
+    ordinal = {key: i for i, key in enumerate(keys)}
+    parent = list(range(len(keys)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in generators:
+        block = [g.X.row(i) + g.Y.row(i) for i in range(1, g.n + 1)]
+        block += [g.W.row(i) + g.Z.row(i) for i in range(1, g.n + 1)]
+        columns = list(zip(*block))
+        images = {}
+        for i, key in enumerate(keys):
+            for row in key:
+                if row not in images:
+                    images[row] = [sum(x * y for x, y in zip(row, column)) % p
+                                   for column in columns]
+            moved = [images[row] for row in key]
+            a, b = find(i), find(ordinal[_normal_form(moved, p)])
+            parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(keys)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("n,p,generators", [
+    (2, 2, orbit_generators), (2, 3, orbit_generators), (2, 5, orbit_generators),
+    (3, 2, orbit_generators), (3, 3, orbit_generators), (4, 2, orbit_generators),
+    (2, 3, gl2_generators), (2, 5, gl2_generators), (3, 2, gl2_generators),
+])
+def test_decompose_matches_reference_exhaustively(n, p, generators):
+    # The cycle walk and the key lookup skip images; the reference reduces
+    # every key's image under every generator.  gl2_generators mixes orders
+    # 2, p and p - 1 with elements that fix many keys.
+    field = GF(p)
+    keys = _free_submodule_keys(field, n, None)
+    gens = generators(field, n)
+    assert _decompose(keys, gens, p) == reference_decomposition(keys, gens, p)
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (2, 3), (2, 5), (3, 3)])
+def test_normal_form_fixes_every_key(n, p):
+    # The lemma behind the key lookup: keys are exactly the normal forms.
+    for key in _free_submodule_keys(GF(p), n, None):
+        assert _normal_form(list(key), p) == key
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_order_of_orbit_generator_kinds(p):
+    field = GF(p)
+    n = 3
+    one = LowerTriMatrix.identity(field, n)
+    assert _order(GL2Element.identity(field, n)) == 1
+    assert _order(GL2Element.swap(field, n)) == 2
+    for i in range(1, n + 1):
+        assert _order(GL2Element.upper(LowerTriMatrix.single(field, n, i, i))) == p
+        if p > 2:
+            root = next(g for g in range(2, p)
+                        if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+            assert _order(GL2Element.block_diag(one.with_entry(i, i, root), one)) == p - 1
