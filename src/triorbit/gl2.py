@@ -2,32 +2,89 @@
 
 A block matrix [X Y; W Z] with lower triangular blocks is invertible
 exactly when x_ii z_ii - y_ii w_ii is nonzero for every index i.  The group
-acts on pairs from the right; units of T_n act from the left.  Two finite
-generating sets are kept: ``gl2_generators``, the elementary moves of the
-canonicalizer's word search, and the much smaller ``orbit_generators``
-that the oracle's orbit decomposition multiplies every submodule by.
+acts on pairs from the right; units of T_n act from the left.  An element
+g acts as column moves: (A, B) g = (A, B) + (A, B)(g - I), and each nonzero
+entry of g - I adds a multiple of one column of A or B into one column of
+the result.  One kernel, ``_act``, runs these moves for the action and for
+the group product, so an elementary generator costs one column, not four
+triangular products.  Two finite generating sets are kept:
+``gl2_generators``, the elementary moves of the canonicalizer's word
+search, and the much smaller ``orbit_generators`` that the oracle's orbit
+decomposition multiplies every submodule by.
 """
 
 from .errors import DimensionMismatch, NotAUnit, NotInvertible
 from .modpairs import ModulePair
-from .trimat import LowerTriMatrix, _product_sum, _trusted
+from .trimat import LowerTriMatrix, _diagonal_offsets, _pos, _trusted
 
 
 def gl2_is_invertible(X, Y, W, Z) -> bool:
     """Per-index 2x2 determinant test on the diagonals."""
-    if not (X.n == Y.n == W.n == Z.n and X.field == Y.field == W.field == Z.field):
+    if not (X.n == Y.n == W.n == Z.n
+            and (X.field is Y.field is W.field is Z.field
+                 or X.field == Y.field == W.field == Z.field)):
         raise DimensionMismatch("blocks must share dimension and field")
     p = X.field.p
-    for x, y, w, z in zip(X.diag(), Y.diag(), W.diag(), Z.diag()):
-        if (x * z - y * w) % p == 0:
+    x, y, w, z = X.entries, Y.entries, W.entries, Z.entries
+    for d in _diagonal_offsets(X.n):
+        if (x[d] * z[d] - y[d] * w[d]) % p == 0:
             return False
     return True
 
 
-class GL2Element:
-    """The block matrix [X Y; W Z]; the invertibility test runs at construction."""
+_MOVE_CELLS = {}
 
-    __slots__ = ("X", "Y", "W", "Z")
+
+def _move_cells(n):
+    """Per packed position (k, c) of a block, the rows and shift of its move.
+
+    Entry (k, c), k >= c, moves column k of a source into column c of a
+    target.  Column k occupies the packed offsets of (r, k) for r >= k, and
+    (r, c) lies k - c places before (r, k).  Computed once per n.
+    """
+    cells = _MOVE_CELLS.get(n)
+    if cells is None:
+        cells = _MOVE_CELLS[n] = [
+            (tuple(_pos(r, k) for r in range(k, n + 1)), k - c)
+            for k in range(1, n + 1) for c in range(1, k + 1)]
+    return cells
+
+
+def _act(a, b, moves, p):
+    """Packed entries of (A, B) g, given those of A and B and g's column moves.
+
+    Proof.  (A, B) g = (A, B) + (A, B)(g - I).  An entry v at (k, c) of a
+    block of g - I adds v times column k of its source (A for the X and Y
+    blocks, B for W and Z) into column c of its target (the A' part for X
+    and W, the B' part for Y and Z).  Rows r < k of column k are zero in a
+    lower triangular source, so only rows r >= k are visited, and c <= k
+    keeps the result lower triangular.  Every move reads the unmodified
+    input, and each target is reduced mod p once; a target that no move
+    reaches is returned as it is.
+    """
+    sources = (a, b)
+    result = []
+    for base, block_moves in zip(sources, moves):
+        if block_moves:
+            out = list(base)
+            for s, v, rows, shift in block_moves:
+                src = sources[s]
+                for r in rows:
+                    out[r - shift] += v * src[r]
+            base = tuple([x % p for x in out])
+        result.append(base)
+    return result
+
+
+class GL2Element:
+    """The block matrix [X Y; W Z]; the invertibility test runs at construction.
+
+    ``_moves`` caches the element's column moves, built on first use; the
+    element is immutable, so the cache cannot go stale, and equality and
+    hashing ignore it.
+    """
+
+    __slots__ = ("X", "Y", "W", "Z", "_moves")
 
     def __init__(self, X, Y, W, Z):
         if not gl2_is_invertible(X, Y, W, Z):
@@ -36,6 +93,7 @@ class GL2Element:
         self.Y = Y
         self.W = W
         self.Z = Z
+        self._moves = None
 
     @classmethod
     def _trusted(cls, X, Y, W, Z):
@@ -45,7 +103,30 @@ class GL2Element:
         g.Y = Y
         g.W = W
         g.Z = Z
+        g._moves = None
         return g
+
+    def _column_moves(self):
+        """The nonzero entries of g - I as the moves ``_act`` runs.
+
+        A pair (moves into A', moves into B'); each move is (source, v,
+        rows, shift) with source 0 for A and 1 for B, and rows and shift
+        from ``_move_cells``.  The diagonal blocks give X - I and Z - I, the
+        others W and Y as they are; v = x - 1 is left unreduced, as ``_act``
+        reduces once.
+        """
+        moves = self._moves
+        if moves is None:
+            cells = _move_cells(self.n)
+            one = LowerTriMatrix.identity(self.field, self.n).entries
+            to_a = [(0, x - d, *cell)
+                    for x, d, cell in zip(self.X.entries, one, cells) if x != d]
+            to_a += [(1, w, *cell) for w, cell in zip(self.W.entries, cells) if w]
+            to_b = [(0, y, *cell) for y, cell in zip(self.Y.entries, cells) if y]
+            to_b += [(1, z - d, *cell)
+                     for z, d, cell in zip(self.Z.entries, one, cells) if z != d]
+            moves = self._moves = (to_a, to_b)
+        return moves
 
     @property
     def n(self):
@@ -88,8 +169,10 @@ class GL2Element:
         return cls(one, zero, W, one)
 
     def __mul__(self, other):
-        """Block product, without re-testing invertibility; each block, such
-        as X X' + Y W', is one pass of the kernel ``_product_sum``.
+        """Block product g h, without re-testing invertibility.
+
+        Row (X, Y) of g h is (X, Y) h, and row (W, Z) is (W, Z) h, so both
+        rows run ``_act`` with the column moves of h.
 
         Both factors are invertible with lower triangular blocks, so the
         product has lower triangular blocks and the inverse h^-1 g^-1: it
@@ -99,14 +182,11 @@ class GL2Element:
             return NotImplemented
         self.X._check_compatible(other.X)
         f, n, p = self.field, self.n, self.field.p
-        x, y, w, z = self.X.entries, self.Y.entries, self.W.entries, self.Z.entries
-        x2, y2, w2, z2 = other.X.entries, other.Y.entries, other.W.entries, other.Z.entries
+        moves = other._column_moves()
+        x, y = _act(self.X.entries, self.Y.entries, moves, p)
+        w, z = _act(self.W.entries, self.Z.entries, moves, p)
         return GL2Element._trusted(
-            _trusted(f, n, _product_sum(p, n, ((x, x2), (y, w2)))),
-            _trusted(f, n, _product_sum(p, n, ((x, y2), (y, z2)))),
-            _trusted(f, n, _product_sum(p, n, ((w, x2), (z, w2)))),
-            _trusted(f, n, _product_sum(p, n, ((w, y2), (z, z2)))),
-        )
+            _trusted(f, n, x), _trusted(f, n, y), _trusted(f, n, w), _trusted(f, n, z))
 
     def inverse(self):
         """Invert by forward substitution over the 2x2 diagonal cells.
@@ -157,10 +237,13 @@ class GL2Element:
 
 
 def act_right(pair: ModulePair, g: GL2Element) -> ModulePair:
-    """(A, B) [X Y; W Z] = (AX + BW, AY + BZ)."""
-    if pair.n != g.n or pair.field != g.field:
+    """(A, B) [X Y; W Z] = (AX + BW, AY + BZ), run as g's column moves by ``_act``."""
+    A, B = pair.A, pair.B
+    f, n = A.field, A.n
+    if n != g.X.n or (f is not g.X.field and f != g.X.field):
         raise DimensionMismatch("pair and group element must match")
-    return ModulePair(pair.A * g.X + pair.B * g.W, pair.A * g.Y + pair.B * g.Z)
+    a, b = _act(A.entries, B.entries, g._column_moves(), f.p)
+    return ModulePair(_trusted(f, n, a), _trusted(f, n, b))
 
 
 def act_left_unit(u: LowerTriMatrix, pair: ModulePair) -> ModulePair:

@@ -63,7 +63,7 @@ def _product_plan(n):
 def _accumulate(out, left, right, steps):
     """Add the product of the packed factors left and right into out, unreduced.
 
-    The package's one product loop.  Row i of LR is the sum over k <= i of
+    The triangular product's loop.  Row i of LR is the sum over k <= i of
     L_ik times row k of R, so zero entries of L are skipped and sparse
     factors cost only their nonzero entries.
     """
@@ -76,37 +76,16 @@ def _accumulate(out, left, right, steps):
                 j += 1
 
 
-def _product_sum(p, n, terms):
-    """Packed entries of L1 R1 + L2 R2 + ... for the packed (L, R) pairs in terms.
-
-    A term with a zero factor adds nothing and one with an identity factor
-    adds the other factor.  A sum left with one such addend returns it as
-    it is; otherwise every term accumulates into one list, reduced mod p
-    once.
-    """
-    one, steps = _product_plan(n)
-    live = []  # (L, R), or (None, M) for a term that adds M itself
-    for left, right in terms:
-        if right == one:
-            left, right = right, left
-        if left == one:
-            if any(right):
-                live.append((None, right))
-        elif any(left) and any(right):
-            live.append((left, right))
-    if len(live) == 1 and live[0][0] is None:
-        return live[0][1]
-    out = [0] * len(one)
-    for left, right in live:
-        if left is None:
-            out = [a + b for a, b in zip(out, right)]
-        else:
-            _accumulate(out, left, right, steps)
-    return tuple([v % p for v in out])
-
-
 _DIAGONAL_OFFSETS = {}
 _IDENTITY = {}
+
+
+def _diagonal_offsets(n):
+    """Packed offsets of (1,1), ..., (n,n), computed once per n."""
+    offsets = _DIAGONAL_OFFSETS.get(n)
+    if offsets is None:
+        offsets = _DIAGONAL_OFFSETS[n] = [_pos(i, i) for i in range(1, n + 1)]
+    return offsets
 
 
 class LowerTriMatrix:
@@ -192,11 +171,7 @@ class LowerTriMatrix:
         return self.entries[i * (i - 1) // 2 + j - 1]
 
     def diag(self):
-        offsets = _DIAGONAL_OFFSETS.get(self.n)
-        if offsets is None:
-            offsets = _DIAGONAL_OFFSETS[self.n] = [
-                _pos(i, i) for i in range(1, self.n + 1)]
-        return tuple(map(self.entries.__getitem__, offsets))
+        return tuple(map(self.entries.__getitem__, _diagonal_offsets(self.n)))
 
     def row(self, i):
         """Full row i as a list of n residues."""

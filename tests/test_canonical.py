@@ -387,15 +387,29 @@ def test_cleaned_offense_equals_offense_after_cleanup(n, p):
     assert swapped
 
 
+# Calls of ``triorbit.canonical.act_right`` over the same samples: one per
+# search child and per recorded right move, plus the certificate self-check.
+# perfbench's action cap counts these calls, so they must not move.
+SEED0_ACT_RIGHT_CALLS = {(4, 2): 11038, (5, 2): 12167, (3, 3): 7757}
+
+
 @pytest.mark.parametrize("n,p,count,steps,searched", [
     (4, 2, 2000, 140, 127),
     (5, 2, 300, 59, 42),
     (3, 3, 2000, 14, 14),
 ])
-def test_search_totals_on_seeded_pairs(n, p, count, steps, searched):
+def test_search_totals_on_seeded_pairs(n, p, count, steps, searched, monkeypatch):
     # Search steps and searching pairs over seed-0 samples, as measured
     # before the search scored nodes on A alone: the score and the search
     # order fix every word, so these totals pin both.
+    actions = 0
+
+    def counting_act_right(*args):
+        nonlocal actions
+        actions += 1
+        return act_right(*args)
+
+    monkeypatch.setattr("triorbit.canonical.act_right", counting_act_right)
     total = pairs = 0
     for pair in random_free_pairs(GF(p), n, count, 0):
         try:
@@ -404,7 +418,7 @@ def test_search_totals_on_seeded_pairs(n, p, count, steps, searched):
             continue
         total += trace.search_steps
         pairs += trace.search_activated
-    assert (total, pairs) == (steps, searched)
+    assert (total, pairs, actions) == (steps, searched, SEED0_ACT_RIGHT_CALLS[n, p])
 
 
 # -- reachability invariant -------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -212,3 +213,80 @@ def test_product_is_a_valid_element(gf5):
             assert gl2_is_invertible(gh.X, gh.Y, gh.W, gh.Z)
             assert gh == GL2Element(gh.X, gh.Y, gh.W, gh.Z)
             assert gh * h.inverse() == g
+
+
+# -- the column-move kernel against plain triangular products -----------------
+
+
+def _reference_action(pair, g):
+    return ModulePair(pair.A * g.X + pair.B * g.W, pair.A * g.Y + pair.B * g.Z)
+
+
+def _reference_product(g, h):
+    return GL2Element(g.X * h.X + g.Y * h.W, g.X * h.Y + g.Y * h.Z,
+                      g.W * h.X + g.Z * h.W, g.W * h.Y + g.Z * h.Z)
+
+
+def _random_matrix(rng, field, n):
+    return LowerTriMatrix(field, n, [rng.randrange(field.p)
+                                     for _ in range(n * (n + 1) // 2)])
+
+
+def _random_element(rng, field, n):
+    while True:
+        blocks = [_random_matrix(rng, field, n) for _ in range(4)]
+        if gl2_is_invertible(*blocks):
+            return GL2Element(*blocks)
+
+
+def _special_elements(field, n):
+    """The identity, the swap and elements with zero blocks."""
+    one = LowerTriMatrix.identity(field, n)
+    zero = LowerTriMatrix.zero(field, n)
+    full = LowerTriMatrix(field, n, [1] * (n * (n + 1) // 2))
+    return [
+        GL2Element.identity(field, n),
+        GL2Element.swap(field, n),
+        GL2Element.block_diag(full, one),
+        GL2Element.block_diag(one, full),
+        GL2Element.upper(full),
+        GL2Element.lower(full),
+        GL2Element(zero, full, full, zero),
+        GL2Element(zero, one, full.scale(-1), full),
+    ]
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (3, 2)])
+def test_act_right_matches_products_exhaustively(n, p):
+    f = GF(p)
+    ring = list(ring_matrices(f, n))
+    pairs = [ModulePair(A, B) for A in ring for B in ring]
+    pairs = [pair for pair in pairs if pair.is_free()]
+    for g in gl2_generators(f, n):
+        for pair in pairs:
+            assert act_right(pair, g) == _reference_action(pair, g)
+
+
+def test_product_matches_products_over_the_whole_group(gf2):
+    group = list(all_valid_gl2(gf2, 2))
+    assert len(group) == 576
+    for g in gl2_generators(gf2, 2):
+        for h in group:
+            assert g * h == _reference_product(g, h)
+            assert h * g == _reference_product(h, g)
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (6, 3)])
+def test_kernel_matches_products_on_random_elements(n, p):
+    rng = random.Random(n * 100 + p)
+    f = GF(p)
+    elements = _special_elements(f, n) + [_random_element(rng, f, n) for _ in range(500)]
+    for g in elements:
+        pair = ModulePair(_random_matrix(rng, f, n), _random_matrix(rng, f, n))
+        h = rng.choice(elements)
+        expected = _reference_action(pair, g)
+        # The second action reuses the moves the first one cached.
+        assert act_right(pair, g) == expected
+        assert act_right(pair, g) == expected
+        assert g * h == _reference_product(g, h)
+        assert h * g == _reference_product(h, g)
