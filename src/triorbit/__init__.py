@@ -32,8 +32,6 @@ from .field import GF, is_prime
 from .trimat import (
     LowerTriMatrix,
     augmented_rank,
-    leading_rank,
-    truncated_b_rank,
 )
 from .modpairs import (
     ModulePair,
@@ -109,7 +107,6 @@ __all__ = [
     "is_free_oracle",
     "is_outlier_oracle",
     "is_prime",
-    "leading_rank",
     "orbit_decomposition",
     "orbit_generators",
     "pair_to_partition",
@@ -117,7 +114,6 @@ __all__ = [
     "partition_to_pair",
     "random_free_pairs",
     "select_pivots",
-    "truncated_b_rank",
     "unit_generators",
     "verify_certificate",
     "verify_classification",

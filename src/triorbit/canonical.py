@@ -13,16 +13,20 @@ CanonicalizationFailed for those inputs.
 
 The reduction runs in two phases.  Phase one drives the A part to diagonal
 0/1 shape: clear the B diagonal, then clear mixed-eigenvalue entries by
-triangular similarity, scale the diagonal, and clear remaining entries by
-row and column operations.  Those last four passes read only A; one kernel,
+triangular similarity, scale the diagonal, and clear the rest of each unit
+row by row operations.  Those last three passes read only A; one kernel,
 ``_sweep_a``, sweeps A's rows as plain lists and returns the elementary
 moves from which the recorded factors are built.  Entries whose row and
 column diagonals both vanish admit none of those moves; a bounded
 best-first search over short generator words handles them, scoring each
 node with the same kernel and no matrix arithmetic, and every activation is
-flagged in the trace.  Phase two zeroes the unit rows of B, selects pivot
-columns, normalizes them with a right unit V, and clears below-pivot
-residue with a left unit K.
+flagged in the trace.  Phase two zeroes the unit rows of B, makes the
+trailing columns of the other rows distinct, and normalizes those pivot
+columns with a right unit V.  That already is the canonical shape: the
+paper's pivot search ``select_pivots`` would pick the same pivots, and its
+left unit ``build_k`` would be the identity (proofs in
+``_trailing_echelon`` and ``canonicalize``).  Both stay public as the
+paper's construction.
 """
 
 import functools
@@ -363,7 +367,7 @@ def _lower_rows(M):
 
 
 def _sweep_a(rows, p):
-    """The four cleanup passes that read only A, swept over its rows in place.
+    """The three cleanup passes that read only A, swept over its rows in place.
 
     ``rows`` is A as ``_lower_rows`` gives it.  Each pass yields its moves:
     transvections (i, j, t), 0-based i > j, or the scale list.  No move
@@ -371,15 +375,18 @@ def _sweep_a(rows, p):
     - Similarity, A -> P^-1 A P with P the moves' product: clears entries
       whose two diagonals differ.  Sweeping by distance below the diagonal
       keeps cleared entries cleared, as conjugating at (i, j) only disturbs
-      positions strictly farther from the diagonal.
+      positions strictly farther from the diagonal.  So afterwards every
+      nonzero a_ij below the diagonal has a_ii = a_jj.
     - Scaling by the diagonal unit sending nonzero diagonals to 1 (None
-      when that is the identity); the diagonal is 0/1 from here on.
-    - Row clearing, row i += t row j, below a unit diagonal.  Rows ascend
-      and columns descend inside a row, so disturbed positions are always
-      processed later in the same pass.
-    - Column clearing, column j += t column i, right of a unit diagonal.
-      After the row pass unit-diagonal columns are clear below the
-      diagonal, so each move changes exactly its target entry.
+      when that is the identity).  The diagonal is 0/1 from here on, and a
+      nonzero a_ij below it still has a_ii = a_jj.
+    - Row clearing, row i += t row j, below a unit diagonal.  Rows ascend,
+      so each unit row j is already e_j when it is added into a later row,
+      and each move changes exactly its target entry, which the sweep
+      therefore just sets to zero.  So every row with
+      a_ii = 1 ends as e_i, and every nonzero a_ij left below the diagonal
+      has a_ii = a_jj = 0.  In particular no entry is left to clear by
+      column operations right of a unit diagonal.
     """
     n = len(rows)
     moves = []
@@ -413,21 +420,8 @@ def _sweep_a(rows, p):
         row = rows[i]
         for j in range(i - 1, -1, -1):
             if row[j] and rows[j][j] == 1:
-                t = -row[j] % p
-                jrow = rows[j]
-                for c in range(j + 1):
-                    row[c] = (row[c] + t * jrow[c]) % p
-                moves.append((i, j, t))
-    yield moves
-
-    moves = []
-    for i in range(1, n):
-        row = rows[i]
-        if row[i] == 1:
-            for j in range(i):
-                if row[j]:
-                    moves.append((i, j, -row[j] % p))
-                    row[j] = 0
+                moves.append((i, j, -row[j] % p))
+                row[j] = 0
     yield moves
 
 
@@ -441,7 +435,7 @@ def _cleanup(red):
     f, n = red.field, red.n
     one = LowerTriMatrix.identity(f, n)
     rows = _lower_rows(red.pair.A)
-    passes = ("similarity", "scaling", "row_clearing", "column_clearing")
+    passes = ("similarity", "scaling", "row_clearing")
     for label, moves in zip(passes, _sweep_a(rows, f.p)):
         if not moves:
             continue
@@ -451,11 +445,8 @@ def _cleanup(red):
             red.right(GL2Element.block_diag(P, one), "similarity_right")
         elif label == "scaling":
             red.left(LowerTriMatrix.diagonal(f, moves), label)
-        elif label == "row_clearing":
-            red.left(_transvection_product(f, n, moves[::-1]), label)
         else:
-            X = _transvection_product(f, n, moves)
-            red.right(GL2Element.block_diag(X, one), label)
+            red.left(_transvection_product(f, n, moves[::-1]), label)
         assert red.pair.A.entries == tuple(v for row in rows for v in row)
 
 
@@ -468,6 +459,17 @@ def _trailing_echelon(red):
     columns differ restores admissibility; afterwards every row simply
     pivots on its own trailing column.  Only zero-diagonal rows are mixed,
     so the A part is untouched.
+
+    Returns those pivots (row, trailing column), ascending by row: exactly
+    what ``select_pivots`` returns on the new G, whose nonzero rows are the
+    zero-diagonal ones once the unit rows of B are zero.  Proof.  For each
+    row, in ascending order, the trailing column is unused (the trailing
+    columns are distinct) and is the largest nonzero column of the row, so
+    the search tries it first and it meets the no-entries-to-the-right
+    rule.  Its minor passes too: with rows and chosen columns both ordered
+    by trailing column, the minor is lower triangular, as each row vanishes
+    right of its own trailing column, with the nonzero trailing entries on
+    its diagonal.
     """
     n, f = red.n, red.field
     p = f.p
@@ -492,6 +494,7 @@ def _trailing_echelon(red):
     if moves:
         red.left(_transvection_product(f, n, moves[::-1]), "trailing_echelon")
         assert [red.pair.B.row(i) for i in range(1, n + 1)] == work
+    return sorted((i, j) for j, i in owner.items())
 
 
 def _cleaned_offense(pair):
@@ -598,7 +601,8 @@ def _search_word(pair, generators):
     would leave, read off A' by the ``_sweep_a`` kernel without building a
     pair, so each child costs one ``act_right`` (looked up by that name at
     call time).  Returns the first word reaching score zero, else the best
-    strictly improving word, else None.
+    strictly improving word, else None.  A child scoring zero returns as
+    soon as it is pushed, so every popped node scores above zero.
     """
     base = _cleaned_offense(pair)
     counter = itertools.count()
@@ -623,8 +627,6 @@ def _search_word(pair, generators):
     expanded = 0
     while heap and expanded < SEARCH_LIMIT:
         score, length, _, node_pair, word = heapq.heappop(heap)
-        if score == 0:
-            return word
         if best is None or (score, length) < (best[0], best[1]):
             best = (score, length, word)
         expanded += 1
@@ -641,6 +643,17 @@ def _search_word(pair, generators):
 
 def canonicalize(pair: ModulePair):
     """Reduce a free pair to its canonical form.
+
+    Phase one leaves A diagonal 0/1 with a zero B diagonal.  Phase two
+    right-multiplies by (I, -B; 0, I), giving (A, B - AB), so the unit rows
+    of B are zero and, by freeness, every other row is not; it makes the
+    trailing columns of those rows distinct (``_trailing_echelon``, whose
+    pivots are those of ``select_pivots``) and normalizes them with the
+    right unit V of ``build_v``.  That ends on the canonical shape, so the
+    paper's K step is the identity and is not run.  Proof.  For a pivot
+    (i, j), row i of B vanishes right of column j, and V solves
+    (BV)_il = [l == j] for every l <= j; so row i of BV is e_j, the pivots
+    are distinct, and ``build_k`` finds no residue below any pivot.
 
     Returns (canonical pair, certificate, trace); the certificate is
     checked by multiplication before returning.  Raises NotFree on
@@ -678,16 +691,11 @@ def canonicalize(pair: ModulePair):
     B = red.pair.B
     if not (A * B).is_zero():
         red.right(GL2Element.upper(-B), "b_transvection")
-    _trailing_echelon(red)
-    G = red.pair.B
-    pivots = select_pivots(G)
-    V = build_v(G, pivots)
-    if V != LowerTriMatrix.identity(red.field, red.n):
-        red.right(GL2Element.block_diag(LowerTriMatrix.identity(red.field, red.n), V),
-                  "v_step")
-    K = build_k(red.pair.A, red.pair.B)
-    if K != LowerTriMatrix.identity(red.field, red.n):
-        red.left(K, "k_step")
+    pivots = _trailing_echelon(red)
+    V = build_v(red.pair.B, pivots)
+    one = LowerTriMatrix.identity(red.field, red.n)
+    if V != one:
+        red.right(GL2Element.block_diag(one, V), "v_step")
 
     result = red.pair
     if not is_canonical(result):

@@ -80,15 +80,21 @@ def cmd_enumerate(args):
     return 0
 
 
-def cmd_canonicalize(args):
+def _read_pair(path):
+    """The pair in the file at ``path``, or None after printing why not."""
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            pair = parse_pair(handle.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_pair(handle.read())
     except OSError as exc:
-        _print(f"error: cannot read {args.input}: {exc}")
-        return 2
+        _print(f"error: cannot read {path}: {exc}")
     except (ValueError, TriOrbitError) as exc:
         _print(f"error: bad pair file: {exc}")
+    return None
+
+
+def cmd_canonicalize(args):
+    pair = _read_pair(args.input)
+    if pair is None:
         return 2
     if args.p is not None and args.p != pair.field.p:
         _print(f"error: --p {args.p} disagrees with the pair file (p={pair.field.p})")
@@ -147,14 +153,8 @@ def cmd_convert(args):
         if not args.input:
             _print("error: pair-to-partition needs --input")
             return 2
-        try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                pair = parse_pair(handle.read())
-        except OSError as exc:
-            _print(f"error: cannot read {args.input}: {exc}")
-            return 2
-        except (ValueError, TriOrbitError) as exc:
-            _print(f"error: bad pair file: {exc}")
+        pair = _read_pair(args.input)
+        if pair is None:
             return 2
         try:
             part = pair_to_partition(pair)

@@ -67,7 +67,7 @@ class ModulePair:
     __slots__ = ("A", "B")
 
     def __init__(self, A: LowerTriMatrix, B: LowerTriMatrix):
-        if A.n != B.n or A.field != B.field:
+        if A.n != B.n or (A.field is not B.field and A.field != B.field):
             raise DimensionMismatch("A and B must share dimension and field")
         self.A = A
         self.B = B

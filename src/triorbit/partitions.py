@@ -1,17 +1,17 @@
 """Set partitions of {1..n}, Bell numbers, and the partition <-> pair bijection.
 
 Every canonical pair corresponds to exactly one partition: rows whose A
-diagonal carries a 1 label blocks through ranks of leading submatrices,
-and each 1 in B attaches its row to a block through the rank of a
-truncated copy of B.  The converse constructs the unique canonical pair
-column by column; the processing order of rows is what makes the
-construction well defined.
+diagonal carries a 1 open blocks labeled by counting unit rows, and each 1
+in B attaches its row to a block through a count of the ones of B above
+and left of it.  The converse constructs the unique canonical pair column
+by column; the processing order of rows is what makes the construction
+well defined.
 """
 
 from .errors import BudgetExceeded, InvalidPartition, NotCanonical
 from .field import GF
 from .modpairs import ModulePair, enumeration_budget
-from .trimat import LowerTriMatrix, leading_rank, truncated_b_rank
+from .trimat import LowerTriMatrix
 
 
 class SetPartition:
@@ -138,23 +138,26 @@ def pair_to_partition(pair: ModulePair) -> SetPartition:
 
     Unit rows k open blocks labeled by the rank of the leading k x k
     submatrix of A; every 1 at (i, j) of B joins row i to the block labeled
-    j minus the rank of B truncated at (i, j).
+    j minus the rank of B truncated to rows < i and columns < j.  On a
+    canonical pair both ranks are counts: A is diagonal 0/1, so the first
+    is the number of unit rows up to k, and the ones of B form a partial
+    permutation, so the second is the number of them in that corner.
     """
     from .canonical import is_canonical  # deferred to avoid an import cycle
 
     if not is_canonical(pair):
         raise NotCanonical("pair_to_partition requires a canonical pair")
     A, B = pair.A, pair.B
+    n = pair.n
     blocks = {}
-    for k in range(1, pair.n + 1):
+    for k in range(1, n + 1):
         if A.entry(k, k) == 1:
-            blocks[leading_rank(A, k)] = [k]
-    for i in range(2, pair.n + 1):
-        for j in range(1, i):
-            if B.entry(i, j) == 1:
-                label = j - truncated_b_rank(B, i, j)
-                assert label in blocks, "canonical pair produced a stray block label"
-                blocks[label].append(i)
+            blocks[len(blocks) + 1] = [k]
+    ones = [(i, j) for i in range(2, n + 1) for j in range(1, i) if B.entry(i, j)]
+    for i, j in ones:
+        label = j - sum(1 for r, c in ones if r < i and c < j)
+        assert label in blocks, "canonical pair produced a stray block label"
+        blocks[label].append(i)
     return SetPartition(blocks.values())
 
 

@@ -8,8 +8,8 @@ the ring operations, whose results are reduced mod p by construction,
 build them through ``_trusted`` instead.
 
 The module also holds the package's one mod-p elimination kernel and the
-rank computations built on it: the rank of the augmented matrix [A|B],
-ranks of leading principal submatrices and of truncated copies.
+computations built on it: matrix rank, the rank of the augmented matrix
+[A|B] and a solver for linear systems.
 """
 
 import operator
@@ -409,22 +409,3 @@ def augmented_rank(A: LowerTriMatrix, B: LowerTriMatrix) -> int:
         b = B.entries[start:start + i][::-1]
         rows.append([0] * (2 * (n - i)) + [v for ab in zip(a, b) for v in ab])
     return matrix_rank(rows, A.field.p)
-
-
-def leading_rank(A: LowerTriMatrix, k: int) -> int:
-    """Rank of the leading principal k x k submatrix of A."""
-    if not (1 <= k <= A.n):
-        raise IndexOutOfRange(f"k={k} outside [1,{A.n}]")
-    rows = [[A.entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    return matrix_rank(rows, A.field.p)
-
-
-def truncated_b_rank(B: LowerTriMatrix, i: int, j: int) -> int:
-    """Rank of B with rows >= i and columns >= j zeroed out."""
-    if not (1 <= i <= B.n and 1 <= j <= B.n):
-        raise IndexOutOfRange(f"({i},{j}) outside [1,{B.n}]^2")
-    rows = [
-        [B.entry(r, c) if r < i and c < j else 0 for c in range(1, B.n + 1)]
-        for r in range(1, B.n + 1)
-    ]
-    return matrix_rank(rows, B.field.p)

@@ -29,14 +29,16 @@ from triorbit import (
 from triorbit.canonical import (
     _cleaned_offense,
     _cleanup,
+    _lower_rows,
     _offense,
     _Reduction,
+    _sweep_a,
     jump_map,
     reachable_profiles,
     span_profile,
 )
 from triorbit.modpairs import ring_matrices, unit_matrices
-from triorbit.oracle import random_free_pairs
+from triorbit.oracle import _free_submodule_keys, _key_pair, random_free_pairs
 from tests.conftest import make_pair
 
 
@@ -385,6 +387,73 @@ def test_cleaned_offense_equals_offense_after_cleanup(n, p):
             node = act_right(node, rng.choice(gens))
     # Some inputs take columns of B into A' (b_cc != 0 where a_cc = 0).
     assert swapped
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sweep_a_leaves_only_nilpotent_entries_below_the_diagonal(n, p):
+    # After the similarity pass a nonzero a_ij below the diagonal has
+    # a_ii = a_jj; after the remaining passes a_ii = a_jj = 0, so no entry
+    # right of a unit diagonal is left for column operations to clear.
+    rng = random.Random(100 * n + p)
+    m = n * (n + 1) // 2
+    for _ in range(60):
+        # Half the entries zero, so zero diagonals and nilpotent blocks occur.
+        entries = [rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(m)]
+        rows = _lower_rows(LowerTriMatrix(GF(p), n, entries))
+        below = [(i, j) for i in range(1, n) for j in range(i)]
+        sweep = _sweep_a(rows, p)
+        next(sweep)
+        assert all(rows[i][i] == rows[j][j] for i, j in below if rows[i][j])
+        for _ in sweep:
+            pass
+        assert all(rows[i][i] == rows[j][j] == 0 for i, j in below if rows[i][j])
+        assert all(v in (0, 1) for r, row in enumerate(rows) for v in row[r:])
+
+
+def _around_v_step(pair, trace):
+    """The pair entering the V step and the pair it leaves (one pair if V = I)."""
+    before = pair
+    for stage in trace:
+        if stage.label == "v_step":
+            return before, stage.pair
+        before = stage.pair
+    return before, before
+
+
+def _key_unit_pairs(n, p, per_key):
+    """Each key's least pair under ``per_key`` seeded units."""
+    f = GF(p)
+    units = list(unit_matrices(f, n))
+    rng = random.Random(n * p)
+    for key in _free_submodule_keys(f, n, None):
+        pair = _key_pair(f, key)
+        for u in rng.sample(units, per_key):
+            yield ModulePair(u * pair.A, u * pair.B)
+
+
+@pytest.mark.parametrize("n,p,per_key", [
+    (2, 3, 3), (3, 2, 3), (3, 3, 1), (4, 2, 1), (6, 3, 0),
+])
+def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
+    # canonicalize takes the trailing columns as pivots and runs no K step:
+    # select_pivots must agree on the B entering the V step, and build_k
+    # must return the identity on the pair the V step leaves.  Every key
+    # under per_key seeded units, or 500 seed-0 pairs where per_key is 0.
+    pairs = (_key_unit_pairs(n, p, per_key) if per_key
+             else random_free_pairs(GF(p), n, 500, seed=0))
+    one = LowerTriMatrix.identity(GF(p), n)
+    checked = 0
+    for pair in pairs:
+        try:
+            _, _, trace = canonicalize(pair)
+        except CanonicalizationFailed:
+            continue
+        before, after = _around_v_step(pair, trace)
+        assert trace.pivots == select_pivots(before.B)
+        assert build_k(after.A, after.B) == one
+        checked += 1
+    assert checked
 
 
 # Calls of ``triorbit.canonical.act_right`` over the same samples: one per

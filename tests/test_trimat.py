@@ -11,8 +11,6 @@ from triorbit import (
     LowerTriMatrix,
     SingularMatrix,
     augmented_rank,
-    leading_rank,
-    truncated_b_rank,
 )
 from triorbit.modpairs import ring_matrices, unit_matrices
 from triorbit.trimat import matrix_rank, parse_matrix, solve_mod_p
@@ -151,32 +149,6 @@ def test_full_rank_forces_nonzero_rows(gf2):
         if augmented_rank(A, B) == 2:
             for i in (1, 2):
                 assert any(A.row(i)) or any(B.row(i))
-
-
-def test_leading_rank_identity_and_zero(gf5):
-    I = LowerTriMatrix.identity(gf5, 4)
-    Z = LowerTriMatrix.zero(gf5, 4)
-    for k in range(1, 5):
-        assert leading_rank(I, k) == k
-        assert leading_rank(Z, k) == 0
-    with pytest.raises(IndexOutOfRange):
-        leading_rank(I, 5)
-
-
-def test_leading_rank_on_six_dim_fixture(pair_t6):
-    A = pair_t6.A
-    assert leading_rank(A, 1) == 1
-    assert leading_rank(A, 2) == 2
-    assert leading_rank(A, 4) == 3
-
-
-def test_truncated_rank_on_six_dim_fixture(pair_t6):
-    B = pair_t6.B
-    assert truncated_b_rank(B, 3, 2) == 0
-    assert truncated_b_rank(B, 5, 4) == 1
-    assert truncated_b_rank(B, 6, 3) == 1
-    with pytest.raises(IndexOutOfRange):
-        truncated_b_rank(B, 0, 1)
 
 
 def test_matrix_rank_against_row_space_enumeration():
