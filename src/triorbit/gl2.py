@@ -33,6 +33,7 @@ def gl2_is_invertible(X, Y, W, Z) -> bool:
 
 
 _MOVE_CELLS = {}
+_IDENTITY = {}
 
 
 def _move_cells(n):
@@ -138,9 +139,14 @@ class GL2Element:
 
     @classmethod
     def identity(cls, field, n):
-        one = LowerTriMatrix.identity(field, n)
-        zero = LowerTriMatrix.zero(field, n)
-        return cls(one, zero, zero, one)
+        """[I 0; 0 I], built once per (p, n); elements are immutable, so it is shared."""
+        key = (field.p, n)
+        one = _IDENTITY.get(key)
+        if one is None:
+            unit = LowerTriMatrix.identity(field, n)
+            zero = LowerTriMatrix.zero(field, n)
+            one = _IDENTITY[key] = cls(unit, zero, zero, unit)
+        return one
 
     @classmethod
     def swap(cls, field, n):

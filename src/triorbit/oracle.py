@@ -20,13 +20,14 @@ import itertools
 import random
 
 from .canonical import canonicalize, enumerate_canonical
-from .errors import BudgetExceeded, CanonicalizationFailed, VerificationFailed
+from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
+                     VerificationFailed)
 from .field import GF
 from .gl2 import GL2Element, orbit_generators
 from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
                        unit_count, unit_matrices)
 from .partitions import bell
-from .trimat import LowerTriMatrix, _echelon_insert
+from .trimat import LowerTriMatrix, _echelon_insert, _trusted
 
 
 def _normal_form(rows, p):
@@ -70,9 +71,20 @@ def _normal_form(rows, p):
 
 
 def _pair_key(pair):
-    """Key of the submodule generated by a free pair."""
-    return _normal_form([pair.A.row(i) + pair.B.row(i) for i in range(1, pair.n + 1)],
-                        pair.field.p)
+    """Key of the submodule generated by a free pair.
+
+    Row i of [A|B] is packed row i of A and then of B, each padded with
+    n - i zeros, read straight from the entries.
+    """
+    n = pair.n
+    a, b = pair.A.entries, pair.B.entries
+    rows = []
+    for i in range(n):
+        start = i * (i + 1) // 2
+        stop = start + i + 1
+        pad = (0,) * (n - i - 1)
+        rows.append([*a[start:stop], *pad, *b[start:stop], *pad])
+    return _normal_form(rows, pair.field.p)
 
 
 def _key_pair(field, key):
@@ -388,12 +400,16 @@ def _build_report(n, p, budget=None, generators=None):
 
 def random_free_pairs(field, n, count, seed):
     """Deterministic sample of free pairs, by rejection on uniform entries."""
+    if n < 1:
+        raise DimensionMismatch(f"dimension {n} < 1")
     rng = random.Random(seed)
     m = n * (n + 1) // 2
+    p = field.p
     out = []
     while len(out) < count:
-        A = LowerTriMatrix(field, n, [rng.randrange(field.p) for _ in range(m)])
-        B = LowerTriMatrix(field, n, [rng.randrange(field.p) for _ in range(m)])
+        # randrange(p) lies in [0, p), so the constructor's checks could only pass.
+        A = _trusted(field, n, tuple([rng.randrange(p) for _ in range(m)]))
+        B = _trusted(field, n, tuple([rng.randrange(p) for _ in range(m)]))
         pair = ModulePair(A, B)
         if pair.is_free():
             out.append(pair)

@@ -259,7 +259,8 @@ class LowerTriMatrix:
 
     def is_unit(self):
         """Invertible in T_n iff every diagonal entry is nonzero."""
-        return all(self.entries[_pos(i, i)] for i in range(1, self.n + 1))
+        e = self.entries
+        return all(e[d] for d in _diagonal_offsets(self.n))
 
     def inverse(self):
         """Two-sided inverse by forward substitution; stays lower triangular.

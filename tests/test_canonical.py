@@ -22,6 +22,7 @@ from triorbit import (
     canonicalize,
     enumerate_canonical,
     gl2_generators,
+    gl2_is_invertible,
     is_canonical,
     select_pivots,
     verify_certificate,
@@ -33,6 +34,7 @@ from triorbit.canonical import (
     _offense,
     _Reduction,
     _sweep_a,
+    is_canonical_jump_map,
     jump_map,
     reachable_profiles,
     span_profile,
@@ -573,3 +575,109 @@ def test_self_checks_raise_without_asserts(gf2, monkeypatch, check, message):
     monkeypatch.setattr(canonical, check, lambda *args: False)
     with pytest.raises(CanonicalizationFailed, match=message):
         canonicalize(pair)
+
+
+# -- factors built without the constructors' checks -------------------------
+
+
+def _assert_checked_matrix(M, field, n):
+    # A packed tuple of residues in [0, p) that the public constructor,
+    # which validates every entry, rebuilds unchanged.
+    assert type(M.entries) is tuple
+    assert all(0 <= v < field.p for v in M.entries)
+    assert M == LowerTriMatrix(field, n, M.entries)
+
+
+def _assert_checked_element(g, field, n):
+    for block in (g.X, g.Y, g.W, g.Z):
+        _assert_checked_matrix(block, field, n)
+    assert gl2_is_invertible(g.X, g.Y, g.W, g.Z)
+    assert g == GL2Element(g.X, g.Y, g.W, g.Z)
+
+
+@pytest.mark.parametrize("n,p,count", [
+    (3, 3, 500), (4, 2, 500), (5, 2, 300), (6, 3, 300), (7, 5, 200)])
+def test_trusted_factors_pass_the_public_checks(n, p, count):
+    # canonicalize builds its recorded factors and certificate without the
+    # public constructors' checks; each must be one those checks accept.
+    f = GF(p)
+    one = LowerTriMatrix.identity(f, n)
+    labels = set()
+    for pair in random_free_pairs(f, n, count, seed=0):
+        try:
+            _, cert, trace = canonicalize(pair)
+        except CanonicalizationFailed:
+            assert not is_canonical_jump_map(jump_map(pair))
+            continue
+        _assert_checked_matrix(cert.U, f, n)
+        assert cert.U.is_unit()
+        _assert_checked_element(cert.Q, f, n)
+        stages = list(trace)
+        labels.update(stage.label for stage in stages)
+        for k, stage in enumerate(stages):
+            if stage.side == "left":
+                _assert_checked_matrix(stage.factor, f, n)
+                assert stage.factor.is_unit()
+            else:
+                _assert_checked_element(stage.factor, f, n)
+            if stage.label == "similarity_left":
+                # It is P^-1 for the P of the similarity_right that follows.
+                assert stages[k + 1].label == "similarity_right"
+                assert stage.factor * stages[k + 1].factor.X == one
+                assert stages[k + 1].factor.X * stage.factor == one
+    # Every factor kind was built on the sample; scaling needs p > 2.  The
+    # trailing_echelon factor, from the same builder as row_clearing's,
+    # shows up on these samples only at p = 2.
+    assert labels >= {"diagonal_clearing", "similarity_left", "similarity_right",
+                      "row_clearing", "b_transvection", "v_step"}
+    assert ("scaling" in labels) == (p > 2)
+    if p == 2:
+        assert "trailing_echelon" in labels
+
+
+def _rank_mod_p(rows, p):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] % p:
+                t = rows[r][c]
+                rows[r] = [(a - t * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_is_canonical(pair):
+    # The shape, on full rows, and rank [A|B] = n, which is_canonical
+    # leaves to the proof in its docstring.
+    n, p = pair.n, pair.field.p
+    A, B = pair.A.rows(), pair.B.rows()
+    columns = []
+    for i in range(n):
+        if A[i][i] not in (0, 1) or any(A[i][j] for j in range(n) if j != i):
+            return False
+        ones = [j for j in range(n) if B[i][j]]
+        if B[i][i] or any(B[i][j] != 1 for j in ones) or A[i][i] + len(ones) != 1:
+            return False
+        columns += ones
+    return (len(columns) == len(set(columns))
+            and _rank_mod_p([A[i] + B[i] for i in range(n)], p) == n)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_is_canonical_matches_shape_and_rank_reference(n, p):
+    f = GF(p)
+    passed = 0
+    for A in ring_matrices(f, n):
+        for B in ring_matrices(f, n):
+            pair = ModulePair(A, B)
+            expected = _reference_is_canonical(pair)
+            assert is_canonical(pair) == expected
+            passed += expected
+    assert passed == bell(n)

@@ -30,8 +30,9 @@ from triorbit.canonical import (
     span_profile,
 )
 from triorbit.cli import main
-from triorbit.modpairs import format_pair
+from triorbit.modpairs import format_pair, ring_matrices
 from triorbit.oracle import enumerate_free_submodules, random_free_pairs
+from triorbit.trimat import _echelon_insert
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -62,6 +63,30 @@ def test_jump_map_test_matches_profiles_on_seeded_pairs(n, p):
     assert all(_agrees(pair, profiles) for pair in pairs)
     # Both outcomes occur, so the agreement is not vacuous.
     assert len({is_canonical_jump_map(jump_map(pair)) for pair in pairs}) == 2
+
+
+def _jump_map_by_columns(pair):
+    # The jump map through the public column() reader, one insertion per
+    # A- and B-column from j = n down to 1.
+    n, p = pair.n, pair.field.p
+    basis = {}
+    jumps = [0] * n
+    for j in range(n, 0, -1):
+        for M in (pair.A, pair.B):
+            lead = _echelon_insert(basis, M.column(j), p)
+            if lead is not None:
+                jumps[lead] = j
+    return tuple(jumps)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_packed_jump_map_matches_column_reference(n, p):
+    # Every pair, free or not.
+    f = GF(p)
+    for A in ring_matrices(f, n):
+        for B in ring_matrices(f, n):
+            pair = ModulePair(A, B)
+            assert jump_map(pair) == _jump_map_by_columns(pair)
 
 
 def test_exactly_bell_many_jump_maps_pass():

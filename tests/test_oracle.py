@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from triorbit import (
@@ -7,6 +9,7 @@ from triorbit import (
     LowerTriMatrix,
     ModulePair,
     act_right,
+    augmented_rank,
     bell,
     cyclic_submodule,
     enumerate_canonical,
@@ -172,6 +175,41 @@ def test_unimodular_orbit_size_matches_pointwise_count(gf2):
         unim_keys = sum(1 for key in keys if _key_pair(GF(p), key).is_unimodular())
         orbit_sizes = [o.size for o in report.orbits if o.unimodular]
         assert sum(orbit_sizes) == unim_keys
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_packed_pair_key_matches_row_reference(n, p):
+    # Every pair, free or not (a pair that is not free has no key).
+    field = GF(p)
+    ring = list(ring_matrices(field, n))
+    for A in ring:
+        for B in ring:
+            pair = ModulePair(A, B)
+            rows = [A.row(i) + B.row(i) for i in range(1, n + 1)]
+            assert _pair_key(pair) == _normal_form(rows, p)
+
+
+def _random_free_pairs_by_constructor(field, n, count, seed):
+    # The sampler's draws, built through the public, checking constructors.
+    rng = random.Random(seed)
+    m = n * (n + 1) // 2
+    out = []
+    while len(out) < count:
+        A = LowerTriMatrix(field, n, [rng.randrange(field.p) for _ in range(m)])
+        B = LowerTriMatrix(field, n, [rng.randrange(field.p) for _ in range(m)])
+        pair = ModulePair(A, B)
+        if augmented_rank(A, B) == n:
+            out.append(pair)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,p", [(4, 2), (3, 3), (6, 3)])
+def test_random_free_pairs_match_constructor_reference(n, p, seed):
+    field = GF(p)
+    sample = random_free_pairs(field, n, 300, seed)
+    assert sample == _random_free_pairs_by_constructor(field, n, 300, seed)
+    assert all(type(M.entries) is tuple for pair in sample for M in (pair.A, pair.B))
 
 
 def test_random_free_pairs_deterministic(gf2):
