@@ -18,14 +18,16 @@ row by row operations.  Those last three passes read only A; one kernel,
 ``_sweep_a``, sweeps A's rows as plain lists and returns the elementary
 moves from which the recorded factors are built.  Entries whose row and
 column diagonals both vanish admit none of those moves; a bounded
-best-first search over short generator words handles them, scoring each
-node with the same kernel and no matrix arithmetic, and every activation is
-flagged in the trace.  Phase two zeroes the unit rows of B, makes the
-trailing columns of the other rows distinct, and normalizes those pivot
-columns with a right unit V.  That already is the canonical shape: the
-paper's pivot search ``select_pivots`` would pick the same pivots, and its
-left unit ``build_k`` would be the identity (proofs in
-``_trailing_echelon`` and ``canonicalize``).  Both stay public as the
+best-first search over short generator words handles them, and every
+activation is flagged in the trace.  Each search child costs exactly one
+``act_right``: its score is read off A by the similarity pass alone (the
+other two passes cannot change it; proof in ``_cleaned_offense``) and it
+is deduplicated on its packed entries.  Phase two zeroes the unit rows
+of B, makes the trailing columns of the other rows distinct, and
+normalizes those pivot columns with a right unit V.  That already is the
+canonical shape: the paper's pivot search ``select_pivots`` would pick the
+same pivots, and its left unit ``build_k`` would be the identity (proofs
+in ``_trailing_echelon`` and ``canonicalize``).  Both stay public as the
 paper's construction.
 
 Every recorded factor is built without the public constructors' checks,
@@ -34,8 +36,11 @@ products and diagonal scalings have entries reduced mod p and a nonzero
 diagonal, and the right factors (the B-diagonal blocks, block_diag(P, I),
 upper(-B) and block_diag(I, V)) have diagonal 2x2 cells of determinant 1
 or, for V, a unit diagonal.  The proof of each sits beside its build.  The
-two self-checks, canonical shape and certificate, stay explicit raises
-over the result.
+working state (``_Reduction``) keeps U and Q as packed tuples: a left
+stage applies its row moves to A, B and U instead of multiplying by its
+factor, and a right stage updates Q's block rows by g's column moves, so
+U and Q are built once, at the end.  The two self-checks, canonical shape
+and certificate, stay explicit raises over the result.
 """
 
 import functools
@@ -51,7 +56,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import GF
-from .gl2 import GL2Element, act_right, gl2_generators
+from .gl2 import GL2Element, _act, act_right, gl2_generators
 from .modpairs import ModulePair, enumeration_budget
 from .partitions import bell
 from .trimat import (
@@ -300,7 +305,10 @@ def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
 
     Pivot rows are the zero-diagonal rows of A; each holds a leading 1.
     Rows are processed from the bottom pivot upward so every subtraction
-    lands in columns whose own clearing pass still lies ahead.
+    lands in columns whose own clearing pass still lies ahead.  Raises
+    PivotSelectionFailed when H breaks that shape: a zero-diagonal row of
+    H that is zero, a leading entry other than 1, a nonzero entry above a
+    pivot, or a nonzero row of H where A's diagonal is nonzero.
     """
     n = A.n
     p = A.field.p
@@ -309,12 +317,15 @@ def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
         if A.entry(i, i) == 0:
             row = H.row(i)
             lead = next((j for j in range(1, n + 1) if row[j - 1]), None)
-            assert lead is not None, "zero-diagonal row of H is zero"
-            assert row[lead - 1] == 1, "pivot entry is not normalized to 1"
-            assert all(H.entry(r, lead) == 0 for r in range(1, i)), "entry above pivot"
+            if lead is None:
+                raise PivotSelectionFailed(f"zero-diagonal row {i} of H is zero")
+            if row[lead - 1] != 1:
+                raise PivotSelectionFailed(f"pivot ({i}, {lead}) is not normalized to 1")
+            if any(H.entry(r, lead) for r in range(1, i)):
+                raise PivotSelectionFailed(f"nonzero entry above pivot ({i}, {lead})")
             pivots.append((i, lead))
-        else:
-            assert not any(H.row(i)), "unit row of H is nonzero"
+        elif any(H.row(i)):
+            raise PivotSelectionFailed(f"unit row {i} of H is nonzero")
     hwork = [H.row(i) for i in range(1, n + 1)]
     moves = []
     for (ipiv, jpiv) in sorted(pivots, reverse=True):
@@ -330,28 +341,101 @@ def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
 # -- the reduction pipeline ---------------------------------------------------
 
 
-class _Reduction:
-    """Working state: current pair plus accumulated certificate factors."""
+def _row_moves(e, moves, p):
+    """Packed entries of M after the row moves (i, j, t), 0-based i > j, in order.
 
-    __slots__ = ("pair", "field", "n", "U", "Q", "stages")
+    A move is row i += t * row j.  Row j vanishes right of column j, so
+    only its entries 0..j are read, and zero ones are skipped.
+    """
+    out = list(e)
+    for i, j, t in moves:
+        ri, rj = i * (i + 1) // 2, j * (j + 1) // 2
+        for c in range(j + 1):
+            v = out[rj + c]
+            if v:
+                out[ri + c] = (out[ri + c] + t * v) % p
+    return tuple(out)
+
+
+def _scale_rows(e, scale, p):
+    """Packed entries of diag(scale) M: row r times scale[r]."""
+    out = []
+    for r, s in enumerate(scale):
+        start = r * (r + 1) // 2
+        out += [v * s % p for v in e[start:start + r + 1]]
+    return tuple(out)
+
+
+class _Reduction:
+    """Working state: the current pair and the certificate, kept packed.
+
+    ``pair`` is the current pair, whose packed entries each stage reads
+    and replaces; ``u`` holds the packed entries of U, and ``q`` the four
+    packed blocks (X, Y, W, Z) of Q, or None while Q is the identity.  A
+    left stage applies its row moves to A, B and U alone, which equals
+    multiplying each by the stage's factor, so no triangular product is
+    formed.  A right stage acts on the pair through ``act_right``, looked
+    up by that name at call time, and updates Q's block rows with g's
+    column moves (row (X, Y) of Q g is (X, Y) g, as in
+    ``GL2Element.__mul__``).  Every stage still records its factor and
+    the pair it produced; U and Q are built once, by ``certificate``.
+    """
+
+    __slots__ = ("pair", "field", "n", "u", "q", "stages")
 
     def __init__(self, pair):
         self.pair = pair
         self.field = pair.field
         self.n = pair.n
-        self.U = LowerTriMatrix.identity(self.field, self.n)
-        self.Q = GL2Element.identity(self.field, self.n)
+        self.u = LowerTriMatrix.identity(self.field, self.n).entries
+        self.q = None
         self.stages = []
 
-    def left(self, u, label):
-        self.pair = ModulePair(u * self.pair.A, u * self.pair.B)
-        self.U = u * self.U
-        self.stages.append(Stage(label, "left", u, self.pair))
+    def _left(self, factor, label, a, b):
+        f, n = self.field, self.n
+        self.pair = ModulePair(_trusted(f, n, a), _trusted(f, n, b))
+        self.stages.append(Stage(label, "left", factor, self.pair))
+
+    def rows(self, label, moves):
+        """Left stage by the row moves of ``_row_moves``, in order.
+
+        Its factor is the product of their transvections in reverse order.
+        """
+        p = self.field.p
+        a, b, self.u = (_row_moves(e, moves, p)
+                        for e in (self.pair.A.entries, self.pair.B.entries, self.u))
+        self._left(_transvection_product(self.field, self.n, moves[::-1]), label, a, b)
+
+    def scale(self, scale):
+        """Left stage by the diagonal unit diag(scale)."""
+        p = self.field.p
+        a, b, self.u = (_scale_rows(e, scale, p)
+                        for e in (self.pair.A.entries, self.pair.B.entries, self.u))
+        self._left(LowerTriMatrix.diagonal(self.field, scale), "scaling", a, b)
 
     def right(self, g, label):
         self.pair = act_right(self.pair, g)
-        self.Q = self.Q * g
+        q = self.q
+        if q is None:
+            self.q = (g.X.entries, g.Y.entries, g.W.entries, g.Z.entries)
+        else:
+            moves, p = g._column_moves(), self.field.p
+            self.q = (*_act(q[0], q[1], moves, p), *_act(q[2], q[3], moves, p))
         self.stages.append(Stage(label, "right", g, self.pair))
+
+    def certificate(self):
+        """(U, Q) from the packed state, built unchecked.
+
+        U is a product of units and Q of group elements, each entry
+        reduced mod p, so both pass the public checks; the certificate
+        self-check still covers them.
+        """
+        f, n = self.field, self.n
+        if self.q is None:
+            Q = GL2Element.identity(f, n)
+        else:
+            Q = GL2Element._trusted(*(_trusted(f, n, e) for e in self.q))
+        return Certificate(_trusted(f, n, self.u), Q)
 
 
 def _offense(pair):
@@ -402,27 +486,15 @@ def _lower_rows(M):
     return [list(e[r * (r + 1) // 2:(r + 1) * (r + 2) // 2]) for r in range(M.n)]
 
 
-def _sweep_a(rows, p):
-    """The three cleanup passes that read only A, swept over its rows in place.
+def _similarity(rows, p):
+    """The similarity pass of ``_sweep_a`` on ``rows`` in place; returns its moves.
 
-    ``rows`` is A as ``_lower_rows`` gives it.  Each pass yields its moves:
-    transvections (i, j, t), 0-based i > j, or the scale list.  No move
-    changes a diagonal entry.
-    - Similarity, A -> P^-1 A P with P the moves' product: clears entries
-      whose two diagonals differ.  Sweeping by distance below the diagonal
-      keeps cleared entries cleared, as conjugating at (i, j) only disturbs
-      positions strictly farther from the diagonal.  So afterwards every
-      nonzero a_ij below the diagonal has a_ii = a_jj.
-    - Scaling by the diagonal unit sending nonzero diagonals to 1 (None
-      when that is the identity).  The diagonal is 0/1 from here on, and a
-      nonzero a_ij below it still has a_ii = a_jj.
-    - Row clearing, row i += t row j, below a unit diagonal.  Rows ascend,
-      so each unit row j is already e_j when it is added into a later row,
-      and each move changes exactly its target entry, which the sweep
-      therefore just sets to zero.  So every row with
-      a_ii = 1 ends as e_i, and every nonzero a_ij left below the diagonal
-      has a_ii = a_jj = 0.  In particular no entry is left to clear by
-      column operations right of a unit diagonal.
+    A -> P^-1 A P with P the product of the moves (i, j, t), 0-based
+    i > j: clears entries whose two diagonals differ, and changes no
+    diagonal entry.  Sweeping by distance below the diagonal keeps cleared
+    entries cleared, as conjugating at (i, j) only disturbs positions
+    strictly farther from the diagonal.  So afterwards every nonzero a_ij
+    below the diagonal has a_ii = a_jj.
     """
     n = len(rows)
     moves = []
@@ -441,7 +513,29 @@ def _sweep_a(rows, p):
             for c in range(j + 1):
                 row[c] = (row[c] - t * jrow[c]) % p
             moves.append((i, j, t))
-    yield moves
+    return moves
+
+
+def _sweep_a(rows, p):
+    """The three cleanup passes that read only A, swept over its rows in place.
+
+    ``rows`` is A as ``_lower_rows`` gives it.  Each pass yields its moves:
+    transvections (i, j, t), 0-based i > j, or the scale list.  No move
+    changes a diagonal entry.
+    - Similarity (``_similarity``): afterwards every nonzero a_ij below
+      the diagonal has a_ii = a_jj.
+    - Scaling by the diagonal unit sending nonzero diagonals to 1 (None
+      when that is the identity).  The diagonal is 0/1 from here on, and a
+      nonzero a_ij below it still has a_ii = a_jj.
+    - Row clearing, row i += t row j, below a unit diagonal.  Rows ascend,
+      so each unit row j is already e_j when it is added into a later row,
+      and each move changes exactly its target entry, which the sweep
+      therefore just sets to zero.  So every row with
+      a_ii = 1 ends as e_i, and every nonzero a_ij left below the diagonal
+      has a_ii = a_jj = 0.  In particular no entry is left to clear by
+      column operations right of a unit diagonal.
+    """
+    yield _similarity(rows, p)
 
     scale = [pow(row[r], p - 2, p) if row[r] else 1 for r, row in enumerate(rows)]
     if all(s == 1 for s in scale):
@@ -452,7 +546,7 @@ def _sweep_a(rows, p):
         yield scale
 
     moves = []
-    for i in range(1, n):
+    for i in range(1, len(rows)):
         row = rows[i]
         for j in range(i - 1, -1, -1):
             if row[j] and rows[j][j] == 1:
@@ -476,19 +570,19 @@ def _cleanup(red):
         if not moves:
             continue
         if label == "similarity":
-            P = _transvection_product(f, n, moves)
-            P_inv = _transvection_product(
-                f, n, [(i, j, -t % p) for i, j, t in reversed(moves)])
-            red.left(P_inv, "similarity_left")
+            # P^-1 is the moves reversed with t negated; as row moves on
+            # the left, that is the negated moves in order.
+            red.rows("similarity_left", [(i, j, -t % p) for i, j, t in moves])
             # P has a unit diagonal, so every diagonal cell (p_ii, 0; 0, 1)
             # has determinant 1 and block_diag(P, I) is in the group.
+            P = _transvection_product(f, n, moves)
             zero = LowerTriMatrix.zero(f, n)
             red.right(GL2Element._trusted(P, zero, zero, LowerTriMatrix.identity(f, n)),
                       "similarity_right")
         elif label == "scaling":
-            red.left(LowerTriMatrix.diagonal(f, moves), label)
+            red.scale(moves)
         else:
-            red.left(_transvection_product(f, n, moves[::-1]), label)
+            red.rows(label, moves)
         assert red.pair.A.entries == tuple(v for row in rows for v in row)
 
 
@@ -534,7 +628,7 @@ def _trailing_echelon(red):
                            for a, b in zip(work[i - 1], work[prev - 1])]
             moves.append((i - 1, prev - 1, t))  # row i += t * row prev
     if moves:
-        red.left(_transvection_product(f, n, moves[::-1]), "trailing_echelon")
+        red.rows("trailing_echelon", moves)
         assert [red.pair.B.row(i) for i in range(1, n + 1)] == work
     return sorted((i, j) for j, i in owner.items())
 
@@ -551,7 +645,16 @@ def _cleaned_offense(pair):
     which leaves B alone; and each decides its moves from A alone.  So the
     cleanup ends on A'' = ``_sweep_a`` of A', with a 0/1 diagonal, and a
     zero B diagonal: ``_offense`` counts the nonzero entries of A'' below
-    the diagonal.  No matrix, group element or pair is built.
+    the diagonal.
+
+    Only the similarity pass is run: the count is #{i > j : a_ij != 0
+    after that pass, a_jj = 0}.  Proof.  Scaling multiplies each row by a
+    nonzero scalar, so the zero pattern and the zero diagonals stay the
+    same.  Row clearing zeroes exactly the a_ij with a_jj = 1 and changes
+    nothing else (``_sweep_a``).  So the nonzero a_ij left below the
+    diagonal are those with a_jj = 0 after the similarity pass, after
+    which every nonzero a_ij below the diagonal has a_ii = a_jj.  No
+    matrix, group element or pair is built.
     """
     n = pair.n
     rows = _lower_rows(pair.A)
@@ -561,9 +664,8 @@ def _cleaned_offense(pair):
             if rows[c][c] == 0:
                 for r in range(c, n):
                     rows[r][c] = b[r * (r + 1) // 2 + c]
-    for _ in _sweep_a(rows, pair.field.p):
-        pass
-    return sum(1 for r in range(1, n) for v in rows[r][:r] if v)
+    _similarity(rows, pair.field.p)
+    return sum(1 for i in range(1, n) for j in range(i) if rows[i][j] and not rows[j][j])
 
 
 def jump_map(pair):
@@ -653,24 +755,28 @@ def _search_generators(field, n):
 def _search_word(pair, generators):
     """Best-first search for a short generator word lowering the offense.
 
-    A node is scored by ``_cleaned_offense``: the offense a cleanup pass
-    would leave, read off A' by the ``_sweep_a`` kernel without building a
-    pair, so each child costs one ``act_right`` (looked up by that name at
-    call time).  Returns the first word reaching score zero, else the best
-    strictly improving word, else None.  A child scoring zero returns as
-    soon as it is pushed, so every popped node scores above zero.
+    Each child costs exactly one ``act_right``, looked up by that name at
+    call time, and nothing else that builds a matrix: the benchmark's
+    action cap counts these calls.  A node is scored by
+    ``_cleaned_offense``, the offense a cleanup would leave, read off A'
+    by the similarity pass alone; ``seen`` is keyed on the child's packed
+    entries, and a node keeps no other state.  Returns the first word
+    reaching score zero, else the best strictly improving word, else
+    None.  A child scoring zero returns as soon as it is pushed, so every
+    popped node scores above zero.
     """
     base = _cleaned_offense(pair)
     counter = itertools.count()
     heap = []
-    seen = {pair}
+    seen = {(pair.A.entries, pair.B.entries)}
     best = None  # (score, length, tiebreak, word)
 
     def push(parent_pair, word):
         child = act_right(parent_pair, word[-1])
-        if child in seen:
+        key = (child.A.entries, child.B.entries)
+        if key in seen:
             return None
-        seen.add(child)
+        seen.add(key)
         score = _cleaned_offense(child)
         item = (score, len(word), next(counter), child, word)
         heapq.heappush(heap, item)
@@ -762,7 +868,7 @@ def canonicalize(pair: ModulePair):
     if not is_canonical(result):
         raise CanonicalizationFailed(
             "canonical-shape self-check failed: the pipeline ended off the canonical shape")
-    cert = Certificate(red.U, red.Q)
+    cert = red.certificate()
     if not verify_certificate(pair, result, cert):
         raise CanonicalizationFailed(
             "certificate self-check failed: U (input) Q differs from the result")

@@ -182,13 +182,22 @@ class GL2Element:
 
         Both factors are invertible with lower triangular blocks, so the
         product has lower triangular blocks and the inverse h^-1 g^-1: it
-        lies in the group, and the constructor's test could only pass.
+        lies in the group, and the constructor's test could only pass.  An
+        identity operand returns the other at once, as in
+        ``LowerTriMatrix.__mul__``; h is the identity exactly when it has
+        no column moves.
         """
         if not isinstance(other, GL2Element):
             return NotImplemented
         self.X._check_compatible(other.X)
         f, n, p = self.field, self.n, self.field.p
         moves = other._column_moves()
+        if not any(moves):
+            return self
+        one = LowerTriMatrix.identity(f, n).entries
+        if (self.X.entries == one and self.Z.entries == one
+                and not any(self.Y.entries) and not any(self.W.entries)):
+            return other
         x, y = _act(self.X.entries, self.Y.entries, moves, p)
         w, z = _act(self.W.entries, self.Z.entries, moves, p)
         return GL2Element._trusted(

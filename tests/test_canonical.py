@@ -224,6 +224,28 @@ def test_build_k_single_residue(gf5):
     assert is_canonical(ModulePair(A, K * H))
 
 
+
+@pytest.mark.parametrize("diag,cells,message", [
+    # Row 2 has a zero diagonal in A and no entry in H.
+    ((1, 0), {}, "row 2 of H is zero"),
+    # Row 2 leads with 2 instead of 1.
+    ((1, 0), {(2, 1): 2}, "not normalized"),
+    # Rows 2 and 3 both lead in column 1.
+    ((1, 0, 0), {(2, 1): 1, (3, 1): 1}, "above pivot"),
+    # Row 2 has a unit diagonal in A but a nonzero row in H.
+    ((1, 1), {(2, 1): 1}, "unit row 2"),
+])
+def test_build_k_rejects_each_shape_violation(gf5, diag, cells, message):
+    # build_k's preconditions are explicit raises, so they also hold
+    # under python -O.
+    A = LowerTriMatrix.diagonal(gf5, list(diag))
+    H = LowerTriMatrix.zero(gf5, len(diag))
+    for (i, j), v in cells.items():
+        H = H.with_entry(i, j, v)
+    with pytest.raises(PivotSelectionFailed, match=message):
+        build_k(A, H)
+
+
 # -- certificates ----------------------------------------------------------------
 
 
@@ -391,6 +413,42 @@ def test_cleaned_offense_equals_offense_after_cleanup(n, p):
     assert swapped
 
 
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_pass_score_equals_offense_after_the_full_sweep(n, p):
+    # The search's score runs only the similarity pass.  The reference
+    # builds A' from full rows (column c of B wherever a_cc = 0, when some
+    # b_cc != 0), runs all three passes of _sweep_a and counts the nonzero
+    # entries left below the diagonal.
+    rng = random.Random(1000 * n + p)
+    f = GF(p)
+    swapped = plain = 0
+    for _ in range(80):
+        # Half the entries of A zero, so zero diagonals and nilpotent
+        # blocks occur; B's diagonal nonzero a third of the time.
+        A = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(r + 1)]
+             for r in range(n)]
+        B = [[rng.randrange(p) for _ in range(r)]
+             + [rng.randrange(1, p) if rng.random() < 1 / 3 else 0] for r in range(n)]
+        pair = ModulePair(LowerTriMatrix(f, n, [v for row in A for v in row]),
+                          LowerTriMatrix(f, n, [v for row in B for v in row]))
+        rows = [list(row) for row in A]
+        if any(B[c][c] for c in range(n)):
+            for c in range(n):
+                if A[c][c] == 0:
+                    for r in range(c, n):
+                        rows[r][c] = B[r][c]
+            swapped += any(A[c][c] == 0 and B[c][c] for c in range(n))
+        else:
+            plain += 1
+        for _ in _sweep_a(rows, p):
+            pass
+        expected = sum(1 for r in range(n) for v in rows[r][:r] if v)
+        assert _cleaned_offense(pair) == expected
+    assert swapped and plain
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_sweep_a_leaves_only_nilpotent_entries_below_the_diagonal(n, p):
@@ -490,6 +548,43 @@ def test_search_totals_on_seeded_pairs(n, p, count, steps, searched, monkeypatch
         total += trace.search_steps
         pairs += trace.search_activated
     assert (total, pairs, actions) == (steps, searched, SEED0_ACT_RIGHT_CALLS[n, p])
+
+
+
+class _Censored(BaseException):
+    """Raised inside canonicalize once a call exceeds the action cap."""
+
+
+def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
+    # The benchmark's canon-6-3 configuration: the first 1000 seed-0 pairs
+    # at (6,3), each call cut after 2000 calls of
+    # ``triorbit.canonical.act_right``.  Pins the search steps, the
+    # searching pairs, the actions and the cut calls there.
+    cap = 2000
+    calls = actions = 0
+
+    def capped_act_right(*args):
+        nonlocal calls, actions
+        calls += 1
+        actions += 1
+        if calls > cap:
+            raise _Censored
+        return act_right(*args)
+
+    monkeypatch.setattr("triorbit.canonical.act_right", capped_act_right)
+    steps = searched = censored = 0
+    for pair in random_free_pairs(GF(3), 6, 1000, 0):
+        calls = 0
+        try:
+            _, _, trace = canonicalize(pair)
+        except CanonicalizationFailed:
+            continue
+        except _Censored:
+            censored += 1
+            continue
+        steps += trace.search_steps
+        searched += trace.search_activated
+    assert (steps, searched, actions, censored) == (50, 48, 9056, 0)
 
 
 # -- reachability invariant -------------------------------------------------------

@@ -290,3 +290,22 @@ def test_kernel_matches_products_on_random_elements(n, p):
         assert act_right(pair, g) == expected
         assert g * h == _reference_product(g, h)
         assert h * g == _reference_product(h, g)
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (4, 3)])
+def test_identity_shortcut_equals_the_full_product(n, p):
+    # An identity operand returns the other factor itself; that must be the
+    # product the kernel and the plain triangular products give.  A fresh,
+    # unshared identity takes the shortcut too.
+    rng = random.Random(n * 10 + p)
+    f = GF(p)
+    one = LowerTriMatrix.identity(f, n)
+    zero = LowerTriMatrix.zero(f, n)
+    identities = [GL2Element.identity(f, n), GL2Element(one, zero, zero, one)]
+    elements = _special_elements(f, n) + [_random_element(rng, f, n) for _ in range(50)]
+    for e in identities:
+        for g in elements:
+            if g != e:
+                assert e * g is g and g * e is g
+            assert e * g == _reference_product(e, g) == g
+            assert g * e == _reference_product(g, e) == g
