@@ -396,7 +396,7 @@ class _Reduction:
         self.pair = ModulePair(_trusted(f, n, a), _trusted(f, n, b))
         self.stages.append(Stage(label, "left", factor, self.pair))
 
-    def rows(self, label, moves):
+    def left(self, label, moves):
         """Left stage by the row moves of ``_row_moves``, in order.
 
         Its factor is the product of their transvections in reverse order.
@@ -572,7 +572,7 @@ def _cleanup(red):
         if label == "similarity":
             # P^-1 is the moves reversed with t negated; as row moves on
             # the left, that is the negated moves in order.
-            red.rows("similarity_left", [(i, j, -t % p) for i, j, t in moves])
+            red.left("similarity_left", [(i, j, -t % p) for i, j, t in moves])
             # P has a unit diagonal, so every diagonal cell (p_ii, 0; 0, 1)
             # has determinant 1 and block_diag(P, I) is in the group.
             P = _transvection_product(f, n, moves)
@@ -582,7 +582,7 @@ def _cleanup(red):
         elif label == "scaling":
             red.scale(moves)
         else:
-            red.rows(label, moves)
+            red.left(label, moves)
         assert red.pair.A.entries == tuple(v for row in rows for v in row)
 
 
@@ -628,7 +628,7 @@ def _trailing_echelon(red):
                            for a, b in zip(work[i - 1], work[prev - 1])]
             moves.append((i - 1, prev - 1, t))  # row i += t * row prev
     if moves:
-        red.rows("trailing_echelon", moves)
+        red.left("trailing_echelon", moves)
         assert [red.pair.B.row(i) for i in range(1, n + 1)] == work
     return sorted((i, j) for j, i in owner.items())
 
@@ -647,14 +647,16 @@ def _cleaned_offense(pair):
     zero B diagonal: ``_offense`` counts the nonzero entries of A'' below
     the diagonal.
 
-    Only the similarity pass is run: the count is #{i > j : a_ij != 0
-    after that pass, a_jj = 0}.  Proof.  Scaling multiplies each row by a
-    nonzero scalar, so the zero pattern and the zero diagonals stay the
-    same.  Row clearing zeroes exactly the a_ij with a_jj = 1 and changes
-    nothing else (``_sweep_a``).  So the nonzero a_ij left below the
-    diagonal are those with a_jj = 0 after the similarity pass, after
-    which every nonzero a_ij below the diagonal has a_ii = a_jj.  No
-    matrix, group element or pair is built.
+    Only the similarity pass runs: the count is #{i > j : a_ij != 0 after
+    that pass, a_jj = 0}.  Proof.
+    - Scaling multiplies each row by a nonzero scalar, so the zero
+      pattern and the zero diagonals stay the same.
+    - Row clearing zeroes exactly the a_ij with a_jj = 1, and changes
+      nothing else (see ``_sweep_a``).
+    - After the similarity pass, every nonzero a_ij below the diagonal has
+      a_ii = a_jj, so the entries counted are those of A'' below the
+      diagonal, whose row and column diagonals both vanish.
+    No matrix, group element or pair is built.
     """
     n = pair.n
     rows = _lower_rows(pair.A)
