@@ -5,42 +5,50 @@ lower with 0/1 entries, every row holds exactly one nonzero entry across
 [A|B], and the nonzero entries of B sit in pairwise distinct columns.
 ``canonicalize`` reduces a free pair to the canonical member of its orbit
 and returns a certificate (U, Q) with U (A, B) Q equal to the output,
-checkable by plain multiplication.  Not every orbit contains a canonical
-pair: from n = 4 on there are free pairs whose nilpotent structure is
-entangled across A and B, and the exact orbit invariant ``jump_map``
-proves them unreachable in one elimination pass; canonicalize raises
-CanonicalizationFailed for those inputs.
+checkable by plain multiplication.  It takes one of three paths.
 
-The reduction runs in two phases.  Phase one drives the A part to diagonal
-0/1 shape: clear the B diagonal, then clear mixed-eigenvalue entries by
-triangular similarity, scale the diagonal, and clear the rest of each unit
-row by row operations.  Those last three passes read only A; one kernel,
-``_sweep_a``, sweeps A's rows as plain lists and returns the elementary
-moves from which the recorded factors are built.  Entries whose row and
-column diagonals both vanish admit none of those moves; a bounded
-best-first search over short generator words handles them, and every
-activation is flagged in the trace.  Each search child costs exactly one
-``act_right``: its score is read off A by the similarity pass alone (the
-other two passes cannot change it; proof in ``_cleaned_offense``) and it
-is deduplicated on its packed entries.  Phase two zeroes the unit rows
-of B, makes the trailing columns of the other rows distinct, and
-normalizes those pivot columns with a right unit V.  That already is the
-canonical shape: the paper's pivot search ``select_pivots`` would pick the
-same pivots, and its left unit ``build_k`` would be the identity (proofs
-in ``_trailing_echelon`` and ``canonicalize``).  Both stay public as the
-paper's construction.
+1. Unimodular pairs (a_ii or b_ii nonzero in every row) form the single
+   orbit of (I, 0).  Such a pair is free and its jump map is the identity
+   (the lemma in ``ModulePair.is_unimodular``), so no invariant is
+   computed: ``_reduce_unimodular`` reaches (I, 0) in closed form, in at
+   most three stages (diagonal_clearing, row_clearing, b_transvection).
+2. Other pairs are decided by the exact orbit invariant ``jump_map`` in
+   one elimination pass: NotFree when a lead never enters, and
+   CanonicalizationFailed when the map matches no canonical pair.  From
+   n = 4 on there are free pairs whose nilpotent structure is entangled
+   across A and B, and their orbits hold no canonical pair.
+3. The remaining pairs run the general reduction, in two phases.  Phase
+   one drives the A part to diagonal 0/1 shape: clear the B diagonal,
+   then clear mixed-eigenvalue entries by triangular similarity, scale
+   the diagonal, and clear the rest of each unit row by row operations.
+   Those last three passes read only A; one kernel, ``_sweep_a``, sweeps
+   A's rows as plain lists and returns the elementary moves from which
+   the recorded factors are built.  Entries whose row and column
+   diagonals both vanish admit none of those moves; a bounded best-first
+   search over short generator words handles them, and every activation
+   is flagged in the trace.  Each search child costs exactly one
+   ``act_right``: its score is read off A by the similarity pass alone
+   (the other two passes cannot change it; proof in ``_cleaned_offense``)
+   and it is deduplicated on its packed entries.  Phase two zeroes the
+   unit rows of B, makes the trailing columns of the other rows distinct,
+   and normalizes those pivot columns with a right unit V.  That already
+   is the canonical shape: the paper's pivot search ``select_pivots``
+   would pick the same pivots, and its left unit ``build_k`` would be the
+   identity (proofs in ``_trailing_echelon`` and ``canonicalize``).  Both
+   stay public as the paper's construction.
 
 Every recorded factor is built without the public constructors' checks,
 since each is in range and invertible by construction: the transvection
 products and diagonal scalings have entries reduced mod p and a nonzero
 diagonal, and the right factors (the B-diagonal blocks, block_diag(P, I),
-upper(-B) and block_diag(I, V)) have diagonal 2x2 cells of determinant 1
-or, for V, a unit diagonal.  The proof of each sits beside its build.  The
-working state (``_Reduction``) keeps U and Q as packed tuples: a left
-stage applies its row moves to A, B and U instead of multiplying by its
-factor, and a right stage updates Q's block rows by g's column moves, so
-U and Q are built once, at the end.  The two self-checks, canonical shape
-and certificate, stay explicit raises over the result.
+upper(-B) and block_diag(I, V)) have diagonal 2x2 cells of nonzero
+determinant or, for V, a unit diagonal.  The proof of each sits beside
+its build.  The working state (``_Reduction``) keeps U and Q as packed
+tuples: a left stage applies its row moves to A, B and U instead of
+multiplying by its factor, and a right stage updates Q's block rows by
+g's column moves, so U and Q are built once, at the end.  The two
+self-checks, canonical shape and certificate, stay explicit raises over
+the result on every path.
 """
 
 import functools
@@ -805,29 +813,70 @@ def _search_word(pair, generators):
     return None
 
 
-def canonicalize(pair: ModulePair):
-    """Reduce a free pair to its canonical form.
+def _reduce_unimodular(red):
+    """The closed form of a unimodular pair: at most three stages to (I, 0).
 
-    Phase one leaves A diagonal 0/1 with a zero B diagonal.  Phase two
-    right-multiplies by (I, -B; 0, I), giving (A, B - AB), so the unit rows
-    of B are zero and, by freeness, every other row is not; it makes the
-    trailing columns of those rows distinct (``_trailing_echelon``, whose
-    pivots are those of ``select_pivots``) and normalizes them with the
-    right unit V of ``build_v``.  That ends on the canonical shape, so the
-    paper's K step is the identity and is not run.  Proof.  For a pivot
-    (i, j), row i of B vanishes right of column j, and V solves
-    (BV)_il = [l == j] for every l <= j; so row i of BV is e_j, the pivots
-    are distinct, and ``build_k`` finds no residue below any pivot.
-
-    Returns (canonical pair, certificate, trace); the certificate is
-    checked by multiplication before returning.  Raises NotFree on
-    non-free input, read off ``jump_map``.  Raises CanonicalizationFailed when the jump map
-    proves no canonical form exists (possible from n = 4 on) or, in
-    principle, if the bounded word search stalls on a reachable input
-    (never observed; the acceptance suite tracks both counts) or a
-    self-check of the result (canonical shape, certificate) fails.
+    A stage that would be the identity is not recorded, so (I, 0) itself
+    records none.
+    1. ``diagonal_clearing`` (right): diagonal blocks whose cell i sends
+       (a_ii, b_ii) to (1, 0): (a^-1, -b a^-1; 0, 1) where a_ii != 0 and
+       (0, -1; b^-1, 0) where a_ii = 0, so b_ii != 0.  With X, Y, W, Z
+       diagonal, the diagonals of AX + BW and AY + BZ are a_ii x_ii +
+       b_ii w_ii = 1 and a_ii y_ii + b_ii z_ii = 0.  The cells have
+       determinant a^-1 or b^-1, nonzero, so g is in the group.
+    2. ``row_clearing`` (left): A has a unit diagonal, and the moves are
+       row i -= a_ij row j for each a_ij != 0 below it, rows ascending.
+       Row j is already e_j when it is added into a later row, so each
+       move changes exactly its target entry, and A becomes I.
+    3. ``b_transvection`` (right): (I, B) upper(-B) = (I, 0).  B has a
+       zero diagonal, so the cells of upper(-B) are the identity.
     """
-    jumps = jump_map(pair)
+    f, n = red.field, red.n
+    p = f.p
+    offsets = _diagonal_offsets(n)
+    a, b = red.pair.A.entries, red.pair.B.entries
+    if any(a[d] != 1 or b[d] for d in offsets):
+        x, y, w, z = ([0] * len(a) for _ in range(4))
+        for d in offsets:
+            if a[d]:
+                x[d] = inv = pow(a[d], p - 2, p)
+                y[d] = -b[d] * inv % p
+                z[d] = 1
+            else:
+                y[d] = p - 1
+                w[d] = pow(b[d], p - 2, p)
+        g = GL2Element._trusted(*(_trusted(f, n, tuple(v)) for v in (x, y, w, z)))
+        red.right(g, "diagonal_clearing")
+        a = red.pair.A.entries
+    # Row i (0-based) starts at offsets[i] - i, so a_ij sits at d - i + j.
+    moves = [(i, j, -a[d - i + j] % p) for i, d in enumerate(offsets)
+             for j in range(i - 1, -1, -1) if a[d - i + j]]
+    if moves:
+        red.left("row_clearing", moves)
+    if any(red.pair.B.entries):
+        _b_transvection(red)
+
+
+def _b_transvection(red):
+    """Right stage by upper(-B), which takes (A, B) to (A, B - AB).
+
+    Its diagonal cells (1, -b_ii; 0, 1) have determinant 1, so it is in
+    the group.
+    """
+    f, n = red.field, red.n
+    one = LowerTriMatrix.identity(f, n)
+    red.right(GL2Element._trusted(one, -red.pair.B, LowerTriMatrix.zero(f, n), one),
+              "b_transvection")
+
+
+def _reduce_general(red):
+    """Paths 2 and 3 of the module docstring, for a pair that is not unimodular.
+
+    Returns the pivots of ``_trailing_echelon``.  Raises NotFree or
+    CanonicalizationFailed as ``jump_map`` decides,
+    before any stage, or CanonicalizationFailed if the search stalls.
+    """
+    jumps = jump_map(red.pair)
     if 0 in jumps:
         raise NotFree("canonicalize requires a free pair")
     if not is_canonical_jump_map(jumps):
@@ -835,8 +884,7 @@ def canonicalize(pair: ModulePair):
         raise CanonicalizationFailed(
             "the orbit invariant matches no canonical pair; "
             "this free pair generates an orbit without a canonical form")
-    red = _Reduction(pair)
-    max_rounds = pair.n * pair.n + 2
+    max_rounds = red.n * red.n + 2
     for _ in range(max_rounds):
         _cleanup(red)
         if _offense(red.pair) == 0:
@@ -853,19 +901,60 @@ def canonicalize(pair: ModulePair):
     # Phase two: zero the unit rows of B, then normalize pivots.  A is
     # diagonal 0/1 here, so row i of AB is a_ii times row i of B, and AB is
     # nonzero exactly when some row with a_ii = 1 has a nonzero row of B.
-    f, n = red.field, red.n
-    one = LowerTriMatrix.identity(f, n)
-    zero = LowerTriMatrix.zero(f, n)
     a, b = red.pair.A.entries, red.pair.B.entries
-    if any(a[d] and any(b[d - i:d + 1]) for i, d in enumerate(_diagonal_offsets(n))):
-        # upper(-B) has the diagonal cells (1, -b_ii; 0, 1), of determinant 1.
-        red.right(GL2Element._trusted(one, -red.pair.B, zero, one), "b_transvection")
+    if any(a[d] and any(b[d - i:d + 1]) for i, d in enumerate(_diagonal_offsets(red.n))):
+        _b_transvection(red)
     pivots = _trailing_echelon(red)
     V = build_v(red.pair.B, pivots)
+    one = LowerTriMatrix.identity(red.field, red.n)
     if V != one:
+        zero = LowerTriMatrix.zero(red.field, red.n)
         # build_v returns only units, so block_diag(I, V) is in the group.
         red.right(GL2Element._trusted(one, zero, zero, V), "v_step")
+    return pivots
 
+
+def canonicalize(pair: ModulePair):
+    """Reduce a free pair to its canonical form (three paths; see the module docstring).
+
+    A unimodular pair takes the closed form ``_reduce_unimodular`` and ends
+    on (I, 0).  By the lemma in ``ModulePair.is_unimodular`` its jump map
+    is the identity, which is free and canonical, so the NotFree and
+    ``is_canonical_jump_map`` decisions could only pass and are skipped.
+    The general reduction would end on the same pair and never search:
+    after ``_clear_b_diagonal`` every diagonal entry of A is nonzero, so
+    ``_sweep_a`` leaves A = I and ``_offense`` is 0.  So the closed form
+    changes no result and no search count, only the recorded stages and
+    the certificate.
+
+    Any other pair is decided by ``jump_map`` first: NotFree on non-free
+    input, and CanonicalizationFailed when the jump map proves no
+    canonical form exists (possible from n = 4 on).  Then the general
+    reduction runs.  Phase one leaves A diagonal 0/1 with a zero B
+    diagonal.  Phase two right-multiplies by (I, -B; 0, I), giving
+    (A, B - AB), so the unit rows of B are zero and, by freeness, every
+    other row is not; it makes the trailing columns of those rows distinct
+    (``_trailing_echelon``, whose pivots are those of ``select_pivots``)
+    and normalizes them with the right unit V of ``build_v``.  That ends on
+    the canonical shape, so the paper's K step is the identity and is not
+    run.  Proof.  For a pivot (i, j), row i of B vanishes right of column
+    j, and V solves (BV)_il = [l == j] for every l <= j; so row i of BV is
+    e_j, the pivots are distinct, and ``build_k`` finds no residue below
+    any pivot.
+
+    Returns (canonical pair, certificate, trace); the certificate is
+    checked by multiplication before returning.  Also raises
+    CanonicalizationFailed, in principle, if the bounded word search stalls
+    on a reachable input (never observed; the acceptance suite tracks both
+    counts) or a self-check of the result (canonical shape, certificate)
+    fails.
+    """
+    red = _Reduction(pair)
+    if pair.is_unimodular():
+        _reduce_unimodular(red)
+        pivots = []
+    else:
+        pivots = _reduce_general(red)
     result = red.pair
     if not is_canonical(result):
         raise CanonicalizationFailed(

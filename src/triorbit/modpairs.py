@@ -13,7 +13,7 @@ import os
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidBudget, NotFree
 from .field import GF
-from .trimat import LowerTriMatrix, augmented_rank, parse_matrix
+from .trimat import LowerTriMatrix, _diagonal_offsets, augmented_rank, parse_matrix
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -99,15 +99,30 @@ class ModulePair:
     # -- predicates ---------------------------------------------------------
 
     def is_free(self) -> bool:
-        """Free iff rank [A|B] = n."""
-        return augmented_rank(self.A, self.B) == self.n
+        """Free iff rank [A|B] = n.
+
+        A unimodular pair is free (the lemma in ``is_unimodular``), so the
+        elimination runs only on the other pairs.
+        """
+        return self.is_unimodular() or augmented_rank(self.A, self.B) == self.n
 
     def is_unimodular(self) -> bool:
-        """Unimodular iff a_ii != 0 or b_ii != 0 for every i."""
-        for ai, bi in zip(self.A.diag(), self.B.diag()):
-            if ai == 0 and bi == 0:
-                return False
-        return True
+        """Unimodular iff a_ii != 0 or b_ii != 0 for every i.
+
+        Lemma: a unimodular pair is free, and its jump map
+        (``canonical.jump_map``) is the identity.  Proof.  Columns k of A
+        and B vanish above row k, and at each j one of the two columns j
+        is nonzero at row j.  Add them for j = n down to 1 to an echelon
+        basis of distinct leads, as ``jump_map`` does.  Suppose the leads
+        after step j + 1 are exactly j + 1, ..., n; the basis then spans
+        every vector zero above row j + 1.  The first column j nonzero at
+        row j has the new lead j and enters with it.  The other column j is
+        zero above row j + 1, once reduced by that vector if it comes
+        after it, and so reduces to zero.  So exactly lead j enters at step
+        j: j(r) = r for every r, no j(r) is 0, and rank [A|B] = n.
+        """
+        a, b = self.A.entries, self.B.entries
+        return all(a[d] or b[d] for d in _diagonal_offsets(self.n))
 
     def is_outlier_generating_free(self) -> bool:
         """Non-unimodular and free: exactly the outliers that generate freely."""

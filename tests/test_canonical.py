@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ from triorbit.canonical import (
     _lower_rows,
     _offense,
     _Reduction,
+    _reduce_general,
     _sweep_a,
     is_canonical_jump_map,
     jump_map,
@@ -288,6 +290,112 @@ def test_canonicalize_fixes_canonical_pairs(gf2):
             assert len(trace) == 0
 
 
+# -- the unimodular closed form --------------------------------------------------
+
+
+def _unimodular_pairs(n, p):
+    f = GF(p)
+    for A in ring_matrices(f, n):
+        for B in ring_matrices(f, n):
+            pair = ModulePair(A, B)
+            if pair.is_unimodular():
+                yield pair
+
+
+def _identity_zero(field, n):
+    return ModulePair(LowerTriMatrix.identity(field, n), LowerTriMatrix.zero(field, n))
+
+
+CLOSED_FORM_LABELS = ["diagonal_clearing", "row_clearing", "b_transvection"]
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_unimodular_pairs_take_the_closed_form(n, p, monkeypatch):
+    # Every unimodular pair: the lemma of ModulePair.is_unimodular (full
+    # rank, identity jump map), then (I, 0) with a certificate that checks,
+    # at most three stages that compose to it, in their fixed order, and at
+    # most three group actions, the certificate self-check included.
+    f = GF(p)
+    target = _identity_zero(f, n)
+    one = LowerTriMatrix.identity(f, n)
+    calls = 0
+
+    def counting_act_right(*args):
+        nonlocal calls
+        calls += 1
+        return act_right(*args)
+
+    monkeypatch.setattr("triorbit.canonical.act_right", counting_act_right)
+    checked = 0
+    for pair in _unimodular_pairs(n, p):
+        assert augmented_rank(pair.A, pair.B) == n
+        assert jump_map(pair) == tuple(range(1, n + 1))
+        calls = 0
+        result, cert, trace = canonicalize(pair)
+        assert calls <= 3
+        assert result == target
+        assert verify_certificate(pair, result, cert)
+        labels = [stage.label for stage in trace]
+        assert labels == [label for label in CLOSED_FORM_LABELS if label in labels]
+        assert trace.pivots == []
+        U, Q, current = one, GL2Element.identity(f, n), pair
+        for stage in trace:
+            if stage.side == "left":
+                U = stage.factor * U
+                current = act_left_unit(stage.factor, current)
+            else:
+                Q = Q * stage.factor
+                current = act_right(current, stage.factor)
+            assert current == stage.pair
+        assert (U, Q) == (cert.U, cert.Q)
+        checked += 1
+    # (a_ii, b_ii) ranges over the p^2 - 1 nonzero cells, the rest freely.
+    assert checked == (p * p - 1) ** n * p ** (n * (n - 1))
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_general_reduction_agrees_on_unimodular_pairs(n, p):
+    # The reference for the closed form: the general reduction, run on a
+    # unimodular pair, ends on (I, 0) too, with no search step and no pivot.
+    target = _identity_zero(GF(p), n)
+    for pair in _unimodular_pairs(n, p):
+        red = _Reduction(pair)
+        assert _reduce_general(red) == []
+        assert red.pair == target
+        assert "search" not in [stage.label for stage in red.stages]
+        assert verify_certificate(pair, red.pair, red.certificate())
+
+
+def _seeded_unimodular_pair(field, n, rng):
+    p = field.p
+    m = n * (n + 1) // 2
+    a = [rng.randrange(p) for _ in range(m)]
+    b = [rng.randrange(p) for _ in range(m)]
+    for i in range(n):
+        d = i * (i + 1) // 2 + i
+        while not (a[d] or b[d]):
+            a[d], b[d] = rng.randrange(p), rng.randrange(p)
+    return ModulePair(LowerTriMatrix(field, n, a), LowerTriMatrix(field, n, b))
+
+
+@pytest.mark.parametrize("n,p", [(12, 5), (20, 2)])
+def test_closed_form_on_large_seeded_unimodular_pairs(n, p):
+    # The closed form costs O(n^3) per pair and never searches: 40 pairs
+    # take under 0.1 s on a 2-core host, and the bound leaves 20x of that.
+    f = GF(p)
+    rng = random.Random(n * p)
+    pairs = [_seeded_unimodular_pair(f, n, rng) for _ in range(40)]
+    start = time.perf_counter()
+    results = [canonicalize(pair) for pair in pairs]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    target = _identity_zero(f, n)
+    for pair, (result, cert, trace) in zip(pairs, results):
+        assert result == target
+        assert verify_certificate(pair, result, cert)
+        assert len(trace) <= 3
+
+
 def test_seven_dim_full_reduction(fixture_t7, gf5):
     result, cert, trace = canonicalize(fixture_t7)
     expected = make_pair(gf5, (1, 1, 0, 1, 0, 0, 0),
@@ -518,8 +626,10 @@ def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
 
 # Calls of ``triorbit.canonical.act_right`` over the same samples: one per
 # search child and per recorded right move, plus the certificate self-check.
-# perfbench's action cap counts these calls, so they must not move.
-SEED0_ACT_RIGHT_CALLS = {(4, 2): 11038, (5, 2): 12167, (3, 3): 7757}
+# perfbench's action cap counts these calls.  Each entry is (all calls,
+# calls on non-unimodular pairs); only the second can include the search,
+# and unimodular pairs take the closed form, which makes at most three.
+SEED0_ACT_RIGHT_CALLS = {(4, 2): (11038, 7784), (5, 2): (12167, 11838), (3, 3): (6700, 1774)}
 
 
 @pytest.mark.parametrize("n,p,count,steps,searched", [
@@ -539,15 +649,19 @@ def test_search_totals_on_seeded_pairs(n, p, count, steps, searched, monkeypatch
         return act_right(*args)
 
     monkeypatch.setattr("triorbit.canonical.act_right", counting_act_right)
-    total = pairs = 0
+    total = pairs = others = 0
     for pair in random_free_pairs(GF(p), n, count, 0):
+        start = actions
         try:
             _, _, trace = canonicalize(pair)
         except CanonicalizationFailed:
             continue
+        finally:
+            if not pair.is_unimodular():
+                others += actions - start
         total += trace.search_steps
         pairs += trace.search_activated
-    assert (total, pairs, actions) == (steps, searched, SEED0_ACT_RIGHT_CALLS[n, p])
+    assert (total, pairs, (actions, others)) == (steps, searched, SEED0_ACT_RIGHT_CALLS[n, p])
 
 
 
@@ -559,9 +673,10 @@ def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
     # The benchmark's canon-6-3 configuration: the first 1000 seed-0 pairs
     # at (6,3), each call cut after 2000 calls of
     # ``triorbit.canonical.act_right``.  Pins the search steps, the
-    # searching pairs, the actions and the cut calls there.
+    # searching pairs, the actions (all, and on non-unimodular pairs) and
+    # the cut calls there.
     cap = 2000
-    calls = actions = 0
+    calls = actions = others = 0
 
     def capped_act_right(*args):
         nonlocal calls, actions
@@ -582,9 +697,12 @@ def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
         except _Censored:
             censored += 1
             continue
+        finally:
+            if not pair.is_unimodular():
+                others += calls
         steps += trace.search_steps
         searched += trace.search_activated
-    assert (steps, searched, actions, censored) == (50, 48, 9056, 0)
+    assert (steps, searched, actions, others, censored) == (50, 48, 8478, 6687, 0)
 
 
 # -- reachability invariant -------------------------------------------------------
