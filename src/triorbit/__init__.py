@@ -11,6 +11,7 @@ from .errors import (
     BudgetExceeded,
     CanonicalizationFailed,
     DimensionMismatch,
+    InconsistentDecomposition,
     IndexOutOfRange,
     InvalidBudget,
     InvalidEntry,
@@ -137,4 +138,5 @@ __all__ = [
     "NotCanonical",
     "InvalidPartition",
     "VerificationFailed",
+    "InconsistentDecomposition",
 ]

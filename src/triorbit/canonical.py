@@ -49,6 +49,19 @@ multiplying by its factor, and a right stage updates Q's block rows by
 g's column moves, so U and Q are built once, at the end.  The two
 self-checks, canonical shape and certificate, stay explicit raises over
 the result on every path.
+
+Nothing a stage has just built is rediscovered.  Every right factor
+carries its column moves from its builder, which knows where g - I is
+nonzero: the diagonal cells of the B-diagonal blocks
+(``GL2Element._diagonal_cells``), the nonzero entries of -B in upper(-B),
+P's entries below the diagonal in block_diag(P, I), and those of V - I in
+block_diag(I, V); the search's generators list theirs once.  The
+certificate's Q is built from packed blocks without moves, so
+``verify_certificate`` scans it afresh, and the self-check does not rest
+on any recorded move.  A left stage taken while U is still the identity
+reads its factor off the new U (L I = L).  In the closed form, row
+clearing sets A to the identity it is proved to reach, and
+``is_canonical`` accepts the result (I, 0) with one comparison.
 """
 
 import functools
@@ -64,7 +77,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import GF
-from .gl2 import GL2Element, _act, act_right, gl2_generators
+from .gl2 import GL2Element, _act, _block_moves, act_right, gl2_generators
 from .modpairs import ModulePair, enumeration_budget
 from .partitions import bell
 from .trimat import (
@@ -157,8 +170,13 @@ def is_canonical(pair: ModulePair) -> bool:
     one column per row, and the 1s of B lie in pairwise distinct columns,
     as checked.  So the rows of [A|B] are n distinct standard basis
     vectors, which are independent.
+
+    (I, 0), the closed form's result, is accepted at sight: each row's one
+    nonzero is its diagonal 1 in A, and B, being zero, uses no column.
     """
     a, b = pair.A.entries, pair.B.entries
+    if a == LowerTriMatrix.identity(pair.field, pair.n).entries and not any(b):
+        return True
     columns = set()
     for i, d in enumerate(_diagonal_offsets(pair.n)):
         # Row i + 1 occupies a[d - i:d + 1], its diagonal at d: A is 0/1
@@ -404,15 +422,23 @@ class _Reduction:
         self.pair = ModulePair(_trusted(f, n, a), _trusted(f, n, b))
         self.stages.append(Stage(label, "left", factor, self.pair))
 
-    def left(self, label, moves):
+    def left(self, label, moves, a=None):
         """Left stage by the row moves of ``_row_moves``, in order.
 
-        Its factor is the product of their transvections in reverse order.
+        Its factor L is the product of their transvections in reverse
+        order.  While U is still the identity the new U is L I = L, so L is
+        read off it and not built a second time.  ``a``, when given, is the
+        A that the moves produce, as the caller has proved it, and the
+        moves are not run on A.
         """
-        p = self.field.p
-        a, b, self.u = (_row_moves(e, moves, p)
-                        for e in (self.pair.A.entries, self.pair.B.entries, self.u))
-        self._left(_transvection_product(self.field, self.n, moves[::-1]), label, a, b)
+        f, n, p = self.field, self.n, self.field.p
+        first = self.u == LowerTriMatrix.identity(f, n).entries
+        if a is None:
+            a = _row_moves(self.pair.A.entries, moves, p)
+        b = _row_moves(self.pair.B.entries, moves, p)
+        self.u = _row_moves(self.u, moves, p)
+        factor = _trusted(f, n, self.u) if first else _transvection_product(f, n, moves[::-1])
+        self._left(factor, label, a, b)
 
     def scale(self, scale):
         """Left stage by the diagonal unit diag(scale)."""
@@ -471,21 +497,12 @@ def _clear_b_diagonal(red):
     offsets = _diagonal_offsets(n)
     if not any(b[d] for d in offsets):
         return
-    # The four packed diagonal blocks, filled cell by cell at the diagonal
-    # offsets: (x, y, w, z) = (1, -b/a, 0, 1) or (0, -1, 1, 0).
-    x, y, w, z = ([0] * len(a) for _ in range(4))
-    for d in offsets:
-        if a[d]:
-            x[d] = z[d] = 1
-            y[d] = -pow(a[d], p - 2, p) * b[d] % p
-        else:
-            y[d] = p - 1
-            w[d] = 1
     # Each cell (1, y; 0, 1) or (0, -1; 1, 0) has determinant 1, so g is in
     # the group without the invertibility test; the certificate self-check
     # still covers the result.
-    g = GL2Element._trusted(*(_trusted(f, n, tuple(v)) for v in (x, y, w, z)))
-    red.right(g, "diagonal_clearing")
+    cells = [(1, -pow(a[d], p - 2, p) * b[d] % p, 0, 1) if a[d] else (0, p - 1, 1, 0)
+             for d in offsets]
+    red.right(GL2Element._diagonal_cells(f, n, cells), "diagonal_clearing")
 
 
 def _lower_rows(M):
@@ -582,10 +599,13 @@ def _cleanup(red):
             # the left, that is the negated moves in order.
             red.left("similarity_left", [(i, j, -t % p) for i, j, t in moves])
             # P has a unit diagonal, so every diagonal cell (p_ii, 0; 0, 1)
-            # has determinant 1 and block_diag(P, I) is in the group.
+            # has determinant 1 and block_diag(P, I) is in the group.  Its
+            # moves are P's entries below the diagonal, from A into A'.
             P = _transvection_product(f, n, moves)
             zero = LowerTriMatrix.zero(f, n)
-            red.right(GL2Element._trusted(P, zero, zero, LowerTriMatrix.identity(f, n)),
+            one = LowerTriMatrix.identity(f, n)
+            red.right(GL2Element._trusted(P, zero, zero, one,
+                                          (_block_moves(0, P.entries, n, one.entries), [])),
                       "similarity_right")
         elif label == "scaling":
             red.scale(moves)
@@ -836,23 +856,20 @@ def _reduce_unimodular(red):
     offsets = _diagonal_offsets(n)
     a, b = red.pair.A.entries, red.pair.B.entries
     if any(a[d] != 1 or b[d] for d in offsets):
-        x, y, w, z = ([0] * len(a) for _ in range(4))
+        cells = []
         for d in offsets:
             if a[d]:
-                x[d] = inv = pow(a[d], p - 2, p)
-                y[d] = -b[d] * inv % p
-                z[d] = 1
+                inv = pow(a[d], p - 2, p)
+                cells.append((inv, -b[d] * inv % p, 0, 1))
             else:
-                y[d] = p - 1
-                w[d] = pow(b[d], p - 2, p)
-        g = GL2Element._trusted(*(_trusted(f, n, tuple(v)) for v in (x, y, w, z)))
-        red.right(g, "diagonal_clearing")
+                cells.append((0, p - 1, pow(b[d], p - 2, p), 0))
+        red.right(GL2Element._diagonal_cells(f, n, cells), "diagonal_clearing")
         a = red.pair.A.entries
     # Row i (0-based) starts at offsets[i] - i, so a_ij sits at d - i + j.
     moves = [(i, j, -a[d - i + j] % p) for i, d in enumerate(offsets)
              for j in range(i - 1, -1, -1) if a[d - i + j]]
     if moves:
-        red.left("row_clearing", moves)
+        red.left("row_clearing", moves, LowerTriMatrix.identity(f, n).entries)
     if any(red.pair.B.entries):
         _b_transvection(red)
 
@@ -861,11 +878,13 @@ def _b_transvection(red):
     """Right stage by upper(-B), which takes (A, B) to (A, B - AB).
 
     Its diagonal cells (1, -b_ii; 0, 1) have determinant 1, so it is in
-    the group.
+    the group.  Its moves are the nonzero entries of -B, from A into B'.
     """
     f, n = red.field, red.n
     one = LowerTriMatrix.identity(f, n)
-    red.right(GL2Element._trusted(one, -red.pair.B, LowerTriMatrix.zero(f, n), one),
+    neg = -red.pair.B
+    red.right(GL2Element._trusted(one, neg, LowerTriMatrix.zero(f, n), one,
+                                  ([], _block_moves(0, neg.entries, n))),
               "b_transvection")
 
 
@@ -910,7 +929,10 @@ def _reduce_general(red):
     if V != one:
         zero = LowerTriMatrix.zero(red.field, red.n)
         # build_v returns only units, so block_diag(I, V) is in the group.
-        red.right(GL2Element._trusted(one, zero, zero, V), "v_step")
+        # Its moves are the nonzero entries of V - I, from B into B'.
+        red.right(GL2Element._trusted(one, zero, zero, V,
+                                      ([], _block_moves(1, V.entries, red.n, one.entries))),
+                  "v_step")
     return pivots
 
 

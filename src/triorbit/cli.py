@@ -14,6 +14,7 @@ from .canonical import canonicalize, enumerate_canonical
 from .errors import (
     BudgetExceeded,
     CanonicalizationFailed,
+    InconsistentDecomposition,
     InvalidBudget,
     InvalidPartition,
     NotCanonical,
@@ -189,6 +190,9 @@ def cmd_verify(args):
     del field
     kwargs = {}
     if args.samples is not None:
+        if args.samples < 1:
+            _print("error: --samples must be at least 1")
+            return 2
         kwargs["samples"] = args.samples
         kwargs["exhaustive_check_cap"] = 0
     if args.seed is not None:
@@ -196,7 +200,7 @@ def cmd_verify(args):
     try:
         report = verify_classification(args.n, args.p,
                                        budget=enumeration_budget(None), **kwargs)
-    except (BudgetExceeded, InvalidBudget) as exc:
+    except (BudgetExceeded, InvalidBudget, InconsistentDecomposition) as exc:
         _print(f"error: {exc}")
         return 2
     if args.format == "structured":

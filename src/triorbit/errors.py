@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every error that a caller is expected to catch has a dedicated class here;
-internal logic errors use plain assertions instead.
+internal logic errors use plain assertions instead, except the self-checks
+whose verdicts must also hold under ``python -O``.
 """
 
 
@@ -73,6 +74,13 @@ class CanonicalizationFailed(TriOrbitError, RuntimeError):
     ``canonical.jump_map`` shows up front (possible from n = 4 on).  It is
     also raised if the word search stalls or a self-check fails; neither
     has been observed.
+    """
+
+
+class InconsistentDecomposition(TriOrbitError, RuntimeError):
+    """The orbit sizes do not add up to the number of free submodules.
+
+    The oracle's own consistency check; it has not been observed.
     """
 
 

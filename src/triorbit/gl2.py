@@ -51,6 +51,19 @@ def _move_cells(n):
     return cells
 
 
+def _block_moves(source, entries, n, one=None):
+    """The moves of one block of g - I, in packed order.
+
+    ``entries`` are the block's packed entries and ``one`` the identity's,
+    subtracted for the diagonal blocks X and Z; ``source`` is 0 for the
+    X and Y blocks, which read A, and 1 for W and Z, which read B.
+    """
+    cells = _move_cells(n)
+    if one is None:
+        return [(source, v, *cell) for v, cell in zip(entries, cells) if v]
+    return [(source, v - d, *cell) for v, d, cell in zip(entries, one, cells) if v != d]
+
+
 def _act(a, b, moves, p):
     """Packed entries of (A, B) g, given those of A and B and g's column moves.
 
@@ -97,15 +110,45 @@ class GL2Element:
         self._moves = None
 
     @classmethod
-    def _trusted(cls, X, Y, W, Z):
-        """[X Y; W Z] without the invertibility test; the caller vouches for it."""
+    def _trusted(cls, X, Y, W, Z, moves=None):
+        """[X Y; W Z] without the invertibility test; the caller vouches for it.
+
+        ``moves``, when given, must be exactly what ``_column_moves`` would
+        scan from the blocks, in its order; the builder that knows where
+        g - I is nonzero passes them, so they are never scanned.
+        """
         g = object.__new__(cls)
         g.X = X
         g.Y = Y
         g.W = W
         g.Z = Z
-        g._moves = None
+        g._moves = moves
         return g
+
+    @classmethod
+    def _diagonal_cells(cls, field, n, cells):
+        """The element whose only nonzero entries are the diagonal cells (x, y, w, z).
+
+        ``cells`` holds one cell per index 1..n, entries reduced mod p, and
+        the caller vouches that each has a nonzero determinant.  Its column
+        moves are read off the n cells, in the order ``_column_moves``
+        scans them: the diagonal offsets ascend, so packed order among the
+        cells is index order.
+        """
+        offsets = _diagonal_offsets(n)
+        x, y, w, z = columns = list(zip(*cells))
+        blocks = []
+        for values in columns:
+            block = [0] * (n * (n + 1) // 2)
+            for d, v in zip(offsets, values):
+                block[d] = v
+            blocks.append(_trusted(field, n, tuple(block)))
+        at = [_move_cells(n)[d] for d in offsets]
+        moves = ([(0, v - 1, *c) for v, c in zip(x, at) if v != 1]
+                 + [(1, v, *c) for v, c in zip(w, at) if v],
+                 [(0, v, *c) for v, c in zip(y, at) if v]
+                 + [(1, v - 1, *c) for v, c in zip(z, at) if v != 1])
+        return cls._trusted(*blocks, moves)
 
     def _column_moves(self):
         """The nonzero entries of g - I as the moves ``_act`` runs.
@@ -113,20 +156,16 @@ class GL2Element:
         A pair (moves into A', moves into B'); each move is (source, v,
         rows, shift) with source 0 for A and 1 for B, and rows and shift
         from ``_move_cells``.  The diagonal blocks give X - I and Z - I, the
-        others W and Y as they are; v = x - 1 is left unreduced, as ``_act``
-        reduces once.
+        others W and Y as they are, each block in packed order; v = x - 1 is
+        left unreduced, as ``_act`` reduces once.
         """
         moves = self._moves
         if moves is None:
-            cells = _move_cells(self.n)
-            one = LowerTriMatrix.identity(self.field, self.n).entries
-            to_a = [(0, x - d, *cell)
-                    for x, d, cell in zip(self.X.entries, one, cells) if x != d]
-            to_a += [(1, w, *cell) for w, cell in zip(self.W.entries, cells) if w]
-            to_b = [(0, y, *cell) for y, cell in zip(self.Y.entries, cells) if y]
-            to_b += [(1, z - d, *cell)
-                     for z, d, cell in zip(self.Z.entries, one, cells) if z != d]
-            moves = self._moves = (to_a, to_b)
+            n = self.n
+            one = LowerTriMatrix.identity(self.field, n).entries
+            moves = self._moves = (
+                _block_moves(0, self.X.entries, n, one) + _block_moves(1, self.W.entries, n),
+                _block_moves(0, self.Y.entries, n) + _block_moves(1, self.Z.entries, n, one))
         return moves
 
     @property

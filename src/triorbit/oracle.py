@@ -21,7 +21,7 @@ import random
 
 from .canonical import canonicalize, enumerate_canonical
 from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
-                     VerificationFailed)
+                     InconsistentDecomposition, VerificationFailed)
 from .field import GF
 from .gl2 import GL2Element, orbit_generators
 from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
@@ -394,7 +394,11 @@ def _build_report(n, p, budget=None, generators=None):
         )
         report.orbits.append(summary)
         orbit_canonical.append(_pair_key(canon[0]) if len(canon) == 1 else None)
-    assert sum(o.size for o in report.orbits) == report.free_submodules
+    covered = sum(o.size for o in report.orbits)
+    if covered != report.free_submodules:
+        raise InconsistentDecomposition(
+            f"the orbits hold {covered} submodules, not the "
+            f"{report.free_submodules} free submodules")
     return report, (keys, orbits, orbit_of, orbit_canonical)
 
 

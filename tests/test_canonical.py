@@ -36,6 +36,7 @@ from triorbit.canonical import (
     _Reduction,
     _reduce_general,
     _sweep_a,
+    _transvection_product,
     is_canonical_jump_map,
     jump_map,
     reachable_profiles,
@@ -394,6 +395,57 @@ def test_closed_form_on_large_seeded_unimodular_pairs(n, p):
         assert result == target
         assert verify_certificate(pair, result, cert)
         assert len(trace) <= 3
+
+
+@pytest.mark.parametrize("n,p,count,labels", [
+    (2, 2, None, {"diagonal_clearing", "similarity_right", "b_transvection"}),
+    (2, 3, None, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step"}),
+    (3, 2, None, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step",
+                  "search"}),
+    (6, 3, 1000, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step",
+                  "search"}),
+    (7, 5, 400, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step",
+                 "search"}),
+])
+def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monkeypatch):
+    # Right factors carry the column moves their builders know; a fresh
+    # element with the same blocks has none, so _column_moves scans it, and
+    # the two must agree exactly, order and unreduced values included.  They
+    # are compared as each stage is recorded, before a wrong move could make
+    # the self-checks raise.  A left stage from row moves takes its factor
+    # from U while U is the identity; it must still be the product of its
+    # moves reversed.  Every free pair at desk scale, or the first seed-0
+    # pairs; only a pair whose orbit holds no canonical pair may raise.
+    f = GF(p)
+    recorded = []
+    seen = set()
+    left, right = _Reduction.left, _Reduction.right
+
+    def recording_left(self, label, moves, a=None):
+        recorded.append(moves)
+        return left(self, label, moves, a)
+
+    def checking_right(self, g, label):
+        fresh = GL2Element._trusted(g.X, g.Y, g.W, g.Z)
+        assert g._column_moves() == fresh._column_moves(), label
+        seen.add(label)
+        return right(self, g, label)
+
+    monkeypatch.setattr(_Reduction, "left", recording_left)
+    monkeypatch.setattr(_Reduction, "right", checking_right)
+    pairs = free_pairs(f, n) if count is None else random_free_pairs(f, n, count, 0)
+    for pair in pairs:
+        recorded.clear()
+        try:
+            _, _, trace = canonicalize(pair)
+        except CanonicalizationFailed:
+            assert not is_canonical_jump_map(jump_map(pair))
+            continue
+        rows = [stage for stage in trace if stage.side == "left" and stage.label != "scaling"]
+        assert len(rows) == len(recorded)
+        for stage, moves in zip(rows, recorded):
+            assert stage.factor == _transvection_product(f, n, moves[::-1])
+    assert seen == labels
 
 
 def test_seven_dim_full_reduction(fixture_t7, gf5):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from triorbit.cli import main
+from triorbit.oracle import _decompose
 from tests.conftest import pair_texts
 
 
@@ -210,6 +211,26 @@ def test_verify_with_samples_flags(capsys):
                         "--samples", "50", "--seed", "7")
     assert code == 0
     assert "50 sampled, seed 7" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_samples_below_1(capsys, samples):
+    # Zero or negative samples would check no pair and still report a pass.
+    code, out = run_cli(capsys, "verify", "--n", "3", "--p", "3", "--samples", samples)
+    assert (code, out) == (2, "error: --samples must be at least 1\n")
+
+
+def test_verify_reports_an_inconsistent_decomposition(capsys, monkeypatch):
+    # The oracle's size check is an explicit raise, so under python -O too
+    # the CLI prints an error line and exits 2, with no traceback.
+    def dropping(keys, generators, p):
+        orbits = _decompose(keys, generators, p)
+        return [orbits[0][1:]] + orbits[1:]
+
+    monkeypatch.setattr("triorbit.oracle._decompose", dropping)
+    code, out = run_cli(capsys, "verify", "--n", "2", "--p", "2")
+    assert code == 2
+    assert out.startswith("error: the orbits hold ") and out.count("\n") == 1
 
 
 def test_verify_non_prime_exits_2(capsys):

@@ -19,7 +19,7 @@ from triorbit import (
     orbit_generators,
     verify_classification,
 )
-from triorbit.errors import VerificationFailed
+from triorbit.errors import InconsistentDecomposition, VerificationFailed
 from triorbit.modpairs import ring_matrices
 from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _normal_form,
                              _order, _pair_key, random_free_pairs)
@@ -113,6 +113,18 @@ def test_verification_raise_mode():
     with pytest.raises(VerificationFailed) as exc:
         verify_classification(4, 2, raise_on_failure=True)
     assert exc.value.report.orbit_count == 16
+
+
+def test_orbit_sizes_must_cover_the_free_submodules(monkeypatch):
+    # A decomposition that loses one key fails the report's size check,
+    # which is an explicit raise and so also holds under python -O.
+    def dropping(keys, generators, p):
+        orbits = _decompose(keys, generators, p)
+        return [orbits[0][1:]] + orbits[1:]
+
+    monkeypatch.setattr("triorbit.oracle._decompose", dropping)
+    with pytest.raises(InconsistentDecomposition, match="hold 20 submodules, not the 21"):
+        verify_classification(2, 2)
 
 
 def test_extra_orbit_is_closed_under_the_group(gf2):
