@@ -16,6 +16,7 @@ from .errors import (
     InvalidBudget,
     InvalidEntry,
     InvalidPartition,
+    InvalidSampleCount,
     NonPrimeModulus,
     NotAUnit,
     NotCanonical,
@@ -127,6 +128,7 @@ __all__ = [
     "IndexOutOfRange",
     "BudgetExceeded",
     "InvalidBudget",
+    "InvalidSampleCount",
     "InvalidEntry",
     "NotFree",
     "NotAUnit",

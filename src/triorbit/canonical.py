@@ -26,10 +26,14 @@ checkable by plain multiplication.  It takes one of three paths.
    the recorded factors are built.  Entries whose row and column
    diagonals both vanish admit none of those moves; a bounded best-first
    search over short generator words handles them, and every activation
-   is flagged in the trace.  Each search child costs exactly one
+   is flagged in the trace.  Each search child built costs exactly one
    ``act_right``: its score is read off A by the similarity pass alone
    (the other two passes cannot change it; proof in ``_cleaned_offense``)
-   and it is deduplicated on its packed entries.  Phase two zeroes the
+   and it is deduplicated on its packed entries.  A pre-scan of the first
+   layer builds no child that provably scores above zero, those of
+   generators with W = 0 and y_ii = 0 wherever a_ii != 0, so a search
+   ending there costs fewer actions and returns the same word (lemma in
+   ``_search_word``).  Phase two zeroes the
    unit rows of B, makes the trailing columns of the other rows distinct,
    and normalizes those pivot columns with a right unit V.  That already
    is the canonical shape: the paper's pivot search ``select_pivots``
@@ -782,23 +786,75 @@ def _search_generators(field, n):
     return tuple(gl2_generators(field, n))
 
 
-def _search_word(pair, generators):
+@functools.lru_cache(maxsize=None)
+def _search_reach(field, n):
+    """Per search generator: None if W != 0, else the bitmask of i with y_ii != 0.
+
+    Aligned with ``_search_generators(field, n)``; bit i stands for the
+    0-based index i.  ``_search_word`` skips a first-layer generator whose
+    mask is not None and meets no nonzero diagonal entry of A.
+    """
+    offsets = _diagonal_offsets(n)
+    return tuple(None if any(g.W.entries)
+                 else sum(1 << i for i, d in enumerate(offsets) if g.Y.entries[d])
+                 for g in _search_generators(field, n))
+
+
+def _search_word(pair, generators, reach):
     """Best-first search for a short generator word lowering the offense.
 
-    Each child costs exactly one ``act_right``, looked up by that name at
-    call time, and nothing else that builds a matrix: the benchmark's
-    action cap counts these calls.  A node is scored by
+    Each child built costs exactly one ``act_right``, looked up by that
+    name at call time, and nothing else that builds a matrix: the
+    benchmark's action cap counts these calls.  A node is scored by
     ``_cleaned_offense``, the offense a cleanup would leave, read off A'
     by the similarity pass alone; ``seen`` is keyed on the child's packed
     entries, and a node keeps no other state.  Returns the first word
     reaching score zero, else the best strictly improving word, else
     None.  A child scoring zero returns as soon as it is pushed, so every
     popped node scores above zero.
+
+    ``reach`` is ``_search_reach`` for ``generators``.  When the pair
+    scores above zero with a zero B diagonal, as the cleaned pair that
+    ``_reduce_general`` hands over does, a pre-scan first walks the first
+    layer in generator order.  It builds no child for a generator with
+    W = 0 and y_ii = 0 wherever a_ii != 0, and returns (g,) at the first
+    built child that differs from the pair and scores zero.  If none does,
+    the best-first body runs as before, and the pre-scan has changed no
+    returned word.
+
+    Lemma: such a skipped child scores at least 1.  Proof.  Let S be the
+    set of i with a_ii != 0.  The cleanup of a pair with a zero B diagonal
+    ends on A'' = ``_sweep_a`` of A itself.  That sweep multiplies A by
+    units on both sides, changes no zero pattern of the diagonal, and
+    leaves A'' = I_S + N'' with N'' strictly lower and nonzero only in
+    rows and columns outside S (see ``_sweep_a``).  So rank A = |S| +
+    rank N'', and the score, the number of nonzero entries of N'', is at
+    least 1 exactly when rank A > |S|; the parent's score says it is.
+    - The diagonal map T_n -> GF(p)^n is a ring homomorphism, so each
+      diagonal cell (x_ii, y_ii; w_ii, z_ii) of g is invertible.  With
+      W = 0 that makes every x_ii nonzero, so X is a unit.
+    - The child is (AX, AY + BZ), whose B diagonal a_ii y_ii + b_ii z_ii
+      is zero, as y_ii = 0 where a_ii != 0 and b_ii = 0 throughout.  So
+      its cleanup sweeps AX, and AX has rank A and, as x_ii != 0, the
+      nonzero diagonal S.  By the above, the child scores at least 1.
+    The old first layer therefore returns at the same generator: a skipped
+    child, a duplicate of one or of the pair, and every earlier built
+    child score at least 1, so the first zero it pushes is the first zero
+    the pre-scan builds.  Only the number of ``act_right`` calls changes.
     """
     base = _cleaned_offense(pair)
+    parent = (pair.A.entries, pair.B.entries)
+    if base and not any(pair.B.diag()):
+        units = sum(1 << i for i, a in enumerate(pair.A.diag()) if a)
+        for g, mask in zip(generators, reach):
+            if mask is not None and not mask & units:
+                continue
+            child = act_right(pair, g)
+            if (child.A.entries, child.B.entries) != parent and _cleaned_offense(child) == 0:
+                return (g,)
     counter = itertools.count()
     heap = []
-    seen = {(pair.A.entries, pair.B.entries)}
+    seen = {parent}
     best = None  # (score, length, tiebreak, word)
 
     def push(parent_pair, word):
@@ -908,7 +964,8 @@ def _reduce_general(red):
         _cleanup(red)
         if _offense(red.pair) == 0:
             break
-        word = _search_word(red.pair, _search_generators(red.field, red.n))
+        word = _search_word(red.pair, _search_generators(red.field, red.n),
+                            _search_reach(red.field, red.n))
         if word is None:
             raise CanonicalizationFailed(
                 f"search budget exhausted at offense {_offense(red.pair)}")

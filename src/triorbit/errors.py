@@ -42,6 +42,10 @@ class InvalidBudget(TriOrbitError, ValueError):
     """TRIORBIT_BUDGET is set to something other than a positive integer."""
 
 
+class InvalidSampleCount(TriOrbitError, ValueError):
+    """A sampled check was asked for fewer than one pair."""
+
+
 class NotFree(TriOrbitError, ValueError):
     """The pair does not generate a free cyclic submodule."""
 

@@ -21,7 +21,7 @@ import random
 
 from .canonical import canonicalize, enumerate_canonical
 from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
-                     InconsistentDecomposition, VerificationFailed)
+                     InconsistentDecomposition, InvalidSampleCount, VerificationFailed)
 from .field import GF
 from .gl2 import GL2Element, orbit_generators
 from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
@@ -427,9 +427,11 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
 
     The canonicalizer check covers every free pair when their number is at
     most ``exhaustive_check_cap``, otherwise ``samples`` pseudorandom free
-    pairs drawn with the recorded seed.  With ``raise_on_failure`` the
-    report is wrapped in a VerificationFailed exception instead of being
-    returned with failing verdicts.
+    pairs drawn with the recorded seed; that sampled check raises
+    InvalidSampleCount when ``samples`` is below 1, since it would check
+    no pair and pass.  With ``raise_on_failure`` the report is wrapped in a
+    VerificationFailed exception instead of being returned with failing
+    verdicts.
     """
     report, (keys, orbits, orbit_of, orbit_canonical) = _build_report(
         n, p, budget, generators)
@@ -461,6 +463,8 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
             to_check.extend(ModulePair(u * pair.A, u * pair.B) for u in units)
         report.sampled = False
     else:
+        if samples < 1:
+            raise InvalidSampleCount(f"the sampled check needs samples >= 1, got {samples}")
         to_check = random_free_pairs(field, n, samples, seed)
         report.sampled = True
         report.seed = seed

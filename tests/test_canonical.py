@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 import time
@@ -29,12 +30,16 @@ from triorbit import (
     verify_certificate,
 )
 from triorbit.canonical import (
+    SEARCH_DEPTH,
+    SEARCH_LIMIT,
     _cleaned_offense,
     _cleanup,
     _lower_rows,
     _offense,
     _Reduction,
     _reduce_general,
+    _search_reach,
+    _search_word,
     _sweep_a,
     _transvection_product,
     is_canonical_jump_map,
@@ -677,11 +682,14 @@ def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
 
 
 # Calls of ``triorbit.canonical.act_right`` over the same samples: one per
-# search child and per recorded right move, plus the certificate self-check.
-# perfbench's action cap counts these calls.  Each entry is (all calls,
-# calls on non-unimodular pairs); only the second can include the search,
-# and unimodular pairs take the closed form, which makes at most three.
-SEED0_ACT_RIGHT_CALLS = {(4, 2): (11038, 7784), (5, 2): (12167, 11838), (3, 3): (6700, 1774)}
+# search child built and per recorded right move, plus the certificate
+# self-check.  The search's first-layer pre-scan builds no child that
+# provably scores above zero, so a search that ends in its first layer
+# builds fewer children than the generators it walks.  perfbench's action
+# cap counts these calls.  Each entry is (all calls, calls on
+# non-unimodular pairs); only the second can include the search, and
+# unimodular pairs take the closed form, which makes at most three.
+SEED0_ACT_RIGHT_CALLS = {(4, 2): (9556, 6302), (5, 2): (11688, 11359), (3, 3): (6427, 1501)}
 
 
 @pytest.mark.parametrize("n,p,count,steps,searched", [
@@ -754,7 +762,81 @@ def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
                 others += calls
         steps += trace.search_steps
         searched += trace.search_activated
-    assert (steps, searched, actions, others, censored) == (50, 48, 8478, 6687, 0)
+    assert (steps, searched, actions, others, censored) == (50, 48, 4960, 3169, 0)
+
+
+def _reference_search_word(pair, generators):
+    """The word search as it ran before its first-layer pre-scan: the reference."""
+    base = _cleaned_offense(pair)
+    counter = itertools.count()
+    heap = []
+    seen = {(pair.A.entries, pair.B.entries)}
+    best = None
+
+    def push(parent_pair, word):
+        child = act_right(parent_pair, word[-1])
+        key = (child.A.entries, child.B.entries)
+        if key in seen:
+            return None
+        seen.add(key)
+        score = _cleaned_offense(child)
+        item = (score, len(word), next(counter), child, word)
+        heapq.heappush(heap, item)
+        return item
+
+    for g in generators:
+        item = push(pair, (g,))
+        if item and item[0] == 0:
+            return item[4]
+    expanded = 0
+    while heap and expanded < SEARCH_LIMIT:
+        score, length, _, node_pair, word = heapq.heappop(heap)
+        if best is None or (score, length) < (best[0], best[1]):
+            best = (score, length, word)
+        expanded += 1
+        if length >= SEARCH_DEPTH:
+            continue
+        for g in generators:
+            item = push(node_pair, word + (g,))
+            if item and item[0] == 0:
+                return item[4]
+    if best is not None and best[0] < base:
+        return best[2]
+    return None
+
+
+@pytest.mark.parametrize("n,p,count", [(4, 2, 2000), (3, 3, 2000), (5, 2, 300), (6, 3, 1000)])
+def test_search_prescan_skips_only_nonzero_children(n, p, count, monkeypatch):
+    # At every search of canonicalize on seed-0 pairs: the pair is the
+    # cleaned one the pre-scan needs (score above zero, zero B diagonal);
+    # every generator with W = 0 and y_ii = 0 wherever a_ii != 0 yields a
+    # child scoring at least 1; ``_search_reach`` marks exactly those
+    # generators; and the word equals that of the search without pre-scan.
+    calls = skipped = first_layer = 0
+
+    def checked_search_word(pair, generators, reach):
+        nonlocal calls, skipped, first_layer
+        assert _cleaned_offense(pair) >= 1 and not any(pair.B.diag())
+        units = [i for i in range(1, n + 1) if pair.A.entry(i, i)]
+        for g, mask in zip(generators, reach):
+            skip = not any(g.W.entries) and all(g.Y.entry(i, i) == 0 for i in units)
+            assert skip == (mask is not None and not mask & sum(1 << (i - 1) for i in units))
+            if skip:
+                assert _cleaned_offense(act_right(pair, g)) >= 1
+                skipped += 1
+        word = _search_word(pair, generators, reach)
+        assert word == _reference_search_word(pair, generators)
+        calls += 1
+        first_layer += word is not None and len(word) == 1
+        return word
+
+    monkeypatch.setattr("triorbit.canonical._search_word", checked_search_word)
+    for pair in random_free_pairs(GF(p), n, count, 0):
+        try:
+            canonicalize(pair)
+        except CanonicalizationFailed:
+            pass
+    assert calls and skipped and first_layer
 
 
 # -- reachability invariant -------------------------------------------------------

@@ -19,7 +19,8 @@ from triorbit import (
     orbit_generators,
     verify_classification,
 )
-from triorbit.errors import InconsistentDecomposition, VerificationFailed
+from triorbit.errors import (InconsistentDecomposition, InvalidSampleCount, TriOrbitError,
+                             VerificationFailed)
 from triorbit.modpairs import ring_matrices
 from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _normal_form,
                              _order, _pair_key, random_free_pairs)
@@ -125,6 +126,16 @@ def test_orbit_sizes_must_cover_the_free_submodules(monkeypatch):
     monkeypatch.setattr("triorbit.oracle._decompose", dropping)
     with pytest.raises(InconsistentDecomposition, match="hold 20 submodules, not the 21"):
         verify_classification(2, 2)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_check_refuses_fewer_than_one_sample(samples):
+    # With exhaustive_check_cap=0 the check samples; without a pair to
+    # check, it must raise instead of returning a passing report.
+    with pytest.raises(InvalidSampleCount, match=f"got {samples}") as info:
+        verify_classification(2, 2, samples=samples, exhaustive_check_cap=0)
+    assert isinstance(info.value, TriOrbitError) and isinstance(info.value, ValueError)
+    assert verify_classification(2, 2, samples=1, exhaustive_check_cap=0).checked_pairs == 1
 
 
 def test_extra_orbit_is_closed_under_the_group(gf2):
