@@ -12,8 +12,9 @@ checkable by plain multiplication.  It takes one of three paths.
    (the lemma in ``ModulePair.is_unimodular``), so no invariant is
    computed: ``_reduce_unimodular`` reaches (I, 0) in closed form, in at
    most three stages (diagonal_clearing, row_clearing, b_transvection).
-2. Other pairs are decided by the exact orbit invariant ``jump_map`` in
-   one elimination pass: NotFree when a lead never enters, and
+2. Other pairs are decided by the exact orbit invariant ``jump_map``,
+   read off the row pass over [A|B] that also decides freeness and rank
+   (``trimat._augmented_jumps``): NotFree when a row is dependent, and
    CanonicalizationFailed when the map matches no canonical pair.  From
    n = 4 on there are free pairs whose nilpotent structure is entangled
    across A and B, and their orbits hold no canonical pair.
@@ -86,8 +87,8 @@ from .modpairs import ModulePair, enumeration_budget
 from .partitions import bell
 from .trimat import (
     LowerTriMatrix,
+    _augmented_jumps,
     _diagonal_offsets,
-    _echelon_insert,
     _pos,
     _trusted,
     matrix_rank,
@@ -315,19 +316,14 @@ def build_v(G: LowerTriMatrix, pivots) -> LowerTriMatrix:
 def _transvection_product(field, n, moves):
     """The product of the I + t e_ij for (i, j, t) in ``moves`` (0-based), in order.
 
-    Row operations applied in turn multiply to their moves in reverse
-    order, and the moves reversed with t negated give the inverse, as
-    (I + t e_ij)^-1 = I - t e_ij for i > j.  Each factor right-multiplies
-    the running product: column j += t * column i, which is nonzero from
-    row i on.  Every entry starts as 0 or 1 and is reduced mod p on each
-    update, so the result is built through ``_trusted``.
+    Row moves applied in turn multiply to their transvections in reverse
+    order, so the product is ``_row_moves`` applied to the identity with
+    the moves reversed; and the moves reversed with t negated give the
+    inverse, as (I + t e_ij)^-1 = I - t e_ij for i > j.  Every entry is
+    reduced mod p, so the result is built through ``_trusted``.
     """
-    p = field.p
-    rows = [[int(r == c) for c in range(r + 1)] for r in range(n)]
-    for i, j, t in moves:
-        for row in rows[i:]:
-            row[j] = (row[j] + t * row[i]) % p
-    return _trusted(field, n, tuple([v for row in rows for v in row]))
+    one = LowerTriMatrix.identity(field, n).entries
+    return _trusted(field, n, _row_moves(one, moves[::-1], field.p))
 
 
 def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
@@ -430,19 +426,21 @@ class _Reduction:
         """Left stage by the row moves of ``_row_moves``, in order.
 
         Its factor L is the product of their transvections in reverse
-        order.  While U is still the identity the new U is L I = L, so L is
-        read off it and not built a second time.  ``a``, when given, is the
-        A that the moves produce, as the caller has proved it, and the
-        moves are not run on A.
+        order, which is the moves run on the identity.  While U is still
+        the identity the new U is L I = L, so L is read off it and not
+        built a second time.  ``a``, when given, is the A that the moves
+        produce, as the caller has proved it, and the moves are not run on
+        A.
         """
         f, n, p = self.field, self.n, self.field.p
-        first = self.u == LowerTriMatrix.identity(f, n).entries
+        one = LowerTriMatrix.identity(f, n).entries
+        first = self.u == one
         if a is None:
             a = _row_moves(self.pair.A.entries, moves, p)
         b = _row_moves(self.pair.B.entries, moves, p)
         self.u = _row_moves(self.u, moves, p)
-        factor = _trusted(f, n, self.u) if first else _transvection_product(f, n, moves[::-1])
-        self._left(factor, label, a, b)
+        factor = self.u if first else _row_moves(one, moves, p)
+        self._left(_trusted(f, n, factor), label, a, b)
 
     def scale(self, scale):
         """Left stage by the diagonal unit diag(scale)."""
@@ -703,37 +701,33 @@ def _cleaned_offense(pair):
 
 
 def jump_map(pair):
-    """The tuple (j(1), ..., j(n)): the column step at which each lead enters.
+    """The tuple (j(1), ..., j(n)): the column pair where each row of [A|B] leads.
 
-    The A- and B-columns j are added for j = n down to 1 to an echelon
-    basis of F_j, the span of columns j..n of A and B together, whose
-    vectors have distinct leads (first nonzero index); lead r enters at
-    step j(r), or never (then j(r) = 0).  Each entering lead adds one
-    dimension, so the leads number dim F_1 = rank [A|B]: the pair is free
-    iff no j(r) is 0.  Column j vanishes above row j, so j(r) <= r, and no
-    value is taken more than twice.  Distinct leads cannot cancel, so with V_i the span of the last
-    n-i+1 standard basis vectors, dim(F_j intersect V_i) = #{r >= i :
-    j(r) >= j}, and j(r) is the largest j at which that count drops from
-    i = r to r+1: the jump map and ``span_profile`` determine each other.
+    Let F_j be the span of columns j..n of A and B together, and V_i that
+    of the last n-i+1 standard basis vectors.  The jump map is the one map
+    r -> j(r) in {0, ..., n} with dim(F_j intersect V_i) = #{r >= i :
+    j(r) >= j} for all i, j >= 1; the counts fix every value, as j(r) >= j
+    exactly when the count drops from i = r to r+1.  So the jump map and
+    ``span_profile`` determine each other.
+
+    ``trimat._augmented_jumps`` computes it in one row pass, the one that
+    ``ModulePair.is_free`` runs: rows 1..n of [A|B], with the columns in
+    the order a_n, b_n, ..., a_1, b_1, go into one echelon basis, and k_r
+    is the column pair of row r's new lead, or 0 if row r is dependent.
+    Proof that k = j.  The basis vectors have distinct leads, and those of
+    rows <= i span rows <= i.  On the pairs > j, a leading block of the
+    column order, the vectors that lead there stay independent and the
+    others vanish, so rank(rows <= i on the pairs > j) = #{r <= i : k_r >
+    j}.  Projecting F_j onto the first i-1 coordinates has kernel F_j
+    intersect V_i and image the span of rows < i on the pairs >= j, so
+    dim(F_j intersect V_i) = #{r <= n : k_r >= j} - #{r < i : k_r >= j} =
+    #{r >= i : k_r >= j}, and k = j, zeros included: row r is dependent
+    exactly when lead r never enters the column echelon of F_1.  The
+    nonzero values number rank [A|B], so the pair is free iff no j(r) is
+    0.  Row r vanishes on the pairs above r, so j(r) <= r, and as a pair
+    holds two columns, no value is taken more than twice.
     """
-    n, p = pair.n, pair.field.p
-    sources = (pair.A.entries, pair.B.entries)
-    basis = {}
-    jumps = [0] * n
-    for j, offsets in zip(range(n, 0, -1), _column_offsets(n)):
-        pad = [0] * (j - 1)
-        for e in sources:
-            # Column j, read from the packed entries: zero above row j.
-            lead = _echelon_insert(basis, pad + [e[k] for k in offsets], p)
-            if lead is not None:
-                jumps[lead] = j
-    return tuple(jumps)
-
-
-@functools.lru_cache(maxsize=None)
-def _column_offsets(n):
-    """Packed offsets of column j from row j down, for j = n down to 1."""
-    return tuple(tuple(_pos(i, j) for i in range(j, n + 1)) for j in range(n, 0, -1))
+    return _augmented_jumps(pair.A, pair.B)
 
 
 def span_profile(pair):

@@ -102,7 +102,7 @@ class ModulePair:
         """Free iff rank [A|B] = n.
 
         A unimodular pair is free (the lemma in ``is_unimodular``), so the
-        elimination runs only on the other pairs.
+        row pass of ``augmented_rank`` runs only on the other pairs.
         """
         return self.is_unimodular() or augmented_rank(self.A, self.B) == self.n
 
@@ -110,16 +110,12 @@ class ModulePair:
         """Unimodular iff a_ii != 0 or b_ii != 0 for every i.
 
         Lemma: a unimodular pair is free, and its jump map
-        (``canonical.jump_map``) is the identity.  Proof.  Columns k of A
-        and B vanish above row k, and at each j one of the two columns j
-        is nonzero at row j.  Add them for j = n down to 1 to an echelon
-        basis of distinct leads, as ``jump_map`` does.  Suppose the leads
-        after step j + 1 are exactly j + 1, ..., n; the basis then spans
-        every vector zero above row j + 1.  The first column j nonzero at
-        row j has the new lead j and enters with it.  The other column j is
-        zero above row j + 1, once reduced by that vector if it comes
-        after it, and so reduces to zero.  So exactly lead j enters at step
-        j: j(r) = r for every r, no j(r) is 0, and rank [A|B] = n.
+        (``canonical.jump_map``) is the identity.  Proof.  In the row pass
+        of ``trimat._augmented_jumps``, row i of [A|B] vanishes on the
+        column pairs above i and is nonzero on pair i, at a_ii or b_ii.
+        The earlier rows r < i lead in their own pairs r, so row i meets no
+        basis vector at its lead and enters unreduced, leading in pair i:
+        j(i) = i for every i, no j(i) is 0, and rank [A|B] = n.
         """
         a, b = self.A.entries, self.B.entries
         return all(a[d] or b[d] for d in _diagonal_offsets(self.n))
@@ -218,7 +214,10 @@ def is_outlier_oracle(pair: ModulePair, budget=None) -> bool:
 
 
 def _json_int(value):
-    """A JSON number that is an integer; floats and booleans are refused."""
+    """A JSON number that is an integer; floats and booleans are refused.
+
+    The same rule as the matrix builders' ``trimat._check_integers``.
+    """
     if type(value) is not int:
         raise ValueError(f"structured pair holds {value!r} where an integer belongs")
     return value

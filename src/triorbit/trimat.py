@@ -3,13 +3,15 @@
 Only the lower triangle is stored (row-major, so entries appear in the
 order (1,1), (2,1), (2,2), (3,1), ...).  Indices in the public API are
 1-based throughout, matching the algebra this package implements; the zero
-upper triangle is implicit.  The public constructor checks every entry;
-the ring operations, whose results are reduced mod p by construction,
-build them through ``_trusted`` instead.
+upper triangle is implicit.  The public builders check every value they
+are handed (``_check_integers``: exactly ``int``, else InvalidEntry); the
+ring operations, whose results are reduced mod p by construction, build
+through ``_trusted`` instead.
 
 The module also holds the package's one mod-p elimination kernel and the
-computations built on it: matrix rank, the rank of the augmented matrix
-[A|B] and a solver for linear systems.
+computations built on it: matrix rank, a solver for linear systems, and
+the row pass over [A|B] (``_augmented_jumps``) that gives both the
+augmented rank and the jump map of a pair.
 """
 
 import operator
@@ -25,6 +27,18 @@ def _tri_len(n):
 def _pos(i, j):
     """Offset of 1-based (i, j), j <= i, inside the packed lower triangle."""
     return i * (i - 1) // 2 + (j - 1)
+
+
+def _check_integers(values):
+    """Raise InvalidEntry unless every value is exactly an ``int``.
+
+    The package's one rule for a value handed to a public matrix builder:
+    floats (2.0 included), strings, Fractions and bools are refused, as
+    the structured pair form refuses them (``modpairs._json_int``).
+    """
+    for v in values:
+        if type(v) is not int:
+            raise InvalidEntry(f"matrix entry {v!r} is not an integer")
 
 
 def _trusted(field, n, entries):
@@ -101,6 +115,7 @@ class LowerTriMatrix:
             raise DimensionMismatch(
                 f"expected {_tri_len(n)} packed entries for n={n}, got {len(entries)}"
             )
+        _check_integers(entries)
         if min(entries) < 0 or max(entries) >= field.p:
             raise InvalidEntry(f"entries must lie in [0, {field.p}): {list(entries)}")
         self.field = field
@@ -128,6 +143,7 @@ class LowerTriMatrix:
         n = len(diag)
         if n < 1:
             raise DimensionMismatch(f"dimension {n} < 1")
+        _check_integers(diag)
         entries = [0] * _tri_len(n)
         for i, d in enumerate(diag, start=1):
             entries[_pos(i, i)] = d % field.p
@@ -138,6 +154,7 @@ class LowerTriMatrix:
         """The matrix value * e_ij (1-based, j <= i)."""
         if not (1 <= j <= i <= n):
             raise IndexOutOfRange(f"({i},{j}) is not a lower position of n={n}")
+        _check_integers((value,))
         entries = [0] * _tri_len(n)
         entries[_pos(i, j)] = value % field.p
         return cls(field, n, entries)
@@ -150,6 +167,7 @@ class LowerTriMatrix:
         for i, row in enumerate(rows, start=1):
             if len(row) != n:
                 raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n}")
+            _check_integers(row)
             for j, v in enumerate(row, start=1):
                 if j > i:
                     if v % field.p != 0:
@@ -194,6 +212,7 @@ class LowerTriMatrix:
         """A copy with entry (i, j) replaced (j <= i required)."""
         if not (1 <= j <= i <= self.n):
             raise IndexOutOfRange(f"({i},{j}) is not a lower position")
+        _check_integers((value,))
         entries = list(self.entries)
         entries[_pos(i, j)] = value % self.field.p
         return _trusted(self.field, self.n, tuple(entries))
@@ -236,6 +255,7 @@ class LowerTriMatrix:
         return _trusted(self.field, self.n, tuple([-a % p for a in self.entries]))
 
     def scale(self, c):
+        _check_integers((c,))
         p = self.field.p
         c %= p
         return _trusted(self.field, self.n, tuple([c * a % p for a in self.entries]))
@@ -395,18 +415,36 @@ def solve_mod_p(rows, width, p):
     return solution
 
 
-def augmented_rank(A: LowerTriMatrix, B: LowerTriMatrix) -> int:
-    """Rank of the n x 2n matrix [A|B].
+def _augmented_jumps(A, B):
+    """The row pass over [A|B]: per row i, the column pair where it leads.
 
-    The columns are taken in the order a_n, b_n, a_(n-1), ..., a_1, b_1, so
-    row i leads at its diagonal and a unimodular pair meets no reduction.
+    The columns are taken in the order a_n, b_n, a_(n-1), ..., a_1, b_1,
+    and rows 1..n go through ``_echelon_insert`` in turn.  Row i records
+    n - floor(lead / 2), the index j of the pair (a_j, b_j) holding its
+    new lead, or 0 when it is dependent.  Row i vanishes on the pairs
+    above i, so its entry is at most i, and a unimodular pair leads every
+    row at its own diagonal and meets no reduction.  The tuple is the
+    pair's jump map (proof in ``canonical.jump_map``).
     """
     A._check_compatible(B)
-    n = A.n
-    rows = []
+    n, p = A.n, A.field.p
+    a_entries, b_entries = A.entries, B.entries
+    basis = {}
+    jumps = []
     for i in range(1, n + 1):
         start = _pos(i, 1)
-        a = A.entries[start:start + i][::-1]
-        b = B.entries[start:start + i][::-1]
-        rows.append([0] * (2 * (n - i)) + [v for ab in zip(a, b) for v in ab])
-    return matrix_rank(rows, A.field.p)
+        a = a_entries[start:start + i][::-1]
+        b = b_entries[start:start + i][::-1]
+        lead = _echelon_insert(
+            basis, [0] * (2 * (n - i)) + [v for ab in zip(a, b) for v in ab], p)
+        jumps.append(0 if lead is None else n - lead // 2)
+    return tuple(jumps)
+
+
+def augmented_rank(A: LowerTriMatrix, B: LowerTriMatrix) -> int:
+    """Rank of the n x 2n matrix [A|B]: the independent rows of the row pass.
+
+    ``_augmented_jumps`` runs the pass and marks each dependent row 0.
+    """
+    jumps = _augmented_jumps(A, B)
+    return len(jumps) - jumps.count(0)

@@ -453,6 +453,42 @@ def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monk
     assert seen == labels
 
 
+def _transvection_product_by_columns(field, n, moves):
+    # The product as a column-update loop, independent of the row-move
+    # kernel that builds it in the library: each factor I + t e_ij
+    # right-multiplies the running product, column j += t * column i,
+    # which is nonzero from row i on.
+    p = field.p
+    rows = [[int(r == c) for c in range(r + 1)] for r in range(n)]
+    for i, j, t in moves:
+        for row in rows[i:]:
+            row[j] = (row[j] + t * row[i]) % p
+    return tuple(v for row in rows for v in row)
+
+
+@pytest.mark.parametrize("n,p", list(itertools.product(range(2, 8), (2, 3, 5))))
+def test_transvection_product_matches_the_column_loop(n, p):
+    # Seeded move lists, empty ones included, with values unreduced as the
+    # reduction passes them (t in (-p, p)).  At n >= 3 the lists hold
+    # transvections that do not commute, so the order of the product shows.
+    f = GF(p)
+    rng = random.Random(100 * n + p)
+    one = LowerTriMatrix.identity(f, n)
+    for length in [0] * 3 + [rng.randrange(1, 3 * n) for _ in range(200)]:
+        moves = []
+        for _ in range(length):
+            i = rng.randrange(1, n)
+            moves.append((i, rng.randrange(i), rng.randrange(1 - p, p)))
+        product = _transvection_product(f, n, moves)
+        assert product.entries == _transvection_product_by_columns(f, n, moves)
+        if length <= 3:
+            # And against the public product of the factors.
+            expected = one
+            for i, j, t in moves:
+                expected = expected * one.with_entry(i + 1, j + 1, t % p)
+            assert product == expected
+
+
 def test_seven_dim_full_reduction(fixture_t7, gf5):
     result, cert, trace = canonicalize(fixture_t7)
     expected = make_pair(gf5, (1, 1, 0, 1, 0, 0, 0),

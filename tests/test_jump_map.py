@@ -32,7 +32,7 @@ from triorbit.canonical import (
 from triorbit.cli import main
 from triorbit.modpairs import format_pair, ring_matrices
 from triorbit.oracle import enumerate_free_submodules, random_free_pairs
-from triorbit.trimat import _echelon_insert
+from triorbit.trimat import _echelon_insert, augmented_rank, matrix_rank
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -79,14 +79,35 @@ def _jump_map_by_columns(pair):
     return tuple(jumps)
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def _uniform_pairs(field, n, count, seed):
+    rng = random.Random(seed)
+    m = n * (n + 1) // 2
+    for _ in range(count):
+        yield ModulePair(LowerTriMatrix(field, n, [rng.randrange(field.p) for _ in range(m)]),
+                         LowerTriMatrix(field, n, [rng.randrange(field.p) for _ in range(m)]))
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (4, 2), (6, 3), (7, 5), (9, 2)])
 def test_packed_jump_map_matches_column_reference(n, p):
-    # Every pair, free or not.
+    # Every pair, free or not, through (3,2), and 1000 uniformly drawn pairs
+    # beyond.  The row pass behind jump_map and augmented_rank against the
+    # column echelon above, and the rank against matrix_rank of the full
+    # n x 2n rows [A|B].
     f = GF(p)
-    for A in ring_matrices(f, n):
-        for B in ring_matrices(f, n):
-            pair = ModulePair(A, B)
-            assert jump_map(pair) == _jump_map_by_columns(pair)
+    if n <= 3:
+        pairs = (ModulePair(A, B) for A in ring_matrices(f, n) for B in ring_matrices(f, n))
+    else:
+        pairs = _uniform_pairs(f, n, 1000, seed=n * p)
+    non_free = 0
+    for pair in pairs:
+        jumps = _jump_map_by_columns(pair)
+        assert jump_map(pair) == jumps
+        rank = augmented_rank(pair.A, pair.B)
+        assert rank == matrix_rank([pair.A.row(i) + pair.B.row(i) for i in range(1, n + 1)], p)
+        assert rank == n - jumps.count(0)
+        non_free += rank < n
+    # Dependent rows occur, so the zero entries of the jump map are tested.
+    assert non_free > 10
 
 
 def test_exactly_bell_many_jump_maps_pass():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -261,6 +262,28 @@ def test_constructor_rejects_out_of_range_entries(gf5):
     # InvalidEntry is a ValueError and a package error.
     with pytest.raises(ValueError):
         LowerTriMatrix(gf5, 2, [0, 0, 5])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", Fraction(1, 2), True], ids=repr)
+def test_every_public_builder_refuses_values_that_are_not_ints(gf5, bad):
+    # One rule for every builder: exactly int.  Floats that happen to be
+    # whole (2.0), strings, Fractions and bools are refused with
+    # InvalidEntry, as the structured pair form refuses them, and nothing
+    # else escapes (no TypeError from a comparison, no stored float).
+    one = LowerTriMatrix.identity(gf5, 2)
+    builds = [
+        lambda: LowerTriMatrix(gf5, 2, [1, bad, 1]),
+        lambda: LowerTriMatrix(gf5, 1, [bad]),
+        lambda: LowerTriMatrix.from_rows(gf5, [[1, 0], [bad, 1]]),
+        lambda: LowerTriMatrix.from_rows(gf5, [[1, bad], [0, 1]]),
+        lambda: LowerTriMatrix.diagonal(gf5, [bad, 1]),
+        lambda: LowerTriMatrix.single(gf5, 2, 2, 1, bad),
+        lambda: one.with_entry(2, 1, bad),
+        lambda: one.scale(bad),
+    ]
+    for build in builds:
+        with pytest.raises(InvalidEntry, match="not an integer"):
+            build()
 
 
 def test_row_column_and_diagonal_reads(gf5):
