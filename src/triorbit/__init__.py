@@ -27,7 +27,6 @@ from .errors import (
     SingularSystem,
     TriOrbitError,
     UnsupportedDimension,
-    VerificationFailed,
     ZeroInverse,
 )
 from .field import GF, is_prime
@@ -139,6 +138,5 @@ __all__ = [
     "CanonicalizationFailed",
     "NotCanonical",
     "InvalidPartition",
-    "VerificationFailed",
     "InconsistentDecomposition",
 ]

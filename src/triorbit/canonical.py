@@ -18,55 +18,58 @@ checkable by plain multiplication.  It takes one of three paths.
    CanonicalizationFailed when the map matches no canonical pair.  From
    n = 4 on there are free pairs whose nilpotent structure is entangled
    across A and B, and their orbits hold no canonical pair.
-3. The remaining pairs run the general reduction, in two phases.  Phase
-   one drives the A part to diagonal 0/1 shape: clear the B diagonal,
-   then clear mixed-eigenvalue entries by triangular similarity, scale
-   the diagonal, and clear the rest of each unit row by row operations.
-   Those last three passes read only A; one kernel, ``_sweep_a``, sweeps
-   A's rows as plain lists and returns the elementary moves from which
-   the recorded factors are built.  Entries whose row and column
-   diagonals both vanish admit none of those moves; a bounded best-first
-   search over short generator words handles them, and every activation
-   is flagged in the trace.  Each search child built costs exactly one
-   ``act_right``: its score is read off A by the similarity pass alone
-   (the other two passes cannot change it; proof in ``_cleaned_offense``)
-   and it is deduplicated on its packed entries.  A pre-scan of the first
-   layer builds no child that provably scores above zero, those of
-   generators with W = 0 and y_ii = 0 wherever a_ii != 0, so a search
-   ending there costs fewer actions and returns the same word (lemma in
-   ``_search_word``).  Phase two zeroes the
-   unit rows of B, makes the trailing columns of the other rows distinct,
-   and normalizes those pivot columns with a right unit V.  That already
-   is the canonical shape: the paper's pivot search ``select_pivots``
-   would pick the same pivots, and its left unit ``build_k`` would be the
-   identity (proofs in ``_trailing_echelon`` and ``canonicalize``).  Both
-   stay public as the paper's construction.
+3. The remaining pairs end in one proved row pass, ``_reduce_rows``.
+   Rows are taken in order; row moves clear a row at the earlier pivots,
+   one 2x2 cell sets its pivot in the pair k = j(i), and column moves
+   clear the rest of the row.  The pass ends on the canonical pair c(j)
+   of the jump map j: a_rr = 1 where j(r) = r, and b_(r, j(r)) = 1
+   elsewhere.  All row moves make one left stage and the cells and
+   column moves one right factor, so it records at most two stages.  Its
+   pivots are those of the paper's pivot search ``select_pivots`` on the
+   result, and the paper's left unit ``build_k`` would be the identity
+   there; both stay public as the paper's construction.
+   Before the pass, and only while ``_cleaned_offense`` is above 0, a
+   cleanup and a bounded best-first word search run, as they did before
+   the pass existed, so the search sees the same pairs and takes the same
+   steps; every activation is flagged in the trace.  The cleanup clears
+   the B diagonal, clears mixed-eigenvalue entries of A by triangular
+   similarity, scales the diagonal and clears the rest of each unit row;
+   ``_sweep_a`` sweeps A's rows as plain lists for the last three.  The
+   count is the number of entries that the cleanup leaves between zero
+   diagonals, read off A by the similarity pass alone.  Most pairs that
+   are not unimodular start at 0 and never clean or search: 86 % at
+   (4,2) and (6,3) and 96 % at (3,3), on seeded samples.  Each search
+   child built costs exactly one ``act_right`` and is deduplicated on its
+   packed entries.  A pre-scan of the first layer builds no child that
+   provably scores above zero, those of generators with W = 0 and
+   y_ii = 0 wherever a_ii != 0 (lemma in ``_search_word``).
 
 Every recorded factor is built without the public constructors' checks,
 since each is in range and invertible by construction: the transvection
 products and diagonal scalings have entries reduced mod p and a nonzero
 diagonal, and the right factors (the B-diagonal blocks, block_diag(P, I),
-upper(-B) and block_diag(I, V)) have diagonal 2x2 cells of nonzero
-determinant or, for V, a unit diagonal.  The proof of each sits beside
-its build.  The working state (``_Reduction``) keeps U and Q as packed
-tuples: a left stage applies its row moves to A, B and U instead of
-multiplying by its factor, and a right stage updates Q's block rows by
-g's column moves, so U and Q are built once, at the end.  The two
-self-checks, canonical shape and certificate, stay explicit raises over
-the result on every path.
+upper(-B) and the row pass's column factor) have diagonal 2x2 cells of
+nonzero determinant.  The proof of each sits beside its build.  The
+working state (``_Reduction``) keeps U and Q as packed tuples: a left
+stage applies its row moves to A, B and U instead of multiplying by its
+factor, and a right stage updates Q's block rows by g's column moves, so
+U and Q are built once, at the end.  The two self-checks, canonical shape
+and certificate, stay explicit raises over the result on every path.
 
-Nothing a stage has just built is rediscovered.  Every right factor
-carries its column moves from its builder, which knows where g - I is
-nonzero: the diagonal cells of the B-diagonal blocks
-(``GL2Element._diagonal_cells``), the nonzero entries of -B in upper(-B),
-P's entries below the diagonal in block_diag(P, I), and those of V - I in
-block_diag(I, V); the search's generators list theirs once.  The
-certificate's Q is built from packed blocks without moves, so
-``verify_certificate`` scans it afresh, and the self-check does not rest
-on any recorded move.  A left stage taken while U is still the identity
-reads its factor off the new U (L I = L).  In the closed form, row
-clearing sets A to the identity it is proved to reach, and
-``is_canonical`` accepts the result (I, 0) with one comparison.
+Nothing a stage has just built is rediscovered.  Every right factor of
+the closed form and the cleanup carries its column moves from its
+builder, which knows where g - I is nonzero: the diagonal cells of the
+B-diagonal blocks (``GL2Element._diagonal_cells``), the nonzero entries
+of -B in upper(-B) and P's entries below the diagonal in block_diag(P,
+I); the search's generators list theirs once.  The row pass's column
+factor is the one exception: it is built on the same lists as the pair,
+and its moves are scanned once, by ``act_right``.  The certificate's Q is built from packed blocks
+without moves, so ``verify_certificate`` scans it afresh, and the
+self-check does not rest on any recorded move.  A left stage taken while
+U is still the identity reads its factor off the new U (L I = L).  In
+the closed form, row clearing sets A to the identity it is proved to
+reach, and ``is_canonical`` accepts the result (I, 0) with one
+comparison.
 """
 
 import functools
@@ -125,7 +128,7 @@ class Stage:
 
 
 class Trace:
-    """Ordered stage snapshots plus the pivot list of the final phase."""
+    """Ordered stage snapshots plus the pivots (i, j(i)), j(i) != i, of the row pass."""
 
     def __init__(self, stages, pivots):
         self.stages = list(stages)
@@ -474,18 +477,6 @@ class _Reduction:
         return Certificate(_trusted(f, n, self.u), Q)
 
 
-def _offense(pair):
-    """Entries of the A part (plus B diagonal) blocking canonical shape.
-
-    These are the diagonal entries of A outside {0, 1}, the nonzero
-    diagonal entries of B and the nonzero entries of A below its diagonal;
-    phase one is done exactly when none is left.
-    """
-    adiag = pair.A.diag()
-    below = sum(1 for v in pair.A.entries if v) - sum(1 for a in adiag if a)
-    return below + sum(1 for a in adiag if a > 1) + sum(1 for b in pair.B.diag() if b)
-
-
 def _clear_b_diagonal(red):
     """Right-multiply by per-index blocks making the B diagonal zero.
 
@@ -583,7 +574,7 @@ def _sweep_a(rows, p):
 
 
 def _cleanup(red):
-    """Phase one: clear the B diagonal, then apply the moves of ``_sweep_a``.
+    """The cleanup before a search: clear the B diagonal, then apply ``_sweep_a``.
 
     Each pass's moves become recorded factors, and the A they produce is
     checked against the swept rows.
@@ -613,58 +604,19 @@ def _cleanup(red):
             red.scale(moves)
         else:
             red.left(label, moves)
-        assert red.pair.A.entries == tuple(v for row in rows for v in row)
-
-
-def _trailing_echelon(red):
-    """Left row operations making the trailing columns of G pairwise distinct.
-
-    Full row rank alone does not make the pivot rules satisfiable: two rows
-    may share their last nonzero column, and then no right unit can spread
-    them over distinct columns.  Subtracting earlier rows until trailing
-    columns differ restores admissibility; afterwards every row simply
-    pivots on its own trailing column.  Only zero-diagonal rows are mixed,
-    so the A part is untouched.
-
-    Returns those pivots (row, trailing column), ascending by row: exactly
-    what ``select_pivots`` returns on the new G, whose nonzero rows are the
-    zero-diagonal ones once the unit rows of B are zero.  Proof.  For each
-    row, in ascending order, the trailing column is unused (the trailing
-    columns are distinct) and is the largest nonzero column of the row, so
-    the search tries it first and it meets the no-entries-to-the-right
-    rule.  Its minor passes too: with rows and chosen columns both ordered
-    by trailing column, the minor is lower triangular, as each row vanishes
-    right of its own trailing column, with the nonzero trailing entries on
-    its diagonal.
-    """
-    n, f = red.n, red.field
-    p = f.p
-    A = red.pair.A
-    work = [red.pair.B.row(i) for i in range(1, n + 1)]
-    moves = []
-    owner = {}
-    for i in range(1, n + 1):
-        if A.entry(i, i) != 0:
-            continue
-        while True:
-            trail = next((j for j in range(n, 0, -1) if work[i - 1][j - 1]), None)
-            assert trail is not None, "zero-diagonal row of G vanished"
-            prev = owner.get(trail)
-            if prev is None:
-                owner[trail] = i
-                break
-            t = f.neg(f.div(work[i - 1][trail - 1], work[prev - 1][trail - 1]))
-            work[i - 1] = [(a + t * b) % p
-                           for a, b in zip(work[i - 1], work[prev - 1])]
-            moves.append((i - 1, prev - 1, t))  # row i += t * row prev
-    if moves:
-        red.left("trailing_echelon", moves)
-        assert [red.pair.B.row(i) for i in range(1, n + 1)] == work
-    return sorted((i, j) for j, i in owner.items())
+        if red.pair.A.entries != tuple(v for row in rows for v in row):
+            raise CanonicalizationFailed(
+                f"cleanup self-check failed: the {label} pass left A off its swept rows")
 
 
 def _cleaned_offense(pair):
-    """``_offense`` of the pair after ``_cleanup``, computed on A' alone.
+    """The offense of the pair after ``_cleanup``, computed on A' alone.
+
+    The offense of a pair counts the entries that keep its A part from
+    canonical shape: diagonal entries of A outside {0, 1}, nonzero
+    diagonal entries of B and nonzero entries of A below its diagonal.
+    ``_reduce_general`` runs the cleanup and the word search only while
+    this count is above 0.
 
     A' is A with column c replaced by column c of B wherever a_cc = 0, if
     some b_cc != 0; else A' = A.  Proof.  ``_clear_b_diagonal`` acts by
@@ -674,7 +626,7 @@ def _cleaned_offense(pair):
     diag(u) diag(B) stays zero, or right-multiplies by block_diag(M, I),
     which leaves B alone; and each decides its moves from A alone.  So the
     cleanup ends on A'' = ``_sweep_a`` of A', with a 0/1 diagonal, and a
-    zero B diagonal: ``_offense`` counts the nonzero entries of A'' below
+    zero B diagonal: the offense counts the nonzero entries of A'' below
     the diagonal.
 
     Only the similarity pass runs: the count is #{i > j : a_ij != 0 after
@@ -938,53 +890,130 @@ def _b_transvection(red):
               "b_transvection")
 
 
+def _reduce_rows(red):
+    """One row pass from a free pair with a canonical jump map j to c(j).
+
+    c(j) is the canonical pair of j (``is_canonical_jump_map``): a_rr = 1
+    where j(r) = r, and b_(r, j(r)) = 1 elsewhere.  Rows i = 1..n are taken
+    in order, keeping the invariant that each earlier row r is the unit
+    vector at its pivot P_r, which is a_r if j(r) = r and b_j(r) otherwise.
+    1. Row moves: for each earlier r, row i -= (its entry at P_r) row r.
+       Row r is a unit vector, so this zeroes exactly that entry, and row i
+       is now 0 at every earlier pivot.
+    2. Let k be the largest pair (a_k, b_k) where row i is nonzero; then
+       k = j(i).  Proof.  Row i is nonzero, as the pair is free.  The
+       earlier rows are distinct unit vectors and row i vanishes at their
+       leads, so in the row pass of ``trimat._augmented_jumps`` row i
+       enters unreduced with its lead in pair k; and the jump map is an
+       orbit invariant.
+    3. One diagonal cell at pair k.  If k = i, it sends row i's (x, y) =
+       (a_k, b_k) to (1, 0) by the closed form's cells (see
+       ``_reduce_unimodular``); no earlier row pivots in pair i.  If k < i,
+       it sends (x, y) to (0, 1) by (1, 0; -x/y, 1/y) when y != 0, and by
+       (0, 1/x; 1, 0) when y = 0.  Each cell has a nonzero determinant.
+       b_k is never an earlier pivot, as that would take the value k twice
+       at rows other than k, which a canonical j does not.  Where row k
+       pivots at a_k, step 1 made x = 0, so the cell is diag(1, 1/y) and
+       column a_k does not move.  So the earlier rows do not change.
+    4. Column moves: each remaining nonzero of row i lies in a pair c < k
+       and is cleared by a multiple of the pivot column.  The group allows
+       this because k > c, and the earlier rows, 0 in the pivot column, do
+       not change.
+    Row i is now the unit vector at its pivot, so the pass ends on c(j),
+    and no swap stage is needed.
+
+    Left and right multiplication commute, so all row moves make one left
+    stage, ``row_reduction``, and the cells and column moves one right
+    factor, their product, ``column_reduction``; a stage that would be the
+    identity is not recorded, so c(j) itself records none.  The pass runs
+    on plain lists: each column of the pair is stacked over the same
+    column of the right factor, so one column operation updates both.
+    The factor is built unchecked: its cells have nonzero determinant and
+    the rest are lower transvections, so it is in the group.  Returns the
+    pivots (i, j(i)) for each j(i) != i, ascending in i.
+    """
+    f, n = red.field, red.n
+    p = f.p
+    a, b = red.pair.A.entries, red.pair.B.entries
+    # cols[2c + s] is column c of A (s = 0) or B (s = 1) in rows 0..n-1,
+    # over the same column of the right factor: its block that reads A (X
+    # or Y) in rows n..2n-1, and its block that reads B (W or Z) below.
+    cols = []
+    for c in range(n):
+        for s, e in enumerate((a, b)):
+            cols.append([e[r * (r + 1) // 2 + c] if r >= c else 0 for r in range(n)] + [0] * 2 * n)
+            cols[-1][(s + 1) * n + c] = 1
+    row_moves, pivots, taken = [], [], []
+    for i in range(n):
+        for r, q in enumerate(taken):
+            t = cols[q][i]
+            if t:
+                row_moves.append((i, r, p - t))  # row i -= t * row r
+                cols[q][i] = 0
+        k = next(c for c in range(i, -1, -1) if cols[2 * c][i] or cols[2 * c + 1][i])
+        ca, cb = cols[2 * k], cols[2 * k + 1]
+        x, y = ca[i], cb[i]
+        if k == i:
+            q, inv = 2 * k, pow(x or y, p - 2, p)
+            cell = (inv, -y * inv % p, 0, 1) if x else (0, p - 1, inv, 0)
+        else:
+            q, inv = 2 * k + 1, pow(y or x, p - 2, p)
+            cell = (1, 0, -x * inv % p, inv) if y else (0, inv, 1, 0)
+            pivots.append((i + 1, k + 1))
+        if cell != (1, 0, 0, 1):
+            cx, cy, cw, cz = cell
+            cols[2 * k] = [(u * cx + v * cw) % p for u, v in zip(ca, cb)]
+            cols[2 * k + 1] = [(u * cy + v * cz) % p for u, v in zip(ca, cb)]
+        support = [(r, v) for r, v in enumerate(cols[q]) if v]
+        for col in cols[:2 * k]:
+            t = col[i]
+            if t:
+                for r, v in support:
+                    col[r] = (col[r] - t * v) % p
+        taken.append(q)
+    if row_moves:
+        red.left("row_reduction", row_moves)
+    blocks = (tuple(cols[2 * c + s][h * n + r] for r in range(n) for c in range(r + 1))
+              for h in (1, 2) for s in (0, 1))  # X, Y, W, Z, packed
+    g = GL2Element._trusted(*(_trusted(f, n, e) for e in blocks))
+    if g != GL2Element.identity(f, n):
+        red.right(g, "column_reduction")
+    return pivots
+
+
 def _reduce_general(red):
     """Paths 2 and 3 of the module docstring, for a pair that is not unimodular.
 
-    Returns the pivots of ``_trailing_echelon``.  Raises NotFree or
-    CanonicalizationFailed as ``jump_map`` decides,
-    before any stage, or CanonicalizationFailed if the search stalls.
+    Raises NotFree or CanonicalizationFailed as ``jump_map`` decides,
+    before any stage.  Then, while ``_cleaned_offense`` of the pair is
+    above 0, it runs the cleanup and the word search and applies the word;
+    ``_reduce_rows`` finishes from whatever state they leave, and its
+    pivots are returned.
+
+    The loop terminates.  The cleanup leaves a pair on which it is a no-op
+    (zero B diagonal, 0/1 diagonal in A, and every nonzero below it
+    between zero diagonals; see ``_sweep_a``), so the search's base score
+    is the count that let the round run.  Each word it returns scores 0 or
+    strictly below that base (``_search_word``), and its score is the next
+    round's count.  A word of None, never observed, ends the loop as well.
     """
     jumps = jump_map(red.pair)
     if 0 in jumps:
         raise NotFree("canonicalize requires a free pair")
     if not is_canonical_jump_map(jumps):
-        # The jump map is an orbit invariant: no word search could succeed.
+        # The jump map is an orbit invariant: no reduction could succeed.
         raise CanonicalizationFailed(
             "the orbit invariant matches no canonical pair; "
             "this free pair generates an orbit without a canonical form")
-    max_rounds = red.n * red.n + 2
-    for _ in range(max_rounds):
+    while _cleaned_offense(red.pair):
         _cleanup(red)
-        if _offense(red.pair) == 0:
-            break
         word = _search_word(red.pair, _search_generators(red.field, red.n),
                             _search_reach(red.field, red.n))
         if word is None:
-            raise CanonicalizationFailed(
-                f"search budget exhausted at offense {_offense(red.pair)}")
+            break
         for g in word:
             red.right(g, "search")
-    else:
-        raise CanonicalizationFailed("reduction did not converge")
-
-    # Phase two: zero the unit rows of B, then normalize pivots.  A is
-    # diagonal 0/1 here, so row i of AB is a_ii times row i of B, and AB is
-    # nonzero exactly when some row with a_ii = 1 has a nonzero row of B.
-    a, b = red.pair.A.entries, red.pair.B.entries
-    if any(a[d] and any(b[d - i:d + 1]) for i, d in enumerate(_diagonal_offsets(red.n))):
-        _b_transvection(red)
-    pivots = _trailing_echelon(red)
-    V = build_v(red.pair.B, pivots)
-    one = LowerTriMatrix.identity(red.field, red.n)
-    if V != one:
-        zero = LowerTriMatrix.zero(red.field, red.n)
-        # build_v returns only units, so block_diag(I, V) is in the group.
-        # Its moves are the nonzero entries of V - I, from B into B'.
-        red.right(GL2Element._trusted(one, zero, zero, V,
-                                      ([], _block_moves(1, V.entries, red.n, one.entries))),
-                  "v_step")
-    return pivots
+    return _reduce_rows(red)
 
 
 def canonicalize(pair: ModulePair):
@@ -995,32 +1024,26 @@ def canonicalize(pair: ModulePair):
     is the identity, which is free and canonical, so the NotFree and
     ``is_canonical_jump_map`` decisions could only pass and are skipped.
     The general reduction would end on the same pair and never search:
-    after ``_clear_b_diagonal`` every diagonal entry of A is nonzero, so
-    ``_sweep_a`` leaves A = I and ``_offense`` is 0.  So the closed form
-    changes no result and no search count, only the recorded stages and
-    the certificate.
+    A' (see ``_cleaned_offense``) has a nonzero diagonal, so the similarity
+    pass clears everything below it, the count is 0, and ``_reduce_rows``
+    ends on c(j) = (I, 0).  So the closed form changes no result and no
+    search count, only the recorded stages and the certificate.
 
     Any other pair is decided by ``jump_map`` first: NotFree on non-free
     input, and CanonicalizationFailed when the jump map proves no
     canonical form exists (possible from n = 4 on).  Then the general
-    reduction runs.  Phase one leaves A diagonal 0/1 with a zero B
-    diagonal.  Phase two right-multiplies by (I, -B; 0, I), giving
-    (A, B - AB), so the unit rows of B are zero and, by freeness, every
-    other row is not; it makes the trailing columns of those rows distinct
-    (``_trailing_echelon``, whose pivots are those of ``select_pivots``)
-    and normalizes them with the right unit V of ``build_v``.  That ends on
-    the canonical shape, so the paper's K step is the identity and is not
-    run.  Proof.  For a pivot (i, j), row i of B vanishes right of column
-    j, and V solves (BV)_il = [l == j] for every l <= j; so row i of BV is
-    e_j, the pivots are distinct, and ``build_k`` finds no residue below
-    any pivot.
+    reduction runs: the cleanup and the word search only while a cleanup
+    would leave entries for the search, then the row pass
+    ``_reduce_rows``, which ends on the canonical pair c(j) of the jump
+    map j.  Its pivots are those of the paper's pivot search
+    ``select_pivots`` on the result, and the paper's K step ``build_k``
+    would be the identity there: each row of c(j) is a unit vector, and
+    the 1s of B sit in distinct columns.
 
     Returns (canonical pair, certificate, trace); the certificate is
-    checked by multiplication before returning.  Also raises
-    CanonicalizationFailed, in principle, if the bounded word search stalls
-    on a reachable input (never observed; the acceptance suite tracks both
-    counts) or a self-check of the result (canonical shape, certificate)
-    fails.
+    checked by multiplication before returning.  CanonicalizationFailed is
+    raised only when the jump map is not canonical, or when a self-check
+    (the cleanup's swept rows, canonical shape, certificate) fails.
     """
     red = _Reduction(pair)
     if pair.is_unimodular():

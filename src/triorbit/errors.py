@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every error that a caller is expected to catch has a dedicated class here;
-internal logic errors use plain assertions instead, except the self-checks
-whose verdicts must also hold under ``python -O``.
+Every error that a caller is expected to catch has a dedicated class here.
+Internal checks raise these classes too, never ``assert``, so each of them
+also runs under ``python -O``; ``tests/test_package.py`` parses the
+package for assert statements.
 """
 
 
@@ -73,11 +74,11 @@ class SingularSystem(TriOrbitError, ValueError):
 class CanonicalizationFailed(TriOrbitError, RuntimeError):
     """A free pair could not be brought to canonical form.
 
-    Almost always because its orbit holds no canonical pair: two rows
-    r, r' other than c share the jump j(r) = j(r') = c, as
-    ``canonical.jump_map`` shows up front (possible from n = 4 on).  It is
-    also raised if the word search stalls or a self-check fails; neither
-    has been observed.
+    Raised when its orbit holds no canonical pair: two rows r, r' other
+    than c share the jump j(r) = j(r') = c, as ``canonical.jump_map`` shows
+    up front (possible from n = 4 on).  Every other free pair reaches its
+    canonical pair by a proved row pass, so the only other cause is a
+    failed self-check, which has not been observed.
     """
 
 
@@ -94,15 +95,3 @@ class NotCanonical(TriOrbitError, ValueError):
 
 class InvalidPartition(TriOrbitError, ValueError):
     """The blocks do not form a partition of {1..n}."""
-
-
-class VerificationFailed(TriOrbitError, RuntimeError):
-    """Exhaustive classification check found a counterexample.
-
-    The offending report is attached as ``report``.
-    """
-
-    def __init__(self, report):
-        self.report = report
-        failed = [name for name, ok in report.verdicts.items() if not ok]
-        super().__init__("verification failed: " + ", ".join(failed))

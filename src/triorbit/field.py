@@ -99,7 +99,9 @@ class GF:
             q = r // nr
             r, nr = nr, r - q * nr
             s, ns = ns, s - q * ns
-        assert r == 1
+        if r != 1:
+            # r = gcd(p, a), which is 1 for a prime p and 0 < a < p.
+            raise NonPrimeModulus(f"{a} shares the factor {r} with the modulus {self.p}")
         return s % self.p
 
     def div(self, a: int, b: int) -> int:

@@ -13,7 +13,7 @@ import os
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidBudget, NotFree
 from .field import GF
-from .trimat import LowerTriMatrix, _diagonal_offsets, augmented_rank, parse_matrix
+from .trimat import LowerTriMatrix, _decimal, _diagonal_offsets, augmented_rank, parse_matrix
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -257,7 +257,7 @@ def parse_pair(text: str) -> ModulePair:
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError('pair file must start with a line "n p"')
-    n, p = int(header[0]), int(header[1])
+    n, p = _decimal(header[0]), _decimal(header[1])
     field = GF(p)
     body = lines[1:]
     if len(body) != 2 * n:

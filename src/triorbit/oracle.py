@@ -21,7 +21,7 @@ import random
 
 from .canonical import canonicalize, enumerate_canonical
 from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
-                     InconsistentDecomposition, InvalidSampleCount, VerificationFailed)
+                     InconsistentDecomposition, InvalidSampleCount)
 from .field import GF
 from .gl2 import GL2Element, orbit_generators
 from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
@@ -350,18 +350,16 @@ def _decompose(keys, generators, p):
     return [groups[root] for root in sorted(groups)]
 
 
-def orbit_decomposition(n, p, budget=None, generators=None):
+def orbit_decomposition(n, p, budget=None):
     """Decompose the free submodules at (n, p) into group orbits."""
-    report, _ = _build_report(n, p, budget, generators)
+    report, _ = _build_report(n, p, budget)
     return report
 
 
-def _build_report(n, p, budget=None, generators=None):
+def _build_report(n, p, budget=None):
     field = GF(p)
     keys = _free_submodule_keys(field, n, budget)
-    if generators is None:
-        generators = orbit_generators(field, n)
-    orbits = _decompose(keys, generators, p)
+    orbits = _decompose(keys, orbit_generators(field, n), p)
 
     canonical_pairs = enumerate_canonical(n, field) if n >= 2 else []
     canonical_of = {}
@@ -421,20 +419,17 @@ def random_free_pairs(field, n, count, seed):
 
 
 def verify_classification(n, p, budget=None, samples=2000, seed=0,
-                          exhaustive_check_cap=8192, generators=None,
-                          raise_on_failure=False):
+                          exhaustive_check_cap=8192):
     """Run the full exhaustive verification and return the OrbitReport.
 
     The canonicalizer check covers every free pair when their number is at
     most ``exhaustive_check_cap``, otherwise ``samples`` pseudorandom free
     pairs drawn with the recorded seed; that sampled check raises
     InvalidSampleCount when ``samples`` is below 1, since it would check
-    no pair and pass.  With ``raise_on_failure`` the report is wrapped in a
-    VerificationFailed exception instead of being returned with failing
-    verdicts.
+    no pair and pass.  A failing check is reported in the verdicts, with a
+    counterexample, and is not raised.
     """
-    report, (keys, orbits, orbit_of, orbit_canonical) = _build_report(
-        n, p, budget, generators)
+    report, (keys, orbits, orbit_of, orbit_canonical) = _build_report(n, p, budget)
     field = GF(p)
 
     report.verdicts["orbit_count_equals_bell"] = report.orbit_count == report.bell
@@ -495,6 +490,4 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
                 if o.canonical_count != 1 or o.mixed_flags:
                     report.counterexample = _key_pair(field, keys[min(orbits[i])])
                     break
-        if raise_on_failure:
-            raise VerificationFailed(report)
     return report

@@ -11,7 +11,7 @@ well defined.
 from .errors import BudgetExceeded, InvalidPartition, NotCanonical
 from .field import GF
 from .modpairs import ModulePair, enumeration_budget
-from .trimat import LowerTriMatrix
+from .trimat import LowerTriMatrix, _decimal
 
 
 class SetPartition:
@@ -69,9 +69,9 @@ class SetPartition:
             if not inner:
                 raise InvalidPartition("empty block")
             try:
-                block = [int(piece) for piece in inner.split(",")]
+                block = [_decimal(piece.strip()) for piece in inner.split(",")]
             except ValueError as exc:
-                raise InvalidPartition(f"bad block {inner!r}") from exc
+                raise InvalidPartition(f"bad block {inner!r}: {exc}") from exc
             blocks.append(block)
             rest = rest[end + 1:].strip()
         return cls(blocks)
@@ -156,7 +156,8 @@ def pair_to_partition(pair: ModulePair) -> SetPartition:
     ones = [(i, j) for i in range(2, n + 1) for j in range(1, i) if B.entry(i, j)]
     for i, j in ones:
         label = j - sum(1 for r, c in ones if r < i and c < j)
-        assert label in blocks, "canonical pair produced a stray block label"
+        if label not in blocks:
+            raise InvalidPartition("canonical pair produced a stray block label")
         blocks[label].append(i)
     return SetPartition(blocks.values())
 
@@ -190,7 +191,8 @@ def partition_to_pair(n: int, part: SetPartition, field=None) -> ModulePair:
         s = block_of[x]
         free_cols = [c for c in range(1, n + 1) if c not in used_columns]
         col = free_cols[s - 1]
-        assert col < x, "bijection construction placed an entry on or above the diagonal"
+        if col >= x:
+            raise InvalidPartition("the bijection placed an entry on or above the diagonal")
         used_columns.add(col)
         b_entries[(x, col)] = 1
     B = LowerTriMatrix.zero(field, n)

@@ -335,6 +335,19 @@ class LowerTriMatrix:
         return f"LowerTriMatrix(GF({self.field.p}), n={self.n}, {list(self.entries)})"
 
 
+def _decimal(token):
+    """The value of a token of ASCII decimal digits; ValueError naming any other.
+
+    ``int`` also reads signs, surrounding whitespace, digit-group
+    underscores and non-ASCII digits: "1_0" would read 10, and "\u0663", the
+    Arabic-Indic digit three, 3.  The text pair form and the partition
+    form read their integers here.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
+
+
 def parse_matrix(field, lines):
     """Parse the n-line text form; rejects nonzero entries above the diagonal."""
     rows = []
@@ -342,7 +355,7 @@ def parse_matrix(field, lines):
         parts = line.split()
         row = []
         for part in parts:
-            v = int(part)
+            v = _decimal(part)
             if not (0 <= v < field.p):
                 raise ValueError(f"entry {v} is not a canonical residue mod {field.p}")
             row.append(v)

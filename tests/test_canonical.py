@@ -35,9 +35,9 @@ from triorbit.canonical import (
     _cleaned_offense,
     _cleanup,
     _lower_rows,
-    _offense,
     _Reduction,
     _reduce_general,
+    _reduce_rows,
     _search_reach,
     _search_word,
     _sweep_a,
@@ -372,6 +372,62 @@ def test_general_reduction_agrees_on_unimodular_pairs(n, p):
         assert verify_certificate(pair, red.pair, red.certificate())
 
 
+def _check_row_pass(pair):
+    """Run ``_reduce_rows`` straight from ``pair`` and check where it ends."""
+    jumps = jump_map(pair)
+    red = _Reduction(pair)
+    pivots = _reduce_rows(red)
+    assert is_canonical(red.pair)
+    assert jump_map(red.pair) == jumps
+    assert verify_certificate(pair, red.pair, red.certificate())
+    assert pivots == [(r, c) for r, c in enumerate(jumps, start=1) if c != r]
+    assert "search" not in [stage.label for stage in red.stages]
+
+
+@pytest.mark.parametrize("n,p,expected", [(2, 2, 42), (2, 3, 624), (3, 2, 2520)])
+def test_row_pass_reaches_the_canonical_pair_of_every_free_pair(n, p, expected):
+    # Every free pair with a canonical jump map, unimodular or not: the row
+    # pass ends on c(j), the canonical pair of the input's jump map j, with
+    # a certificate that checks and the moved values of j as pivots.
+    checked = 0
+    for pair in free_pairs(GF(p), n):
+        if is_canonical_jump_map(jump_map(pair)):
+            _check_row_pass(pair)
+            checked += 1
+    assert checked == expected
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 2)])
+def test_row_pass_on_every_key_under_seeded_units(n, p):
+    # Each key's least pair under one seeded unit; the keys whose jump map
+    # is not canonical are counted and skipped.
+    checked = skipped = 0
+    for pair in _key_unit_pairs(n, p, 1):
+        if is_canonical_jump_map(jump_map(pair)):
+            _check_row_pass(pair)
+            checked += 1
+        else:
+            skipped += 1
+    # The 9 keys of the orbit without a canonical pair at (4,2).
+    assert checked and skipped == (9 if (n, p) == (4, 2) else 0)
+
+
+@pytest.mark.parametrize("n,p", [(8, 3), (10, 2)])
+def test_row_pass_on_large_seeded_pairs(n, p):
+    # The pass costs O(n^3) per pair and never searches: 300 pairs take
+    # under 0.1 s on a 2-core host, and the bound leaves 20x of that.
+    pairs = [pair for pair in random_free_pairs(GF(p), n, 300, seed=n * p)
+             if is_canonical_jump_map(jump_map(pair))]
+    start = time.perf_counter()
+    for pair in pairs:
+        _reduce_rows(_Reduction(pair))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    assert len(pairs) > 250
+    for pair in pairs:
+        _check_row_pass(pair)
+
+
 def _seeded_unimodular_pair(field, n, rng):
     p = field.p
     m = n * (n + 1) // 2
@@ -403,14 +459,14 @@ def test_closed_form_on_large_seeded_unimodular_pairs(n, p):
 
 
 @pytest.mark.parametrize("n,p,count,labels", [
-    (2, 2, None, {"diagonal_clearing", "similarity_right", "b_transvection"}),
-    (2, 3, None, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step"}),
-    (3, 2, None, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step",
-                  "search"}),
-    (6, 3, 1000, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step",
-                  "search"}),
-    (7, 5, 400, {"diagonal_clearing", "similarity_right", "b_transvection", "v_step",
-                 "search"}),
+    (2, 2, None, {"diagonal_clearing", "b_transvection", "column_reduction"}),
+    (2, 3, None, {"diagonal_clearing", "b_transvection", "column_reduction"}),
+    (3, 2, None, {"diagonal_clearing", "b_transvection", "column_reduction",
+                  "similarity_right", "search"}),
+    (6, 3, 1000, {"diagonal_clearing", "b_transvection", "column_reduction",
+                  "similarity_right", "search"}),
+    (7, 5, 400, {"diagonal_clearing", "b_transvection", "column_reduction",
+                 "similarity_right", "search"}),
 ])
 def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monkeypatch):
     # Right factors carry the column moves their builders know; a fresh
@@ -593,6 +649,18 @@ def test_search_reduced_states_flagged(gf2):
     assert is_canonical(result)
 
 
+def _offense(pair):
+    """Entries of the A part (plus B diagonal) blocking canonical shape.
+
+    These are the diagonal entries of A outside {0, 1}, the nonzero
+    diagonal entries of B and the nonzero entries of A below its diagonal:
+    the reference for ``_cleaned_offense``, counted on a recorded cleanup.
+    """
+    adiag = pair.A.diag()
+    below = sum(1 for v in pair.A.entries if v) - sum(1 for a in adiag if a)
+    return below + sum(1 for a in adiag if a > 1) + sum(1 for b in pair.B.diag() if b)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_cleaned_offense_equals_offense_after_cleanup(n, p):
@@ -672,16 +740,6 @@ def test_sweep_a_leaves_only_nilpotent_entries_below_the_diagonal(n, p):
         assert all(v in (0, 1) for r, row in enumerate(rows) for v in row[r:])
 
 
-def _around_v_step(pair, trace):
-    """The pair entering the V step and the pair it leaves (one pair if V = I)."""
-    before = pair
-    for stage in trace:
-        if stage.label == "v_step":
-            return before, stage.pair
-        before = stage.pair
-    return before, before
-
-
 def _key_unit_pairs(n, p, per_key):
     """Each key's least pair under ``per_key`` seeded units."""
     f = GF(p)
@@ -697,22 +755,21 @@ def _key_unit_pairs(n, p, per_key):
     (2, 3, 3), (3, 2, 3), (3, 3, 1), (4, 2, 1), (6, 3, 0),
 ])
 def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
-    # canonicalize takes the trailing columns as pivots and runs no K step:
-    # select_pivots must agree on the B entering the V step, and build_k
-    # must return the identity on the pair the V step leaves.  Every key
-    # under per_key seeded units, or 500 seed-0 pairs where per_key is 0.
+    # canonicalize runs neither the paper's pivot search nor its K step:
+    # select_pivots on the result's B must return the trace's pivots, and
+    # build_k on the result must return the identity.  Every key under
+    # per_key seeded units, or 500 seed-0 pairs where per_key is 0.
     pairs = (_key_unit_pairs(n, p, per_key) if per_key
              else random_free_pairs(GF(p), n, 500, seed=0))
     one = LowerTriMatrix.identity(GF(p), n)
     checked = 0
     for pair in pairs:
         try:
-            _, _, trace = canonicalize(pair)
+            result, _, trace = canonicalize(pair)
         except CanonicalizationFailed:
             continue
-        before, after = _around_v_step(pair, trace)
-        assert trace.pivots == select_pivots(before.B)
-        assert build_k(after.A, after.B) == one
+        assert select_pivots(result.B) == trace.pivots
+        assert build_k(result.A, result.B) == one
         checked += 1
     assert checked
 
@@ -725,7 +782,7 @@ def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
 # cap counts these calls.  Each entry is (all calls, calls on
 # non-unimodular pairs); only the second can include the search, and
 # unimodular pairs take the closed form, which makes at most three.
-SEED0_ACT_RIGHT_CALLS = {(4, 2): (9556, 6302), (5, 2): (11688, 11359), (3, 3): (6427, 1501)}
+SEED0_ACT_RIGHT_CALLS = {(4, 2): (7749, 4495), (5, 2): (11269, 10940), (3, 3): (5685, 759)}
 
 
 @pytest.mark.parametrize("n,p,count,steps,searched", [
@@ -798,7 +855,7 @@ def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
                 others += calls
         steps += trace.search_steps
         searched += trace.search_activated
-    assert (steps, searched, actions, others, censored) == (50, 48, 4960, 3169, 0)
+    assert (steps, searched, actions, others, censored) == (50, 48, 3845, 2054, 0)
 
 
 def _reference_search_word(pair, generators):
@@ -1008,14 +1065,12 @@ def test_trusted_factors_pass_the_public_checks(n, p, count):
                 assert stages[k + 1].label == "similarity_right"
                 assert stage.factor * stages[k + 1].factor.X == one
                 assert stages[k + 1].factor.X * stage.factor == one
-    # Every factor kind was built on the sample; scaling needs p > 2.  The
-    # trailing_echelon factor, from the same builder as row_clearing's,
-    # shows up on these samples only at p = 2.
+    # Every factor kind was built on the sample, the cleanup's before a
+    # search included; scaling needs p > 2.
     assert labels >= {"diagonal_clearing", "similarity_left", "similarity_right",
-                      "row_clearing", "b_transvection", "v_step"}
+                      "row_clearing", "b_transvection", "search",
+                      "row_reduction", "column_reduction"}
     assert ("scaling" in labels) == (p > 2)
-    if p == 2:
-        assert "trailing_echelon" in labels
 
 
 def _rank_mod_p(rows, p):

@@ -128,6 +128,18 @@ def test_canonicalize_parse_error_exits_2(tmp_path, capsys):
         assert out.startswith("error: bad pair file")
 
 
+def test_integers_outside_ascii_digits_exit_2(tmp_path, capsys):
+    f = tmp_path / "pair.txt"
+    f.write_text("2 11\n1 0\n1_0 1\n\n0 0\n\u0663 0\n", encoding="utf-8")
+    code, out = run_cli(capsys, "canonicalize", "--input", str(f))
+    assert code == 2
+    assert out.startswith("error: bad pair file: '1_0'")
+    code, out = run_cli(capsys, "convert", "partition-to-pair",
+                        "--n", "3", "--partition", "{1}{\u0662,3}")
+    assert code == 2
+    assert "\u0662" in out
+
+
 def test_canonicalize_p_mismatch(tmp_path, capsys):
     f = tmp_path / "pair.txt"
     f.write_text("2 2\n1 0\n0 0\n\n0 0\n1 0\n")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,19 @@ def test_pair_file_rejects_upper_entries():
 def test_pair_file_rejects_bad_header():
     with pytest.raises(ValueError):
         parse_pair("2\n1 0\n0 1\n\n0 0\n0 0\n")
+
+
+@pytest.mark.parametrize("text,token", [
+    ("2 11\n1 0\n1_0 1\n\n0 0\n\u0663 0\n", "1_0"),
+    ("2 11\n1 0\n1 1\n\n0 0\n\u0663 0\n", "\u0663"),
+    ("\u0662 3\n1 0\n0 1\n\n0 0\n0 0\n", "\u0662"),
+    ("2 1_1\n1 0\n0 1\n\n0 0\n0 0\n", "1_1"),
+])
+def test_text_pair_form_reads_only_ascii_decimal_digits(text, token):
+    # int() would read the entry "1_0" as 10, the Arabic-Indic digits as 3
+    # and 2, and the header "1_1" as 11; the error names the token.
+    with pytest.raises(ValueError, match=re.escape(repr(token))):
+        parse_pair(text)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,17 @@ def test_partition_validation():
         SetPartition.parse("{1,2")
     with pytest.raises(InvalidPartition):
         SetPartition.parse("")
+
+
+@pytest.mark.parametrize("text,token", [
+    ("{1}{\u0662,3}", "\u0662"), ("{1}{2,3_0}", "3_0"), ("{1}{+2}", "+2"),
+])
+def test_partition_parse_reads_only_ascii_decimal_digits(text, token):
+    # int() would read "{1}{\u0662,3}" as {1}{2,3}; spaces around an
+    # element stay allowed.
+    with pytest.raises(InvalidPartition, match=re.escape(repr(token))):
+        SetPartition.parse(text)
+    assert SetPartition.parse("{1}{ 2 , 3 }") == SetPartition.parse("{1}{2,3}")
 
 
 def test_six_dim_fixture_to_partition(pair_t6):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,14 @@ def test_parse_matrix_round_trip(gf5):
     assert parse_matrix(gf5, str(M).splitlines()) == M
     with pytest.raises(ValueError):
         parse_matrix(gf5, ["7 0", "1 1"])  # 7 is not a canonical residue
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+1", "-0", "\u00b2", "0x1"])
+def test_parse_matrix_reads_only_ascii_decimal_digits(token):
+    # int() reads "1_0" as 10 and the Arabic-Indic three as 3; the text
+    # form takes ASCII digits only, and the error names the token.
+    with pytest.raises(ValueError, match=re.escape(repr(token))):
+        parse_matrix(GF(11), ["1", f"{token} 1"])
 
 
 # -- ranks -------------------------------------------------------------------
