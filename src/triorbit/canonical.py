@@ -13,25 +13,25 @@ checkable by plain multiplication.  It takes one of three paths.
    computed: ``_reduce_unimodular`` reaches (I, 0) in closed form, in at
    most three stages (diagonal_clearing, row_clearing, b_transvection).
 2. Other pairs are decided by the exact orbit invariant ``jump_map``,
-   read off the row pass over [A|B] that also decides freeness and rank
-   (``trimat._augmented_jumps``): NotFree when a row is dependent, and
+   read off the one row pass over [A|B], ``trimat._row_pass``, which
+   also decides freeness and rank: NotFree when a row is dependent, and
    CanonicalizationFailed when the map matches no canonical pair.  From
    n = 4 on there are free pairs whose nilpotent structure is entangled
    across A and B, and their orbits hold no canonical pair.
-3. The remaining pairs end in one proved row pass, ``_reduce_rows``.
-   Rows are taken in order; row moves clear a row at the earlier pivots,
-   one 2x2 cell sets its pivot in the pair k = j(i), and column moves
-   clear the rest of the row.  The pass ends on the canonical pair c(j)
-   of the jump map j: a_rr = 1 where j(r) = r, and b_(r, j(r)) = 1
-   elsewhere.  All row moves make one left stage and the cells and
-   column moves one right factor, so it records at most two stages.  Its
-   pivots are those of the paper's pivot search ``select_pivots`` on the
-   result, and the paper's left unit ``build_k`` would be the identity
-   there; both stay public as the paper's construction.
-   Before the pass, and only while ``_cleaned_offense`` is above 0, a
+3. The remaining pairs end on the moves that the same pass records,
+   applied by ``_reduce_rows``: row moves clear each row at the earlier
+   pivots, one 2x2 cell sets its pivot in the pair k = j(i), and column
+   moves clear the rest of the row.  They end on the canonical pair c(j)
+   of j (a_rr = 1 where j(r) = r, b_(r, j(r)) = 1 elsewhere) in at most
+   two stages, one left and one right.  Their pivots are those of the
+   paper's pivot search ``select_pivots`` on the result, and the paper's
+   left unit ``build_k`` would be the identity there; both stay public
+   as the paper's construction.
+   Before the moves, and only while ``_cleaned_offense`` is above 0, a
    cleanup and a bounded best-first word search run, as they did before
    the pass existed, so the search sees the same pairs and takes the same
-   steps; every activation is flagged in the trace.  The cleanup clears
+   steps; every activation is flagged in the trace, and a second pass
+   records the moves from the pair the search leaves.  The cleanup clears
    the B diagonal, clears mixed-eigenvalue entries of A by triangular
    similarity, scales the diagonal and clears the rest of each unit row;
    ``_sweep_a`` sweeps A's rows as plain lists for the last three.  The
@@ -61,11 +61,11 @@ the closed form and the cleanup carries its column moves from its
 builder, which knows where g - I is nonzero: the diagonal cells of the
 B-diagonal blocks (``GL2Element._diagonal_cells``), the nonzero entries
 of -B in upper(-B) and P's entries below the diagonal in block_diag(P,
-I); the search's generators list theirs once.  The row pass's column
-factor is the one exception: it is built on the same lists as the pair,
-and its moves are scanned once, by ``act_right``.  The certificate's Q is built from packed blocks
-without moves, so ``verify_certificate`` scans it afresh, and the
-self-check does not rest on any recorded move.  A left stage taken while
+I); the search's generators list theirs once.  The row pass's
+factor is the one exception: its moves are scanned once, by
+``act_right``.  The certificate's Q is built from packed blocks without
+moves, so ``verify_certificate`` scans it afresh, and the self-check
+does not rest on any recorded move.  A left stage taken while
 U is still the identity reads its factor off the new U (L I = L).  In
 the closed form, row clearing sets A to the identity it is proved to
 reach, and ``is_canonical`` accepts the result (I, 0) with one
@@ -90,9 +90,9 @@ from .modpairs import ModulePair, enumeration_budget
 from .partitions import bell
 from .trimat import (
     LowerTriMatrix,
-    _augmented_jumps,
     _diagonal_offsets,
     _pos,
+    _row_pass,
     _trusted,
     matrix_rank,
     solve_mod_p,
@@ -662,24 +662,19 @@ def jump_map(pair):
     exactly when the count drops from i = r to r+1.  So the jump map and
     ``span_profile`` determine each other.
 
-    ``trimat._augmented_jumps`` computes it in one row pass, the one that
-    ``ModulePair.is_free`` runs: rows 1..n of [A|B], with the columns in
-    the order a_n, b_n, ..., a_1, b_1, go into one echelon basis, and k_r
-    is the column pair of row r's new lead, or 0 if row r is dependent.
-    Proof that k = j.  The basis vectors have distinct leads, and those of
-    rows <= i span rows <= i.  On the pairs > j, a leading block of the
-    column order, the vectors that lead there stay independent and the
-    others vanish, so rank(rows <= i on the pairs > j) = #{r <= i : k_r >
-    j}.  Projecting F_j onto the first i-1 coordinates has kernel F_j
-    intersect V_i and image the span of rows < i on the pairs >= j, so
-    dim(F_j intersect V_i) = #{r <= n : k_r >= j} - #{r < i : k_r >= j} =
-    #{r >= i : k_r >= j}, and k = j, zeros included: row r is dependent
-    exactly when lead r never enters the column echelon of F_1.  The
-    nonzero values number rank [A|B], so the pair is free iff no j(r) is
-    0.  Row r vanishes on the pairs above r, so j(r) <= r, and as a pair
-    holds two columns, no value is taken more than twice.
+    ``trimat._row_pass`` computes it: the pass ends with every row r 0 or
+    the unit vector at a pivot in pair k_r, the pivots distinct, and
+    returns k.  Proof that k = j.  Each row move is a left unit and each
+    column move a group element, so no dim(F_j intersect V_i) changes
+    (see ``span_profile``).  At the end every column is 0 or a distinct
+    e_r, those of the pairs >= j being the e_r with k_r >= j, so F_j
+    intersect V_i is spanned by the e_r with r >= i and k_r >= j, and
+    dim(F_j intersect V_i) = #{r >= i : k_r >= j}: k = j, zeros included.
+    The nonzero values number rank [A|B], so the pair is free iff no j(r)
+    is 0.  Row r vanishes on the pairs above r, so j(r) <= r, and as a
+    pair holds two columns, no value is taken more than twice.
     """
-    return _augmented_jumps(pair.A, pair.B)
+    return _row_pass(pair.A, pair.B)[0]
 
 
 def span_profile(pair):
@@ -698,11 +693,11 @@ def is_canonical_jump_map(jumps):
 
     Exactly the jump maps of canonical pairs pass; as jump maps and span
     profiles determine each other, a pair's ``span_profile`` matches a
-    canonical pair iff its jump map passes.  Proof.  The columns of a
-    canonical pair are 0 or distinct unit vectors e_r, as each row r holds
-    a single 1; they enter the basis unreduced, at j(r) = r when a_rr = 1
-    and at j(r) = c < r when b_rc = 1.  The 1s of B sit in distinct
-    columns, so the values j(r) != r are distinct.  Conversely, for a
+    canonical pair iff its jump map passes.  Proof.  Each row r of a
+    canonical pair is a unit vector, at a_r or at b_c with c < r, and the
+    1s of B sit in distinct columns: the shape the row pass ends on, so
+    (proof in ``jump_map``) j(r) = r when a_rr = 1 and j(r) = c when b_rc
+    = 1, and the values j(r) != r are distinct.  Conversely, for a
     passing j, a_rr = 1 where j(r) = r and b_(r,j(r)) = 1 elsewhere is a
     canonical pair, and by the above its jump map is j.  This bijection
     onto the canonical pairs shows that exactly Bell(n) jump maps pass.
@@ -890,105 +885,38 @@ def _b_transvection(red):
               "b_transvection")
 
 
-def _reduce_rows(red):
-    """One row pass from a free pair with a canonical jump map j to c(j).
+def _reduce_rows(red, passed=None):
+    """Apply the row pass's moves, which take a pair with a canonical j to c(j).
 
-    c(j) is the canonical pair of j (``is_canonical_jump_map``): a_rr = 1
-    where j(r) = r, and b_(r, j(r)) = 1 elsewhere.  Rows i = 1..n are taken
-    in order, keeping the invariant that each earlier row r is the unit
-    vector at its pivot P_r, which is a_r if j(r) = r and b_j(r) otherwise.
-    1. Row moves: for each earlier r, row i -= (its entry at P_r) row r.
-       Row r is a unit vector, so this zeroes exactly that entry, and row i
-       is now 0 at every earlier pivot.
-    2. Let k be the largest pair (a_k, b_k) where row i is nonzero; then
-       k = j(i).  Proof.  Row i is nonzero, as the pair is free.  The
-       earlier rows are distinct unit vectors and row i vanishes at their
-       leads, so in the row pass of ``trimat._augmented_jumps`` row i
-       enters unreduced with its lead in pair k; and the jump map is an
-       orbit invariant.
-    3. One diagonal cell at pair k.  If k = i, it sends row i's (x, y) =
-       (a_k, b_k) to (1, 0) by the closed form's cells (see
-       ``_reduce_unimodular``); no earlier row pivots in pair i.  If k < i,
-       it sends (x, y) to (0, 1) by (1, 0; -x/y, 1/y) when y != 0, and by
-       (0, 1/x; 1, 0) when y = 0.  Each cell has a nonzero determinant.
-       b_k is never an earlier pivot, as that would take the value k twice
-       at rows other than k, which a canonical j does not.  Where row k
-       pivots at a_k, step 1 made x = 0, so the cell is diag(1, 1/y) and
-       column a_k does not move.  So the earlier rows do not change.
-    4. Column moves: each remaining nonzero of row i lies in a pair c < k
-       and is cleared by a multiple of the pivot column.  The group allows
-       this because k > c, and the earlier rows, 0 in the pivot column, do
-       not change.
-    Row i is now the unit vector at its pivot, so the pass ends on c(j),
-    and no swap stage is needed.
+    ``passed`` is what ``trimat._row_pass`` returned, recording, for the
+    current pair; the pass runs here when it is not given.
 
     Left and right multiplication commute, so all row moves make one left
     stage, ``row_reduction``, and the cells and column moves one right
     factor, their product, ``column_reduction``; a stage that would be the
-    identity is not recorded, so c(j) itself records none.  The pass runs
-    on plain lists: each column of the pair is stacked over the same
-    column of the right factor, so one column operation updates both.
-    The factor is built unchecked: its cells have nonzero determinant and
-    the rest are lower transvections, so it is in the group.  Returns the
-    pivots (i, j(i)) for each j(i) != i, ascending in i.
+    identity is not recorded, so c(j) itself records none.  The factor is
+    built unchecked: its cells have nonzero determinant and the rest are
+    lower transvections, so it is in the group.  Returns the pivots (i,
+    j(i)) for each j(i) != i, ascending in i.
     """
-    f, n = red.field, red.n
-    p = f.p
-    a, b = red.pair.A.entries, red.pair.B.entries
-    # cols[2c + s] is column c of A (s = 0) or B (s = 1) in rows 0..n-1,
-    # over the same column of the right factor: its block that reads A (X
-    # or Y) in rows n..2n-1, and its block that reads B (W or Z) below.
-    cols = []
-    for c in range(n):
-        for s, e in enumerate((a, b)):
-            cols.append([e[r * (r + 1) // 2 + c] if r >= c else 0 for r in range(n)] + [0] * 2 * n)
-            cols[-1][(s + 1) * n + c] = 1
-    row_moves, pivots, taken = [], [], []
-    for i in range(n):
-        for r, q in enumerate(taken):
-            t = cols[q][i]
-            if t:
-                row_moves.append((i, r, p - t))  # row i -= t * row r
-                cols[q][i] = 0
-        k = next(c for c in range(i, -1, -1) if cols[2 * c][i] or cols[2 * c + 1][i])
-        ca, cb = cols[2 * k], cols[2 * k + 1]
-        x, y = ca[i], cb[i]
-        if k == i:
-            q, inv = 2 * k, pow(x or y, p - 2, p)
-            cell = (inv, -y * inv % p, 0, 1) if x else (0, p - 1, inv, 0)
-        else:
-            q, inv = 2 * k + 1, pow(y or x, p - 2, p)
-            cell = (1, 0, -x * inv % p, inv) if y else (0, inv, 1, 0)
-            pivots.append((i + 1, k + 1))
-        if cell != (1, 0, 0, 1):
-            cx, cy, cw, cz = cell
-            cols[2 * k] = [(u * cx + v * cw) % p for u, v in zip(ca, cb)]
-            cols[2 * k + 1] = [(u * cy + v * cz) % p for u, v in zip(ca, cb)]
-        support = [(r, v) for r, v in enumerate(cols[q]) if v]
-        for col in cols[:2 * k]:
-            t = col[i]
-            if t:
-                for r, v in support:
-                    col[r] = (col[r] - t * v) % p
-        taken.append(q)
+    jumps, row_moves, blocks = passed or _row_pass(red.pair.A, red.pair.B, record=True)
     if row_moves:
         red.left("row_reduction", row_moves)
-    blocks = (tuple(cols[2 * c + s][h * n + r] for r in range(n) for c in range(r + 1))
-              for h in (1, 2) for s in (0, 1))  # X, Y, W, Z, packed
-    g = GL2Element._trusted(*(_trusted(f, n, e) for e in blocks))
-    if g != GL2Element.identity(f, n):
+    g = GL2Element._trusted(*(_trusted(red.field, red.n, e) for e in blocks))
+    if g != GL2Element.identity(red.field, red.n):
         red.right(g, "column_reduction")
-    return pivots
+    return [(i, c) for i, c in enumerate(jumps, start=1) if c != i]
 
 
 def _reduce_general(red):
     """Paths 2 and 3 of the module docstring, for a pair that is not unimodular.
 
-    Raises NotFree or CanonicalizationFailed as ``jump_map`` decides,
-    before any stage.  Then, while ``_cleaned_offense`` of the pair is
-    above 0, it runs the cleanup and the word search and applies the word;
-    ``_reduce_rows`` finishes from whatever state they leave, and its
-    pivots are returned.
+    One row pass (``trimat._row_pass``) decides NotFree and
+    CanonicalizationFailed before any stage, and records its moves when
+    ``_cleaned_offense`` of the pair is 0.  Otherwise, while the count is
+    above 0, the cleanup and the word search run and the word is applied,
+    and a second pass records the moves from the pair they leave.
+    ``_reduce_rows`` applies the moves and returns the pivots.
 
     The loop terminates.  The cleanup leaves a pair on which it is a no-op
     (zero B diagonal, 0/1 diagonal in A, and every nonzero below it
@@ -997,15 +925,17 @@ def _reduce_general(red):
     strictly below that base (``_search_word``), and its score is the next
     round's count.  A word of None, never observed, ends the loop as well.
     """
-    jumps = jump_map(red.pair)
-    if 0 in jumps:
+    offense = _cleaned_offense(red.pair)
+    passed = _row_pass(red.pair.A, red.pair.B, record=not offense)
+    if 0 in passed[0]:
         raise NotFree("canonicalize requires a free pair")
-    if not is_canonical_jump_map(jumps):
+    if not is_canonical_jump_map(passed[0]):
         # The jump map is an orbit invariant: no reduction could succeed.
         raise CanonicalizationFailed(
             "the orbit invariant matches no canonical pair; "
             "this free pair generates an orbit without a canonical form")
-    while _cleaned_offense(red.pair):
+    while offense:
+        passed = None  # the search moves the pair, so _reduce_rows runs the pass again
         _cleanup(red)
         word = _search_word(red.pair, _search_generators(red.field, red.n),
                             _search_reach(red.field, red.n))
@@ -1013,7 +943,8 @@ def _reduce_general(red):
             break
         for g in word:
             red.right(g, "search")
-    return _reduce_rows(red)
+        offense = _cleaned_offense(red.pair)
+    return _reduce_rows(red, passed)
 
 
 def canonicalize(pair: ModulePair):
@@ -1025,20 +956,19 @@ def canonicalize(pair: ModulePair):
     ``is_canonical_jump_map`` decisions could only pass and are skipped.
     The general reduction would end on the same pair and never search:
     A' (see ``_cleaned_offense``) has a nonzero diagonal, so the similarity
-    pass clears everything below it, the count is 0, and ``_reduce_rows``
+    pass clears everything below it, the count is 0, and the row pass
     ends on c(j) = (I, 0).  So the closed form changes no result and no
     search count, only the recorded stages and the certificate.
 
-    Any other pair is decided by ``jump_map`` first: NotFree on non-free
-    input, and CanonicalizationFailed when the jump map proves no
-    canonical form exists (possible from n = 4 on).  Then the general
-    reduction runs: the cleanup and the word search only while a cleanup
-    would leave entries for the search, then the row pass
-    ``_reduce_rows``, which ends on the canonical pair c(j) of the jump
-    map j.  Its pivots are those of the paper's pivot search
-    ``select_pivots`` on the result, and the paper's K step ``build_k``
-    would be the identity there: each row of c(j) is a unit vector, and
-    the 1s of B sit in distinct columns.
+    Any other pair is decided first by the jump map of the row pass
+    ``trimat._row_pass``: NotFree on non-free input, and
+    CanonicalizationFailed when no canonical form exists (possible from n
+    = 4 on).  Then the cleanup and the word search run only while a
+    cleanup would leave entries for the search, and the moves of the row
+    pass end on the canonical pair c(j) of the jump map j.  Their pivots
+    are those of the paper's pivot search ``select_pivots`` on the result,
+    and its K step ``build_k`` would be the identity there: each row of
+    c(j) is a unit vector, and the 1s of B sit in distinct columns.
 
     Returns (canonical pair, certificate, trace); the certificate is
     checked by multiplication before returning.  CanonicalizationFailed is

@@ -75,10 +75,10 @@ class CanonicalizationFailed(TriOrbitError, RuntimeError):
     """A free pair could not be brought to canonical form.
 
     Raised when its orbit holds no canonical pair: two rows r, r' other
-    than c share the jump j(r) = j(r') = c, as ``canonical.jump_map`` shows
-    up front (possible from n = 4 on).  Every other free pair reaches its
-    canonical pair by a proved row pass, so the only other cause is a
-    failed self-check, which has not been observed.
+    than c share the jump j(r) = j(r') = c, as the row pass
+    ``trimat._row_pass`` finds before any stage (possible from n = 4 on).
+    Its moves take every other free pair to its canonical pair, so the
+    only other cause is a failed self-check, which has not been observed.
     """
 
 

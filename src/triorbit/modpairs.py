@@ -111,11 +111,11 @@ class ModulePair:
 
         Lemma: a unimodular pair is free, and its jump map
         (``canonical.jump_map``) is the identity.  Proof.  In the row pass
-        of ``trimat._augmented_jumps``, row i of [A|B] vanishes on the
-        column pairs above i and is nonzero on pair i, at a_ii or b_ii.
-        The earlier rows r < i lead in their own pairs r, so row i meets no
-        basis vector at its lead and enters unreduced, leading in pair i:
-        j(i) = i for every i, no j(i) is 0, and rank [A|B] = n.
+        ``trimat._row_pass``, row i of [A|B] vanishes on the column pairs
+        above i, and each move of an earlier row r acts on the pairs up to
+        r.  So pair i is untouched before row i, where it holds a_ii or
+        b_ii, nonzero, and the pass records k = i: j(i) = i for every i, no
+        j(i) is 0, and rank [A|B] = n.
         """
         a, b = self.A.entries, self.B.entries
         return all(a[d] or b[d] for d in _diagonal_offsets(self.n))
@@ -231,8 +231,8 @@ def parse_pair(text: str) -> ModulePair:
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
         try:
+            obj = json.loads(text)
             field = GF(_json_int(obj["p"]))
             n = _json_int(obj["n"])
             A = [[_json_int(v) for v in row] for row in obj["A"]]
@@ -241,6 +241,8 @@ def parse_pair(text: str) -> ModulePair:
             raise ValueError(f"structured pair lacks the field {exc}") from None
         except TypeError as exc:
             raise ValueError(f"structured pair has a malformed field: {exc}") from None
+        except RecursionError:
+            raise ValueError("structured pair is nested too deeply") from None
         for v in itertools.chain(*A, *B):
             if not 0 <= v < field.p:
                 raise ValueError(f"entry {v} is not a canonical residue mod {field.p}")

@@ -8,10 +8,10 @@ are handed (``_check_integers``: exactly ``int``, else InvalidEntry); the
 ring operations, whose results are reduced mod p by construction, build
 through ``_trusted`` instead.
 
-The module also holds the package's one mod-p elimination kernel and the
-computations built on it: matrix rank, a solver for linear systems, and
-the row pass over [A|B] (``_augmented_jumps``) that gives both the
-augmented rank and the jump map of a pair.
+The module also holds the package's one mod-p elimination kernel, with the
+matrix rank and linear solver built on it, and the row pass over [A|B]
+(``_row_pass``) that finds a pair's jump map, and with it the augmented
+rank, and records the moves that take the pair to its canonical form.
 """
 
 import operator
@@ -428,36 +428,103 @@ def solve_mod_p(rows, width, p):
     return solution
 
 
-def _augmented_jumps(A, B):
-    """The row pass over [A|B]: per row i, the column pair where it leads.
+def _row_pass(A, B, record=False):
+    """One row pass over [A|B]: the jump map, and on request the moves that reduce the pair.
 
-    The columns are taken in the order a_n, b_n, a_(n-1), ..., a_1, b_1,
-    and rows 1..n go through ``_echelon_insert`` in turn.  Row i records
-    n - floor(lead / 2), the index j of the pair (a_j, b_j) holding its
-    new lead, or 0 when it is dependent.  Row i vanishes on the pairs
-    above i, so its entry is at most i, and a unimodular pair leads every
-    row at its own diagonal and meets no reduction.  The tuple is the
-    pair's jump map (proof in ``canonical.jump_map``).
+    Rows i = 1..n are taken in order, each earlier row r being 0 or the
+    unit vector at its pivot P_r, in distinct columns.  A cell (x, y; w,
+    z) at pair k is the diagonal entry of the blocks X, Y, W, Z of a group
+    element: it sends columns (a_k, b_k) to (x a_k + w b_k, y a_k + z b_k).
+    1. Row moves: for each earlier pivot P_r, row i -= (its entry at P_r)
+       row r, which zeroes exactly that entry.
+    2. If row i is now 0, it records 0 and takes no pivot; no later move
+       changes a zero row.  Otherwise it records the largest pair k where
+       it is nonzero, with entries (x, y) there.
+    3. One cell at pair k sets P_i to 1 and the pair's other entry to 0:
+       - k = i, or b_k an earlier pivot (a third row in pair k, where step
+         1 made y = 0, so x != 0 and a_k is no pivot): P_i = a_k, by
+         (1/x, -y/x; 0, 1), or (0, -1; 1/y, 0) when x = 0.
+       - Otherwise P_i = b_k, by (1, 0; -x/y, 1/y), or (0, 1/x; 1, 0) when
+         y = 0.  Where row k pivots at a_k, step 1 made x = 0, and the cell
+         diag(1, 1/y) leaves a_k alone.
+       Each cell has a nonzero determinant.  Multiples of the pivot column
+       then clear the row in the pairs c < k, which the group allows as k >
+       c.  The earlier rows are 0 in the pivot column and in each column the
+       cell changes, so they stay as they are.
+    The pass ends with every row 0 or the unit vector at its pivot, in the
+    pair it recorded, which is the jump map (proof in ``canonical.jump_map``).
+
+    Column moves act on rows one by one and leave the earlier pivots'
+    entries alone, so each row runs those of the earlier rows when it is
+    reached, each followed by that row's row move.  Run so, the cell and
+    clearing of row r are one column step at the entry e that the cell
+    carries to P_r: column e is scaled by 1/(row r at e), and multiples of
+    it leave the other columns; the two cells given for x = 0 and y = 0
+    then swap the pair, the first negating the new b_k.
+
+    Returns (jumps, None, None): the jump map, 0 for a row the row moves
+    make zero.  With ``record``, the Nones are the row moves (i, r, t),
+    0-based, row i += t row r, in order, and the right factor, the product
+    of the cells and column moves, as packed X, Y, W, Z; its rows start as
+    the identity's and run every column step after the pair's rows.  The
+    moves take a free pair with a canonical jump map to its canonical pair.
     """
     A._check_compatible(B)
     n, p = A.n, A.field.p
-    a_entries, b_entries = A.entries, B.entries
-    basis = {}
-    jumps = []
-    for i in range(1, n + 1):
-        start = _pos(i, 1)
-        a = a_entries[start:start + i][::-1]
-        b = b_entries[start:start + i][::-1]
-        lead = _echelon_insert(
-            basis, [0] * (2 * (n - i)) + [v for ab in zip(a, b) for v in ab], p)
-        jumps.append(0 if lead is None else n - lead // 2)
-    return tuple(jumps)
+    a, b = A.entries, B.entries
+    # Per pivot row: (row, e, 1 / (row at e), the row, swap), the row being 0
+    # beyond its pair k; swap is 0, 1 for a plain swap of pair k, or p - 1 for a
+    # negating one.  b_pivots holds 2k for each b_k that is a pivot.
+    steps, jumps, row_moves, b_pivots = [], [], [], set()
+    factor = [[int(c == m) for c in range(2 * n)] for m in range(2 * n if record else 0)]
+    for i in range(n + len(factor)):
+        if i < n:
+            # Row i as (a_i1, b_i1, ..., a_ii, b_ii), 0-based: pair k at 2k, 2k + 1.
+            start = i * (i + 1) // 2
+            w = [0] * (2 * i + 2)
+            w[0::2], w[1::2] = a[start:start + i + 1], b[start:start + i + 1]
+        else:
+            w = factor[i - n]
+        # Each column step; a pair row then makes the row move that zeroes
+        # the entry at e, and a factor row keeps the scaled entry there.
+        for r, e, inv, v, swap in steps:
+            t = w[e]
+            if t:
+                t = t * inv % p
+                w[:len(v)] = [(x - t * y) % p for x, y in zip(w, v)]
+                if i >= n:
+                    w[e] = t
+                elif record:
+                    row_moves.append((i, r, p - t))
+            if swap:
+                w[e & ~1], w[e | 1] = w[e | 1], w[e & ~1] * swap % p
+        if i >= n:
+            continue
+        c = 2 * i
+        while c >= 0 and not (w[c] or w[c + 1]):
+            c -= 2
+        jumps.append(c // 2 + 1)  # c = -2, and so 0, for a zero row
+        if c < 0:
+            continue
+        if c == 2 * i or c in b_pivots:
+            e, swap = (c, 0) if w[c] else (c + 1, p - 1)
+        else:
+            b_pivots.add(c)
+            e, swap = (c + 1, 0) if w[c + 1] else (c, 1)
+        steps.append((i, e, pow(w[e], p - 2, p), w, swap))
+    if not record:
+        return tuple(jumps), None, None
+    # Row 2r (2r + 1) of the factor holds row r of X and Y (W and Z), interleaved.
+    blocks = tuple(tuple(v for r in range(n) for v in factor[2 * r + h][s:2 * r + 2:2])
+                   for h in (0, 1) for s in (0, 1))
+    return tuple(jumps), row_moves, blocks
 
 
 def augmented_rank(A: LowerTriMatrix, B: LowerTriMatrix) -> int:
-    """Rank of the n x 2n matrix [A|B]: the independent rows of the row pass.
+    """Rank of the n x 2n matrix [A|B]: the rows that the row pass leaves nonzero.
 
-    ``_augmented_jumps`` runs the pass and marks each dependent row 0.
+    The moves of ``_row_pass`` are invertible, and it ends on rows that are
+    0 or distinct unit vectors, so the rank counts its nonzero values.
     """
-    jumps = _augmented_jumps(A, B)
+    jumps = _row_pass(A, B)[0]
     return len(jumps) - jumps.count(0)

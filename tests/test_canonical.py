@@ -38,7 +38,6 @@ from triorbit.canonical import (
     _Reduction,
     _reduce_general,
     _reduce_rows,
-    _search_reach,
     _search_word,
     _sweep_a,
     _transvection_product,
@@ -49,6 +48,7 @@ from triorbit.canonical import (
 )
 from triorbit.modpairs import ring_matrices, unit_matrices
 from triorbit.oracle import _free_submodule_keys, _key_pair, random_free_pairs
+from triorbit.trimat import _row_pass
 from tests.conftest import make_pair
 
 
@@ -426,6 +426,40 @@ def test_row_pass_on_large_seeded_pairs(n, p):
     assert len(pairs) > 250
     for pair in pairs:
         _check_row_pass(pair)
+
+
+@pytest.mark.parametrize("n,p,count", [(4, 2, 2000), (3, 3, 2000)])
+def test_canonicalize_runs_one_row_pass_unless_it_searches(n, p, count, monkeypatch):
+    # The seeded samples of test_search_totals_on_seeded_pairs.  A unimodular
+    # pair runs no row pass, another pair that scores 0 exactly one, which
+    # also decides NotFree and CanonicalizationFailed, and a pair that
+    # cleans or searches at most two.
+    passes = 0
+
+    def counting_row_pass(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return _row_pass(*args, **kwargs)
+
+    monkeypatch.setattr("triorbit.canonical._row_pass", counting_row_pass)
+    seen = {"unimodular": 0, "one pass": 0, "search": 0}
+    for pair in random_free_pairs(GF(p), n, count, 0):
+        passes = 0
+        try:
+            canonicalize(pair)
+        except CanonicalizationFailed:
+            assert passes == 1
+            continue
+        if pair.is_unimodular():
+            assert passes == 0
+            seen["unimodular"] += 1
+        elif _cleaned_offense(pair) == 0:
+            assert passes == 1
+            seen["one pass"] += 1
+        else:
+            assert passes <= 2
+            seen["search"] += 1
+    assert all(seen.values())
 
 
 def _seeded_unimodular_pair(field, n, rng):

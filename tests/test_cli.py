@@ -116,13 +116,17 @@ def test_canonicalize_parse_error_exits_2(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(capsys, "canonicalize", "--input", str(tmp_path / "missing.txt"))
     assert code == 2
-    for doc in ({"n": 2, "p": 2, "A": [[1, 0], [0, 1]]},
-                {"n": 2, "p": 2, "A": 5, "B": [[1, 0], [0, 1]]},
-                {"n": 2, "p": 2, "A": [[3, 0], [-1, 5]], "B": [[0, 0], [1, 0]]},
-                {"n": 2, "p": 2, "A": [[1.9, 0], [0, 1]], "B": [[0, 0], [True, 0]]},
-                {"n": 2.0, "p": 2, "A": [[1, 0], [0, 1]], "B": [[0, 0], [1, 0]]},
-                {"n": 2, "p": True, "A": [[1, 0], [0, 1]], "B": [[0, 0], [1, 0]]}):
-        f.write_text(json.dumps(doc))
+    docs = [json.dumps(doc) for doc in (
+        {"n": 2, "p": 2, "A": [[1, 0], [0, 1]]},
+        {"n": 2, "p": 2, "A": 5, "B": [[1, 0], [0, 1]]},
+        {"n": 2, "p": 2, "A": [[3, 0], [-1, 5]], "B": [[0, 0], [1, 0]]},
+        {"n": 2, "p": 2, "A": [[1.9, 0], [0, 1]], "B": [[0, 0], [True, 0]]},
+        {"n": 2.0, "p": 2, "A": [[1, 0], [0, 1]], "B": [[0, 0], [1, 0]]},
+        {"n": 2, "p": True, "A": [[1, 0], [0, 1]], "B": [[0, 0], [1, 0]]})]
+    # Nested past the JSON decoder's recursion limit.
+    docs.append('{"n": ' + "[" * 100000 + "]" * 100000 + "}")
+    for doc in docs:
+        f.write_text(doc)
         code, out = run_cli(capsys, "canonicalize", "--input", str(f))
         assert code == 2
         assert out.startswith("error: bad pair file")

@@ -15,15 +15,18 @@ import pytest
 from triorbit import (
     GF,
     CanonicalizationFailed,
+    GL2Element,
     LowerTriMatrix,
     ModulePair,
     SetPartition,
     act_left_unit,
+    act_right,
     canonicalize,
     enumerate_canonical,
     partition_to_pair,
 )
 from triorbit.canonical import (
+    _row_moves,
     is_canonical_jump_map,
     jump_map,
     reachable_profiles,
@@ -32,7 +35,7 @@ from triorbit.canonical import (
 from triorbit.cli import main
 from triorbit.modpairs import format_pair, ring_matrices
 from triorbit.oracle import enumerate_free_submodules, random_free_pairs
-from triorbit.trimat import _echelon_insert, augmented_rank, matrix_rank
+from triorbit.trimat import _echelon_insert, _row_pass, augmented_rank, matrix_rank
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -79,6 +82,25 @@ def _jump_map_by_columns(pair):
     return tuple(jumps)
 
 
+def _row_pass_ends(pair, jumps):
+    # Apply the row pass's recorded moves and check where they end: row r is
+    # 0 where j(r) = 0 and otherwise a single 1 in pair j(r), at b_j(r) for
+    # the first row other than j(r) that takes the value j(r), and at
+    # a_j(r) for row j(r) itself and for a third row in the pair.
+    f, n, p = pair.field, pair.n, pair.field.p
+    _, row_moves, blocks = _row_pass(pair.A, pair.B, record=True)
+    A, B = (LowerTriMatrix(f, n, _row_moves(M.entries, row_moves, p)) for M in (pair.A, pair.B))
+    end = act_right(ModulePair(A, B), GL2Element(*(LowerTriMatrix(f, n, e) for e in blocks)))
+    for r, c in enumerate(jumps, start=1):
+        row = {(s, k): v for s, M in (("a", end.A), ("b", end.B))
+               for k, v in enumerate(M.row(r), start=1) if v}
+        if c == 0:
+            assert row == {}
+        else:
+            b_taken = any(jumps[q] == c for q in range(r - 1) if q + 1 != c)
+            assert row == {("a" if c == r or b_taken else "b", c): 1}
+
+
 def _uniform_pairs(field, n, count, seed):
     rng = random.Random(seed)
     m = n * (n + 1) // 2
@@ -91,23 +113,31 @@ def _uniform_pairs(field, n, count, seed):
 def test_packed_jump_map_matches_column_reference(n, p):
     # Every pair, free or not, through (3,2), and 1000 uniformly drawn pairs
     # beyond.  The row pass behind jump_map and augmented_rank against the
-    # column echelon above, and the rank against matrix_rank of the full
-    # n x 2n rows [A|B].
+    # column echelon above, with the pair its recorded moves reach, and the
+    # rank against matrix_rank of the full n x 2n rows [A|B].
     f = GF(p)
     if n <= 3:
         pairs = (ModulePair(A, B) for A in ring_matrices(f, n) for B in ring_matrices(f, n))
     else:
         pairs = _uniform_pairs(f, n, 1000, seed=n * p)
-    non_free = 0
+    non_free = third_rows = 0
     for pair in pairs:
         jumps = _jump_map_by_columns(pair)
         assert jump_map(pair) == jumps
+        assert _row_pass(pair.A, pair.B, record=True)[0] == jumps
+        _row_pass_ends(pair, jumps)
         rank = augmented_rank(pair.A, pair.B)
         assert rank == matrix_rank([pair.A.row(i) + pair.B.row(i) for i in range(1, n + 1)], p)
         assert rank == n - jumps.count(0)
         non_free += rank < n
+        # A value c taken by two rows other than c: the second of them is a
+        # third row in pair c, which pivots at a_c.
+        moved = [c for r, c in enumerate(jumps, start=1) if c not in (0, r)]
+        third_rows += len(moved) != len(set(moved))
     # Dependent rows occur, so the zero entries of the jump map are tested.
     assert non_free > 10
+    if (n, p) in ((3, 2), (9, 2)):
+        assert third_rows > 0
 
 
 def test_exactly_bell_many_jump_maps_pass():

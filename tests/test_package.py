@@ -15,3 +15,30 @@ def test_library_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(modules) >= 10
     assert found == []
+
+
+def _unused_imports(path):
+    """Names that the module imports and never reads, other than those in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {elt.value for elt in node.value.elts}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in used and name not in exported]
+
+
+def test_every_import_is_used():
+    # Library modules and test files alike; a name re-exported through
+    # __all__ counts as used.
+    root = Path(triorbit.__file__).parent
+    paths = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(paths) >= 20
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
