@@ -23,10 +23,12 @@ checkable by plain multiplication.  It takes one of three paths.
    pivots, one 2x2 cell sets its pivot in the pair k = j(i), and column
    moves clear the rest of the row.  They end on the canonical pair c(j)
    of j (a_rr = 1 where j(r) = r, b_(r, j(r)) = 1 elsewhere) in at most
-   two stages, one left and one right.  Their pivots are those of the
-   paper's pivot search ``select_pivots`` on the result, and the paper's
-   left unit ``build_k`` would be the identity there; both stay public
-   as the paper's construction.
+   two stages, one left and one right; the right one records c(j), built
+   by ``modpairs._canonical_pair``, as its proof fixes it, and does not
+   act on the pair.  Their pivots are those of the paper's pivot search
+   ``select_pivots`` on the result, and the paper's left unit ``build_k``
+   would be the identity there; both stay public as the paper's
+   construction.
    Before the moves, and only while ``_cleaned_offense`` is above 0, a
    cleanup and a bounded best-first word search run, as they did before
    the pass existed, so the search sees the same pairs and takes the same
@@ -62,14 +64,16 @@ builder, which knows where g - I is nonzero: the diagonal cells of the
 B-diagonal blocks (``GL2Element._diagonal_cells``), the nonzero entries
 of -B in upper(-B) and P's entries below the diagonal in block_diag(P,
 I); the search's generators list theirs once.  The row pass's
-factor is the one exception: its moves are scanned once, by
-``act_right``.  The certificate's Q is built from packed blocks without
+factor carries none and is never scanned by ``act_right``: the pair it
+produces is recorded by proof, and Q starts from its blocks when it is
+the first right stage; only after a cleanup or search does updating Q
+scan its moves.  The certificate's Q is built from packed blocks without
 moves, so ``verify_certificate`` scans it afresh, and the self-check
-does not rest on any recorded move.  A left stage taken while
-U is still the identity reads its factor off the new U (L I = L).  In
-the closed form, row clearing sets A to the identity it is proved to
-reach, and ``is_canonical`` accepts the result (I, 0) with one
-comparison.
+does not rest on any recorded move or proved pair.  A left stage taken
+while U is still the identity reads its factor off the new U (L I = L).
+In the closed form, row clearing sets A to the identity it is proved to
+reach, ``b_transvection`` records the (I, 0) it is proved to reach, and
+``is_canonical`` accepts (I, 0) with one comparison.
 """
 
 import functools
@@ -86,7 +90,7 @@ from .errors import (
 )
 from .field import GF
 from .gl2 import GL2Element, _act, _block_moves, act_right, gl2_generators
-from .modpairs import ModulePair, enumeration_budget
+from .modpairs import ModulePair, _canonical_pair, enumeration_budget
 from .partitions import bell
 from .trimat import (
     LowerTriMatrix,
@@ -206,9 +210,11 @@ def is_canonical(pair: ModulePair) -> bool:
 def enumerate_canonical(n: int, field=None, budget=None):
     """All canonical pairs for dimension n, sorted by the pair total order.
 
-    Generated directly from the shape constraints (choose the zero rows of
-    A, then assign distinct B columns), independently of the partition
-    bijection, so counting against Bell numbers is a real check.
+    Generated as c(j) over the canonical jump maps (see
+    ``is_canonical_jump_map``), built row by row: j(r) is r, or a value
+    below r that no earlier moved row took.  This uses no partition, so
+    counting against Bell numbers, and against the partition bijection,
+    is a real check.
     """
     if n < 2:
         raise UnsupportedDimension(f"canonical enumeration needs n >= 2, got {n}")
@@ -217,28 +223,14 @@ def enumerate_canonical(n: int, field=None, budget=None):
         raise BudgetExceeded(f"B_{n} = {bell(n)} exceeds the cap {cap}")
     if field is None:
         field = GF(2)
-    out = []
-    candidates = list(range(2, n + 1))
-    for r in range(len(candidates) + 1):
-        for zero_rows in itertools.combinations(candidates, r):
-            diag = [0 if i in zero_rows else 1 for i in range(1, n + 1)]
-            A = LowerTriMatrix.diagonal(field, diag)
-
-            def assign(idx, used, placed):
-                if idx == len(zero_rows):
-                    B = LowerTriMatrix.zero(field, n)
-                    for (i, j) in placed:
-                        B = B.with_entry(i, j, 1)
-                    out.append(ModulePair(A, B))
-                    return
-                i = zero_rows[idx]
-                for j in range(1, i):
-                    if j not in used:
-                        assign(idx + 1, used | {j}, placed + [(i, j)])
-
-            assign(0, frozenset(), [])
-    out.sort()
-    return out
+    maps = [((), frozenset())]  # (j(1), ..., j(r - 1)) and the values its moved rows took
+    for r in range(1, n + 1):
+        grown = []
+        for jumps, taken in maps:
+            grown.append((jumps + (r,), taken))
+            grown += [(jumps + (c,), taken | {c}) for c in range(1, r) if c not in taken]
+        maps = grown
+    return sorted(_canonical_pair(field, jumps) for jumps, _ in maps)
 
 
 # -- pivot selection and the V / K constructions ------------------------------
@@ -404,10 +396,11 @@ class _Reduction:
     left stage applies its row moves to A, B and U alone, which equals
     multiplying each by the stage's factor, so no triangular product is
     formed.  A right stage acts on the pair through ``act_right``, looked
-    up by that name at call time, and updates Q's block rows with g's
-    column moves (row (X, Y) of Q g is (X, Y) g, as in
-    ``GL2Element.__mul__``).  Every stage still records its factor and
-    the pair it produced; U and Q are built once, by ``certificate``.
+    up by that name at call time, unless its caller hands it the pair it
+    has proved g to produce, and updates Q's block rows with g's column
+    moves (row (X, Y) of Q g is (X, Y) g, as in ``GL2Element.__mul__``).
+    Every stage still records its factor and the pair it produced; U and
+    Q are built once, by ``certificate``.
     """
 
     __slots__ = ("pair", "field", "n", "u", "q", "stages")
@@ -452,8 +445,12 @@ class _Reduction:
                         for e in (self.pair.A.entries, self.pair.B.entries, self.u))
         self._left(LowerTriMatrix.diagonal(self.field, scale), "scaling", a, b)
 
-    def right(self, g, label):
-        self.pair = act_right(self.pair, g)
+    def right(self, g, label, pair=None):
+        """Right stage by g.  ``pair``, when given, is the pair that g
+        produces, as the caller has proved it, and g does not act on the
+        current pair.
+        """
+        self.pair = act_right(self.pair, g) if pair is None else pair
         q = self.q
         if q is None:
             self.q = (g.X.entries, g.Y.entries, g.W.entries, g.Z.entries)
@@ -664,9 +661,10 @@ def jump_map(pair):
 
     ``trimat._row_pass`` computes it: the pass ends with every row r 0 or
     the unit vector at a pivot in pair k_r, the pivots distinct, and
-    returns k.  Proof that k = j.  Each row move is a left unit and each
-    column move a group element, so no dim(F_j intersect V_i) changes
-    (see ``span_profile``).  At the end every column is 0 or a distinct
+    returns k.  A later row may move an earlier pivot, but only within its
+    pair, so k_r is the pair of row r's final pivot.  Proof that k = j.
+    Each row move is a left unit and each column move a group element, so
+    no dim(F_j intersect V_i) changes (see ``span_profile``).  At the end every column is 0 or a distinct
     e_r, those of the pairs >= j being the e_r with k_r >= j, so F_j
     intersect V_i is spanned by the e_r with r >= i and k_r >= j, and
     dim(F_j intersect V_i) = #{r >= i : k_r >= j}: k = j, zeros included.
@@ -698,9 +696,10 @@ def is_canonical_jump_map(jumps):
     1s of B sit in distinct columns: the shape the row pass ends on, so
     (proof in ``jump_map``) j(r) = r when a_rr = 1 and j(r) = c when b_rc
     = 1, and the values j(r) != r are distinct.  Conversely, for a
-    passing j, a_rr = 1 where j(r) = r and b_(r,j(r)) = 1 elsewhere is a
-    canonical pair, and by the above its jump map is j.  This bijection
-    onto the canonical pairs shows that exactly Bell(n) jump maps pass.
+    passing j, c(j) (``modpairs._canonical_pair``: a_rr = 1 where j(r) =
+    r and b_(r,j(r)) = 1 elsewhere) is a canonical pair, and by the above
+    its jump map is j.  This bijection onto the canonical pairs shows that
+    exactly Bell(n) jump maps pass.
     """
     moved = [c for r, c in enumerate(jumps, start=1) if c != r]
     return len(moved) == len(set(moved))
@@ -872,39 +871,50 @@ def _reduce_unimodular(red):
 
 
 def _b_transvection(red):
-    """Right stage by upper(-B), which takes (A, B) to (A, B - AB).
+    """Right stage by upper(-B), which takes (I, B) to (I, B - B) = (I, 0).
 
-    Its diagonal cells (1, -b_ii; 0, 1) have determinant 1, so it is in
-    the group.  Its moves are the nonzero entries of -B, from A into B'.
+    It runs once row clearing has made A the identity, so the pair it
+    produces is recorded as (I, 0), c(j) of the identity jump map, and g
+    does not act.  Its diagonal cells (1, -b_ii; 0, 1) have determinant 1,
+    so it is in the group.  Its moves are the nonzero entries of -B, from
+    A into B'.
     """
     f, n = red.field, red.n
     one = LowerTriMatrix.identity(f, n)
     neg = -red.pair.B
     red.right(GL2Element._trusted(one, neg, LowerTriMatrix.zero(f, n), one,
                                   ([], _block_moves(0, neg.entries, n))),
-              "b_transvection")
+              "b_transvection", _canonical_pair(f, range(1, n + 1)))
 
 
-def _reduce_rows(red, passed=None):
-    """Apply the row pass's moves, which take a pair with a canonical j to c(j).
+def _reduce_rows(red, passed):
+    """Apply the row pass's moves, which take a free pair with a canonical j to c(j).
 
     ``passed`` is what ``trimat._row_pass`` returned, recording, for the
-    current pair; the pass runs here when it is not given.
+    current pair.
 
     Left and right multiplication commute, so all row moves make one left
     stage, ``row_reduction``, and the cells and column moves one right
     factor, their product, ``column_reduction``; a stage that would be the
     identity is not recorded, so c(j) itself records none.  The factor is
     built unchecked: its cells have nonzero determinant and the rest are
-    lower transvections, so it is in the group.  Returns the pivots (i,
-    j(i)) for each j(i) != i, ascending in i.
+    lower transvections, so it is in the group.  The pair it produces is
+    recorded as c(j), built by ``modpairs._canonical_pair``, and g does not
+    act.  Proof.  As the pair is free, the pass ends with every row r the
+    unit vector at its pivot in pair j(r), at b_j(r) for the last row
+    other than j(r) recording j(r) and at a_j(r) for every other row
+    (``_row_pass``).  A canonical j gives each value c to at most one row
+    other than c, so row r ends at a_r where j(r) = r and at b_j(r)
+    elsewhere: that is c(j).  ``is_canonical`` and ``verify_certificate``
+    still check the result.
+    Returns the pivots (i, j(i)) for each j(i) != i, ascending in i.
     """
-    jumps, row_moves, blocks = passed or _row_pass(red.pair.A, red.pair.B, record=True)
+    jumps, row_moves, blocks = passed
     if row_moves:
         red.left("row_reduction", row_moves)
     g = GL2Element._trusted(*(_trusted(red.field, red.n, e) for e in blocks))
     if g != GL2Element.identity(red.field, red.n):
-        red.right(g, "column_reduction")
+        red.right(g, "column_reduction", _canonical_pair(red.field, jumps))
     return [(i, c) for i, c in enumerate(jumps, start=1) if c != i]
 
 
@@ -935,7 +945,6 @@ def _reduce_general(red):
             "the orbit invariant matches no canonical pair; "
             "this free pair generates an orbit without a canonical form")
     while offense:
-        passed = None  # the search moves the pair, so _reduce_rows runs the pass again
         _cleanup(red)
         word = _search_word(red.pair, _search_generators(red.field, red.n),
                             _search_reach(red.field, red.n))
@@ -944,6 +953,8 @@ def _reduce_general(red):
         for g in word:
             red.right(g, "search")
         offense = _cleaned_offense(red.pair)
+    if passed[1] is None:  # the cleanup and search ran: record from the pair they left
+        passed = _row_pass(red.pair.A, red.pair.B, record=True)
     return _reduce_rows(red, passed)
 
 

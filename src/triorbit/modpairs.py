@@ -13,7 +13,8 @@ import os
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidBudget, NotFree
 from .field import GF
-from .trimat import LowerTriMatrix, _decimal, _diagonal_offsets, augmented_rank, parse_matrix
+from .trimat import (LowerTriMatrix, _decimal, _diagonal_offsets, _pos, _tri_len, _trusted,
+                     augmented_rank, parse_matrix)
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -123,6 +124,23 @@ class ModulePair:
     def is_outlier_generating_free(self) -> bool:
         """Non-unimodular and free: exactly the outliers that generate freely."""
         return not self.is_unimodular() and self.is_free()
+
+
+def _canonical_pair(field, jumps):
+    """c(j), the canonical pair of the canonical jump map ``jumps``.
+
+    Row r is the unit vector at a_r where j(r) = r and at b_j(r)
+    elsewhere: a_rr = 1, or b_(r, j(r)) = 1.  ``jumps`` must pass
+    ``canonical.is_canonical_jump_map``, and every j(r) lie in 1..r; then
+    the 1s of B sit in distinct columns below the diagonal and the pair is
+    canonical.  Every entry is 0 or 1, so both matrices are built through
+    ``_trusted``.  The package builds every canonical pair here.
+    """
+    n = len(jumps)
+    a, b = [0] * _tri_len(n), [0] * _tri_len(n)
+    for r, c in enumerate(jumps, start=1):
+        (a if c == r else b)[_pos(r, c)] = 1
+    return ModulePair(_trusted(field, n, tuple(a)), _trusted(field, n, tuple(b)))
 
 
 class Submodule:

@@ -24,8 +24,8 @@ from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
                      InconsistentDecomposition, InvalidSampleCount)
 from .field import GF
 from .gl2 import GL2Element, orbit_generators
-from .modpairs import (ModulePair, Submodule, enumeration_budget, ring_size,
-                       unit_count, unit_matrices)
+from .modpairs import (ModulePair, Submodule, _canonical_pair, enumeration_budget,
+                       ring_size, unit_count, unit_matrices)
 from .partitions import bell
 from .trimat import LowerTriMatrix, _echelon_insert, _trusted
 
@@ -439,8 +439,7 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
     # Exactly one orbit of unimodular submodules, the one holding (I, 0).
     flags_consistent = not any(o.mixed_flags for o in report.orbits)
     unim_orbits = [i for i, o in enumerate(report.orbits) if o.unimodular]
-    identity_orbit = orbit_of[_pair_key(ModulePair(
-        LowerTriMatrix.identity(field, n), LowerTriMatrix.zero(field, n)))]
+    identity_orbit = orbit_of[_pair_key(_canonical_pair(field, range(1, n + 1)))]
     report.verdicts["single_unimodular_orbit"] = (
         flags_consistent and unim_orbits == [identity_orbit])
     # Free pairs outside the unimodular orbit are non-unimodular and free,

@@ -3,21 +3,25 @@
 Every canonical pair corresponds to exactly one partition: rows whose A
 diagonal carries a 1 open blocks labeled by counting unit rows, and each 1
 in B attaches its row to a block through a count of the ones of B above
-and left of it.  The converse constructs the unique canonical pair column
-by column; the processing order of rows is what makes the construction
-well defined.
+and left of it.  The converse works out, row by row, the jump map j of
+the unique canonical pair (j(r) = r where a_rr = 1, and j(r) = c where
+b_rc = 1), and builds the pair as c(j) through ``modpairs._canonical_pair``,
+the package's one builder of canonical pairs; the processing order of rows
+is what makes the construction well defined.
 """
 
 from .errors import BudgetExceeded, InvalidPartition, NotCanonical
 from .field import GF
-from .modpairs import ModulePair, enumeration_budget
-from .trimat import LowerTriMatrix, _decimal
+from .modpairs import ModulePair, _canonical_pair, enumeration_budget
+from .trimat import _decimal
 
 
 class SetPartition:
     """A partition of {1..n}: disjoint nonempty blocks covering the range.
 
-    Stored normalized: elements ascending within a block, blocks ordered by
+    Each element is exactly an ``int`` and occurs once, in one block: a
+    repeat, in the same block or another, raises InvalidPartition.  Stored
+    normalized: elements ascending within a block, blocks ordered by
     their minima.  Equality and hashing use the normalized form.
     """
 
@@ -27,16 +31,18 @@ class SetPartition:
         norm = []
         seen = set()
         for block in blocks:
-            block = tuple(sorted(set(block)))
+            block = tuple(block)
             if not block:
                 raise InvalidPartition("empty block")
             for x in block:
-                if not isinstance(x, int) or x < 1:
+                # Exactly an int, as ``trimat._check_integers`` rules: a bool
+                # would print as True, which ``parse`` cannot read back.
+                if type(x) is not int or x < 1:
                     raise InvalidPartition(f"element {x!r} is not a positive integer")
                 if x in seen:
                     raise InvalidPartition(f"element {x} appears twice")
                 seen.add(x)
-            norm.append(block)
+            norm.append(tuple(sorted(block)))
         if not norm:
             raise InvalidPartition("a partition needs at least one block")
         n = max(seen)
@@ -169,7 +175,8 @@ def partition_to_pair(n: int, part: SetPartition, field=None) -> ModulePair:
     ascending order, each put a single 1 in their row of B: an element of
     the s-th block (blocks ordered by minima) picks the s-th column, from
     the left, that holds no 1 yet.  Processing rows in ascending order is
-    what makes this well defined.
+    what makes this well defined.  The pair is built as c(j), j(x) being x
+    at a block minimum and the column picked elsewhere.
     """
     if not isinstance(part, SetPartition):
         raise InvalidPartition("expected a SetPartition")
@@ -177,25 +184,17 @@ def partition_to_pair(n: int, part: SetPartition, field=None) -> ModulePair:
         raise InvalidPartition(f"partition covers 1..{part.n}, expected 1..{n}")
     if field is None:
         field = GF(2)
-    minima = [b[0] for b in part.blocks]
-    block_of = {}
-    for s, block in enumerate(part.blocks, start=1):
-        for x in block:
-            block_of[x] = s
-    A = LowerTriMatrix.diagonal(field, [1 if i in set(minima) else 0
-                                        for i in range(1, n + 1)])
-    used_columns = set()
-    b_entries = {}
-    rest = sorted(x for x in range(1, n + 1) if x not in set(minima))
-    for x in rest:
-        s = block_of[x]
+    minima = {b[0] for b in part.blocks}
+    block_of = {x: s for s, block in enumerate(part.blocks, start=1) for x in block}
+    jumps, used_columns = [], set()
+    for x in range(1, n + 1):
+        if x in minima:
+            jumps.append(x)
+            continue
         free_cols = [c for c in range(1, n + 1) if c not in used_columns]
-        col = free_cols[s - 1]
+        col = free_cols[block_of[x] - 1]
         if col >= x:
             raise InvalidPartition("the bijection placed an entry on or above the diagonal")
         used_columns.add(col)
-        b_entries[(x, col)] = 1
-    B = LowerTriMatrix.zero(field, n)
-    for (i, j), v in sorted(b_entries.items()):
-        B = B.with_entry(i, j, v)
-    return ModulePair(A, B)
+        jumps.append(col)
+    return _canonical_pair(field, jumps)

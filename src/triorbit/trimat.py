@@ -441,18 +441,22 @@ def _row_pass(A, B, record=False):
        changes a zero row.  Otherwise it records the largest pair k where
        it is nonzero, with entries (x, y) there.
     3. One cell at pair k sets P_i to 1 and the pair's other entry to 0:
-       - k = i, or b_k an earlier pivot (a third row in pair k, where step
-         1 made y = 0, so x != 0 and a_k is no pivot): P_i = a_k, by
-         (1/x, -y/x; 0, 1), or (0, -1; 1/y, 0) when x = 0.
+       - k = i: P_i = a_k, by (1/x, -y/x; 0, 1), or (0, -1; 1/y, 0) when
+         x = 0.
        - Otherwise P_i = b_k, by (1, 0; -x/y, 1/y), or (0, 1/x; 1, 0) when
          y = 0.  Where row k pivots at a_k, step 1 made x = 0, and the cell
          diag(1, 1/y) leaves a_k alone.
        Each cell has a nonzero determinant.  Multiples of the pivot column
        then clear the row in the pairs c < k, which the group allows as k >
        c.  The earlier rows are 0 in the pivot column and in each column the
-       cell changes, so they stay as they are.
+       cell changes, so they stay as they are, with one exception: a third
+       row in pair k, where an earlier row q pivots at b_k.  There step 1
+       made y = 0, so x != 0 and a_k is no pivot, and the swap (0, 1/x; 1,
+       0) moves P_q from b_k to a_k, within its pair.
     The pass ends with every row 0 or the unit vector at its pivot, in the
-    pair it recorded, which is the jump map (proof in ``canonical.jump_map``).
+    pair it recorded, which is the jump map (proof in ``canonical.jump_map``):
+    the last row other than c recording c pivots at b_c, every other row
+    recording c at a_c.
 
     Column moves act on rows one by one and leave the earlier pivots'
     entries alone, so each row runs those of the earlier rows when it is
@@ -474,8 +478,8 @@ def _row_pass(A, B, record=False):
     a, b = A.entries, B.entries
     # Per pivot row: (row, e, 1 / (row at e), the row, swap), the row being 0
     # beyond its pair k; swap is 0, 1 for a plain swap of pair k, or p - 1 for a
-    # negating one.  b_pivots holds 2k for each b_k that is a pivot.
-    steps, jumps, row_moves, b_pivots = [], [], [], set()
+    # negating one.
+    steps, jumps, row_moves = [], [], []
     factor = [[int(c == m) for c in range(2 * n)] for m in range(2 * n if record else 0)]
     for i in range(n + len(factor)):
         if i < n:
@@ -506,10 +510,9 @@ def _row_pass(A, B, record=False):
         jumps.append(c // 2 + 1)  # c = -2, and so 0, for a zero row
         if c < 0:
             continue
-        if c == 2 * i or c in b_pivots:
+        if c == 2 * i:
             e, swap = (c, 0) if w[c] else (c + 1, p - 1)
         else:
-            b_pivots.add(c)
             e, swap = (c + 1, 0) if w[c + 1] else (c, 1)
         steps.append((i, e, pow(w[e], p - 2, p), w, swap))
     if not record:

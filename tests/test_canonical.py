@@ -373,10 +373,22 @@ def test_general_reduction_agrees_on_unimodular_pairs(n, p):
 
 
 def _check_row_pass(pair):
-    """Run ``_reduce_rows`` straight from ``pair`` and check where it ends."""
+    """Run ``_reduce_rows`` straight from ``pair`` and check where it ends.
+
+    Every recorded stage is replayed: its factor times the previous pair
+    must give its pair, so the c(j) that ``column_reduction`` records by
+    proof is checked against the product it stands for.
+    """
     jumps = jump_map(pair)
     red = _Reduction(pair)
-    pivots = _reduce_rows(red)
+    pivots = _reduce_rows(red, _row_pass(pair.A, pair.B, record=True))
+    current = pair
+    for stage in red.stages:
+        if stage.side == "left":
+            current = act_left_unit(stage.factor, current)
+        else:
+            current = act_right(current, stage.factor)
+        assert current == stage.pair, stage.label
     assert is_canonical(red.pair)
     assert jump_map(red.pair) == jumps
     assert verify_certificate(pair, red.pair, red.certificate())
@@ -420,7 +432,7 @@ def test_row_pass_on_large_seeded_pairs(n, p):
              if is_canonical_jump_map(jump_map(pair))]
     start = time.perf_counter()
     for pair in pairs:
-        _reduce_rows(_Reduction(pair))
+        _reduce_rows(_Reduction(pair), _row_pass(pair.A, pair.B, record=True))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     assert len(pairs) > 250
@@ -520,11 +532,11 @@ def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monk
         recorded.append(moves)
         return left(self, label, moves, a)
 
-    def checking_right(self, g, label):
+    def checking_right(self, g, label, pair=None):
         fresh = GL2Element._trusted(g.X, g.Y, g.W, g.Z)
         assert g._column_moves() == fresh._column_moves(), label
         seen.add(label)
-        return right(self, g, label)
+        return right(self, g, label, pair)
 
     monkeypatch.setattr(_Reduction, "left", recording_left)
     monkeypatch.setattr(_Reduction, "right", checking_right)
@@ -809,14 +821,15 @@ def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
 
 
 # Calls of ``triorbit.canonical.act_right`` over the same samples: one per
-# search child built and per recorded right move, plus the certificate
-# self-check.  The search's first-layer pre-scan builds no child that
+# search child built and per recorded right move that acts, plus the
+# certificate self-check; column_reduction and b_transvection record the
+# pair their proofs fix and make none.  The search's first-layer pre-scan builds no child that
 # provably scores above zero, so a search that ends in its first layer
 # builds fewer children than the generators it walks.  perfbench's action
 # cap counts these calls.  Each entry is (all calls, calls on
 # non-unimodular pairs); only the second can include the search, and
 # unimodular pairs take the closed form, which makes at most three.
-SEED0_ACT_RIGHT_CALLS = {(4, 2): (7749, 4495), (5, 2): (11269, 10940), (3, 3): (5685, 759)}
+SEED0_ACT_RIGHT_CALLS = {(4, 2): (5783, 3605), (5, 2): (10971, 10751), (3, 3): (3749, 424)}
 
 
 @pytest.mark.parametrize("n,p,count,steps,searched", [
@@ -889,7 +902,7 @@ def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
                 others += calls
         steps += trace.search_steps
         searched += trace.search_activated
-    assert (steps, searched, actions, others, censored) == (50, 48, 3845, 2054, 0)
+    assert (steps, searched, actions, others, censored) == (50, 48, 2845, 1651, 0)
 
 
 def _reference_search_word(pair, generators):

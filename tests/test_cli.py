@@ -205,6 +205,9 @@ def test_convert_bad_partition_exits_2(capsys):
     code, _ = run_cli(capsys, "convert", "partition-to-pair",
                       "--n", "4", "--partition", "{1,2}")
     assert code == 2
+    code, _ = run_cli(capsys, "convert", "partition-to-pair",
+                      "--n", "2", "--partition", "{1,1}{2}")
+    assert code == 2
 
 
 def test_verify_passing_configuration(capsys):

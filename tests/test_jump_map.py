@@ -85,8 +85,9 @@ def _jump_map_by_columns(pair):
 def _row_pass_ends(pair, jumps):
     # Apply the row pass's recorded moves and check where they end: row r is
     # 0 where j(r) = 0 and otherwise a single 1 in pair j(r), at b_j(r) for
-    # the first row other than j(r) that takes the value j(r), and at
-    # a_j(r) for row j(r) itself and for a third row in the pair.
+    # the last row other than j(r) that takes the value j(r), and at a_j(r)
+    # for every other row, row j(r) itself and a row whose pivot a third
+    # row in the pair moved included.
     f, n, p = pair.field, pair.n, pair.field.p
     _, row_moves, blocks = _row_pass(pair.A, pair.B, record=True)
     A, B = (LowerTriMatrix(f, n, _row_moves(M.entries, row_moves, p)) for M in (pair.A, pair.B))
@@ -97,8 +98,8 @@ def _row_pass_ends(pair, jumps):
         if c == 0:
             assert row == {}
         else:
-            b_taken = any(jumps[q] == c for q in range(r - 1) if q + 1 != c)
-            assert row == {("a" if c == r or b_taken else "b", c): 1}
+            last = c != r and c not in jumps[r:]
+            assert row == {("b" if last else "a", c): 1}
 
 
 def _uniform_pairs(field, n, count, seed):
@@ -131,7 +132,7 @@ def test_packed_jump_map_matches_column_reference(n, p):
         assert rank == n - jumps.count(0)
         non_free += rank < n
         # A value c taken by two rows other than c: the second of them is a
-        # third row in pair c, which pivots at a_c.
+        # third row in pair c, which moves the first one's pivot to a_c.
         moved = [c for r, c in enumerate(jumps, start=1) if c not in (0, r)]
         third_rows += len(moved) != len(set(moved))
     # Dependent rows occur, so the zero entries of the jump map are tested.

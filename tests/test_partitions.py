@@ -79,6 +79,10 @@ def test_partition_validation():
         SetPartition.parse("{1,2")
     with pytest.raises(InvalidPartition):
         SetPartition.parse("")
+    with pytest.raises(InvalidPartition, match="appears twice"):
+        SetPartition.parse("{1,1}{2}")  # a repeat inside one block
+    with pytest.raises(InvalidPartition, match="not a positive integer"):
+        SetPartition([[True], [2]])  # would print {True}{2}, which parse refuses
 
 
 @pytest.mark.parametrize("text,token", [
