@@ -4,18 +4,21 @@ A free pair and its unit multiples generate the same submodule, so each
 free submodule is keyed by its least generating pair, which has a normal
 form (``_normal_form``).  The free submodules are enumerated straight in
 that form and grouped into group orbits with union-find, walking each
-generator's cycles on the keys and reducing only the images that are not
-keys already (``_decompose``).  The resulting decomposition is
-confronted with the claimed classification: orbit count equals the Bell
-number, each orbit holds exactly one canonical submodule, the
-canonicalizer lands on it, and exactly one orbit is unimodular.
+generator's cycles on the keys (``_decompose``).  An image's key is found
+on a trie of the key prefixes that memoizes the normal form row by row,
+and each generator moves only the rows it does not fix.  The resulting
+decomposition is confronted with the claimed classification: orbit count
+equals the Bell number, each orbit holds exactly one canonical submodule,
+the canonicalizer lands on it, and exactly one orbit is unimodular.
 
-A key is the tuple of the n rows of [A|B], each a tuple of 2n residues.
-Keys are listed in ModulePair order, so a submodule's ordinal is the rank
-of its least generating pair.
+A key is a tuple of n packed rows.  Row i of [A|B] packs into one int:
+its 2n residues a_i1..a_in, b_i1..b_in are its base-p digits, a_i1 the
+most significant, so ints compare as the rows do.  Keys are listed in
+ModulePair order, so a submodule's ordinal is the rank of its least
+generating pair.
 """
 
-import bisect
+import functools
 import itertools
 import random
 
@@ -27,11 +30,66 @@ from .gl2 import GL2Element, orbit_generators
 from .modpairs import (ModulePair, Submodule, _canonical_pair, enumeration_budget,
                        ring_size, unit_count, unit_matrices)
 from .partitions import bell
-from .trimat import LowerTriMatrix, _echelon_insert, _trusted
+from .trimat import LowerTriMatrix, _trusted
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _digits(row, p):
+    """Base-p digits of a packed row, least significant first, up to its lead.
+
+    Cached: the oracle decodes the same key rows again and again.
+    """
+    out = []
+    while row:
+        row, x = divmod(row, p)
+        out.append(x)
+    return tuple(out)
+
+
+def _pack(columns, p):
+    """The packed row of base-p digits listed most significant first."""
+    value = 0
+    for x in columns:
+        value = value * p + x
+    return value
+
+
+def _reduce_row(prefix, row, p):
+    """The next key row after the key rows ``prefix``; None if ``row`` is in their span.
+
+    ``row`` is reduced top-down against the key rows, then scaled to 1 at
+    its lead.  Each key row is 1 at its lead and 0 at the leads of the rows
+    above it, so once ``row`` is cleared at a row's lead, subtracting the
+    rows below keeps it 0 there: the result lies in ``row`` plus their span
+    and is 0 at every lead of ``prefix``, and it is zero exactly when
+    ``row`` lies in that span.
+    """
+    if p == 2:
+        # Subtraction is exclusive or, and the lead is the top bit.
+        for v in prefix:
+            if row >> (v.bit_length() - 1) & 1:
+                row ^= v
+        return row or None
+    digits = _digits(row, p)
+    out = list(digits)
+    for v in prefix:
+        w = _digits(v, p)
+        c = out[len(w) - 1] if len(w) <= len(out) else 0
+        if c:
+            for k, y in enumerate(w):
+                out[k] = (out[k] - c * y) % p
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return None
+    if out[-1] != 1:
+        c = pow(out[-1], p - 2, p)
+        out = [x * c % p for x in out]
+    return row if tuple(out) == digits else _pack(reversed(out), p)
 
 
 def _normal_form(rows, p):
-    """Key of the submodule generated by the rows of [A|B]; None if not free.
+    """Key of the submodule generated by the packed rows of [A|B]; None if not free.
 
     Proof.  Row i of u(A, B), for a unit u, is u_i1 r_1 + ... + u_ii r_i
     with u_ii != 0, where r_k is row k of [A|B]; so it ranges over
@@ -46,28 +104,23 @@ def _normal_form(rows, p):
     element of S_i is c v + w with w in span(r_1..r_(i-1)): if w = 0 and
     c != 1 it is larger at l; if lead(w) < l its lead comes earlier; if
     lead(w) > l it is nonzero at lead(w), where v is 0.  So v is the least
-    element of S_i.  The loop below reduces r_i at the leads of L in
-    ascending order, each step subtracting a basis row that is 0 before
-    its lead, so earlier leads stay 0 and the result lies on that line;
-    ``_echelon_insert`` then scales it to 1 at l and stores it, or finds
-    it zero when r_i depends on the rows above.  Hence the key is the one
-    tuple of rows in which row i is 0 at the leads of the rows above it
-    and 1 at its own lead.
+    element of S_i.  By induction key rows 1..i-1 span
+    span(r_1..r_(i-1)), and their leads are L; ``_reduce_row`` takes r_i
+    into r_i + span(r_1..r_(i-1)) and to 0 on L, which puts it on that
+    line, and scales it to v, or finds it zero when r_i depends on the
+    rows above.  Hence the key is the one tuple of rows in which row i is
+    0 at the leads of the rows above it and 1 at its own lead.
+
+    Row i of the key depends on rows 1..i alone: the normal form is a left
+    fold of ``_reduce_row`` over the rows.
     """
-    basis = {}
-    leads = []
-    key = []
+    key = ()
     for row in rows:
-        for k in leads:
-            c = row[k]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, basis[k])]
-        lead = _echelon_insert(basis, row, p)
-        if lead is None:
+        row = _reduce_row(key, row, p)
+        if row is None:
             return None
-        bisect.insort(leads, lead)
-        key.append(tuple(basis[lead]))
-    return tuple(key)
+        key += (row,)
+    return key
 
 
 def _pair_key(pair):
@@ -76,32 +129,40 @@ def _pair_key(pair):
     Row i of [A|B] is packed row i of A and then of B, each padded with
     n - i zeros, read straight from the entries.
     """
-    n = pair.n
+    n, p = pair.n, pair.field.p
     a, b = pair.A.entries, pair.B.entries
     rows = []
     for i in range(n):
         start = i * (i + 1) // 2
         stop = start + i + 1
         pad = (0,) * (n - i - 1)
-        rows.append([*a[start:stop], *pad, *b[start:stop], *pad])
-    return _normal_form(rows, pair.field.p)
+        rows.append(_pack([*a[start:stop], *pad, *b[start:stop], *pad], p))
+    return _normal_form(rows, p)
 
 
 def _key_pair(field, key):
     """The least generating pair of the submodule with this key."""
-    n = len(key)
-    A = [x for i, row in enumerate(key) for x in row[:i + 1]]
-    B = [x for i, row in enumerate(key) for x in row[n:n + i + 1]]
+    n, p = len(key), field.p
+    A, B = [], []
+    for i, row in enumerate(key):
+        digits = _digits(row, p)
+        columns = [0] * (2 * n - len(digits)) + list(reversed(digits))
+        A += columns[:i + 1]
+        B += columns[n:n + i + 1]
     return ModulePair(LowerTriMatrix(field, n, A), LowerTriMatrix(field, n, B))
 
 
 def _free_submodule_keys(field, n, budget):
     """Every key at (n, p), in ModulePair order.
 
-    Row i of a key is supported on the columns a_1..a_i, b_1..b_i; it is 0
-    at the i - 1 leads of the rows above, so it is a nonzero vector of the
-    remaining i + 1 positions scaled to lead 1: (p^(i+1) - 1)/(p - 1)
-    choices, with its lead among those positions.
+    A key is a tuple of n packed rows: row i of [A|B], the residues
+    a_i1..a_in, b_i1..b_in read as the base-p digits of one int, a_i1 the
+    most significant.  Row i is supported on the columns a_1..a_i,
+    b_1..b_i; it is 0 at the i - 1 leads of the rows above, so it is a
+    nonzero vector of the remaining i + 1 positions scaled to lead 1:
+    (p^(i+1) - 1)/(p - 1) choices, with its lead among those positions.
+    The choices depend only on the set of leads above, so the prefixes are
+    grouped by it and each row is built once per group.
     """
     total = ring_size(field, n) ** 2
     cap = enumeration_budget(budget)
@@ -109,32 +170,32 @@ def _free_submodule_keys(field, n, budget):
         raise BudgetExceeded(
             f"{total} pairs at n={n}, p={field.p} exceed the cap {cap}")
     p = field.p
-    keys = [()]
+    place = [p ** (2 * n - 1 - k) for k in range(2 * n)]
+    groups = {(): [()]}  # the key prefixes, by the set of their leads
     for i in range(n):
         support = [*range(i + 1), *range(n, n + i + 1)]
-        grown = []
-        for key in keys:
-            # A row's lead is its first 1: the entries before it are 0.
-            leads = [row.index(1) for row in key]
+        grown = {}
+        for leads, prefixes in groups.items():
             free = [k for k in support if k not in leads]
             for t, lead in enumerate(free):
-                rest = free[t + 1:]
+                bucket = grown.setdefault(tuple(sorted((*leads, lead))), [])
+                rest = [place[k] for k in free[t + 1:]]
                 for values in itertools.product(range(p), repeat=len(rest)):
-                    row = [0] * (2 * n)
-                    row[lead] = 1
-                    for k, v in zip(rest, values):
-                        row[k] = v
-                    grown.append(key + (tuple(row),))
-        keys = grown
+                    row = place[lead] + sum(v * x for v, x in zip(values, rest))
+                    bucket += [key + (row,) for key in prefixes]
+        groups = grown
+    keys = [key for prefixes in groups.values() for key in prefixes]
+
+    q = p ** n
 
     def position(key):
         # The pair's entries, A then B, as the digits of one base-p number,
         # which orders keys as ModulePair does and keeps the sort small.
         value = 0
-        for half in (slice(n), slice(n, None)):
-            for row in key:
-                for x in row[half]:
-                    value = value * p + x
+        for row in key:
+            value = value * q + row // q
+        for row in key:
+            value = value * q + row % q
         return value
 
     keys.sort(key=position)
@@ -267,11 +328,32 @@ class _UnionFind:
         self.parent[ry] = rx
 
 
-def _block_rows(g):
-    """Rows of the 2n x 2n matrix [X Y; W Z] of g, as (column, entry) lists."""
-    rows = [g.X.row(i) + g.Y.row(i) for i in range(1, g.n + 1)]
-    rows += [g.W.row(i) + g.Z.row(i) for i in range(1, g.n + 1)]
-    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+def _mover(g, p):
+    """f(g), and the map taking a packed row r of [A|B] to r [X Y; W Z].
+
+    f(g) is the least k mod n over the rows k (counted from 0) of the
+    2n x 2n matrix [X Y; W Z] that differ from the identity's, or n if
+    none does.
+    """
+    n = g.n
+    block = [g.X.row(i) + g.Y.row(i) for i in range(1, n + 1)]
+    block += [g.W.row(i) + g.Z.row(i) for i in range(1, n + 1)]
+    fixed = min((k % n for k, row in enumerate(block)
+                 if any(v != (j == k) for j, v in enumerate(row))), default=n)
+    # The digit at place e is column 2n - 1 - e; its image is that block
+    # row, as (place, entry) pairs.
+    images = [[(2 * n - 1 - j, v) for j, v in enumerate(block[2 * n - 1 - e]) if v]
+              for e in range(2 * n)]
+
+    def move(row):
+        out = [0] * (2 * n)
+        for x, entries in zip(_digits(row, p), images):
+            if x:
+                for e, v in entries:
+                    out[e] += x * v
+        return _pack([x % p for x in reversed(out)], p)
+
+    return fixed, move
 
 
 def _order(g):
@@ -284,18 +366,64 @@ def _order(g):
     return m
 
 
+class _Trie:
+    """The key prefixes, with a memo of ``_normal_form``'s left fold.
+
+    Node 0 is the empty prefix, and ``prefixes[node]`` holds a node's key
+    rows.  ``edges[node]`` maps a row to the node after it; at depth n - 1
+    it maps to key ordinals.  The keys' own rows give the first edges.
+    """
+
+    def __init__(self, keys, p):
+        self.p = p
+        self.edges = [{}]
+        self.prefixes = [()]
+        n = len(keys[0])
+        for ordinal, key in enumerate(keys):
+            node = 0
+            for d in range(n - 1):
+                child = self.edges[node].get(key[d])
+                if child is None:
+                    child = self.edges[node][key[d]] = len(self.edges)
+                    self.edges.append({})
+                    self.prefixes.append(key[:d + 1])
+                node = child
+            self.edges[node][key[-1]] = ordinal
+
+    def child(self, node, row):
+        """The node after ``row``, reduced and stored on first sight."""
+        edges = self.edges[node]
+        child = edges.get(row)
+        if child is None:
+            child = edges[row] = edges[_reduce_row(self.prefixes[node], row, self.p)]
+        return child
+
+
 def _decompose(keys, generators, p):
     """Union-find orbit decomposition of the submodule keys.
 
     (A, B) g = (AX + BW, AY + BZ), so each row of [A|B] moves to itself
     times [X Y; W Z].  Keys share most of their rows, so the image of a
-    row under a generator is computed once; generators are taken one at
-    a time, so only one such cache is alive.
+    row under a generator is computed once, when a walk first needs it;
+    generators are taken one at a time, so only one such cache is alive.
 
-    Lookup before reduction.  Keys are exactly the normal forms
-    (``_normal_form`` returns every key unchanged), so moved rows that
-    equal a key K are the least generating pair of their submodule, whose
-    key is K; only a moved tuple that is no key is reduced.
+    Left fold.  ``_normal_form`` folds ``_reduce_row`` over the rows, so
+    its state after i rows, key rows 1..i of the result, is fixed by
+    input rows 1..i.  The image of a key under a group element is a free
+    pair, whose key is a key; so every state of the fold of an image is a
+    key prefix, a node of the ``_Trie``, and the node's edge for the next
+    row is the fold's next state, reduced once on first sight.  The key
+    of an image is then n edge lookups, the last giving its ordinal,
+    whether or not the image is a key already.
+
+    Unmoved rows.  Let f = f(g) (``_mover``).  Row i of [A|B] is supported
+    on the columns a_1..a_i, b_1..b_i, which meet the rows i' and n + i'
+    of [X Y; W Z] for i' <= i only; for i <= f these are the identity's
+    rows, so row i maps to itself.  Rows 1..f of an image are therefore
+    the key's own rows 1..f, which are key rows, and the fold of the image
+    passes through the key's node at depth f: the cycle of g through a
+    key stays below that node.  The walk finds it once per cycle and
+    moves rows f + 1..n only.
 
     Cycle walk.  A generator g of order m permutes the keys, and each
     cycle's length divides m.  From a start s not yet visited under g the
@@ -311,39 +439,35 @@ def _decompose(keys, generators, p):
     member of its component, and grouping by root and sorting give the
     same orbit list for any order of unions.
     """
-    ordinal = {key: i for i, key in enumerate(keys)}
+    trie = _Trie(keys, p)
+    edges = trie.edges
     uf = _UnionFind(len(keys))
     for g in generators:
         steps = _order(g) - 1
-        block = _block_rows(g)
+        fixed, move = _mover(g, p)
         images = {}
         done = bytearray(len(keys))
         for start in range(len(keys)):
             if done[start]:
                 continue
-            i, key = start, keys[start]
+            key = keys[start]
+            base = 0
+            for row in key[:fixed]:
+                base = edges[base][row]
+            i = start
             for _ in range(steps):
-                moved = []
-                for row in key:
+                node = base
+                for row in key[fixed:]:
                     image = images.get(row)
                     if image is None:
-                        out = [0] * len(row)
-                        for x, entries in zip(row, block):
-                            if x:
-                                for j, v in entries:
-                                    out[j] += x * v
-                        image = images[row] = tuple(v % p for v in out)
-                    moved.append(image)
-                key = tuple(moved)
-                j = ordinal.get(key)
-                if j is None:
-                    key = _normal_form(moved, p)
-                    j = ordinal[key]
-                if j == start:
+                        image = images[row] = move(row)
+                    child = edges[node].get(image)
+                    node = trie.child(node, image) if child is None else child
+                if node == start:
                     break
-                uf.union(i, j)
-                done[j] = 1
-                i = j
+                uf.union(i, node)
+                done[node] = 1
+                i, key = node, keys[node]
     groups = {}
     for i in range(len(keys)):
         groups.setdefault(uf.find(i), []).append(i)
@@ -373,6 +497,8 @@ def _build_report(n, p, budget=None):
     report.free_submodules = len(keys)
     report.orbit_count = len(orbits)
 
+    # Places of a_ii and b_ii in packed row i.
+    diagonal = [(p ** (2 * n - 1 - i), p ** (n - 1 - i)) for i in range(n)]
     orbit_of = {}
     orbit_canonical = []
     for idx, members in enumerate(orbits):
@@ -381,7 +507,7 @@ def _build_report(n, p, budget=None):
             orbit_of[keys[i]] = idx
             canon.extend(canonical_of.get(keys[i], []))
         # Unimodular: a_ii or b_ii is nonzero in every row i.
-        flags = {all(row[k] or row[n + k] for k, row in enumerate(keys[i]))
+        flags = {all(row // a % p or row // b % p for row, (a, b) in zip(keys[i], diagonal))
                  for i in members}
         summary = OrbitSummary(
             size=len(members),

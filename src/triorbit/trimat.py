@@ -8,7 +8,7 @@ are handed (``_check_integers``: exactly ``int``, else InvalidEntry); the
 ring operations, whose results are reduced mod p by construction, build
 through ``_trusted`` instead.
 
-The module also holds the package's one mod-p elimination kernel, with the
+The module also holds the package's mod-p elimination kernel, with the
 matrix rank and linear solver built on it, and the row pass over [A|B]
 (``_row_pass``) that finds a pair's jump map, and with it the augmented
 rank, and records the moves that take the pair to its canonical form.
@@ -372,10 +372,10 @@ def _echelon_insert(basis, row, p):
     ``basis`` maps a lead, the index of the first nonzero entry, to a row
     that is 1 there and 0 before it.  An independent row is stored
     normalized under its new lead, which is returned; a dependent row
-    returns None.  This is the package's one mod-p elimination; it runs
-    per row of every generator move in the oracle's decomposition, hence
-    the inline lead search.  Callers outside the package use matrix_rank
-    and solve_mod_p.
+    returns None.  This is the package's one elimination on residue
+    lists; the oracle reduces its packed rows against rows already in
+    echelon form with ``oracle._reduce_row``.  Callers outside the package
+    use matrix_rank and solve_mod_p.
     """
     while True:
         lead = None

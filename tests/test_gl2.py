@@ -199,6 +199,8 @@ def test_orbit_generators_give_the_same_orbits(n, p):
 
     f = GF(p)
     keys = _free_submodule_keys(f, n, None)
+    # Keys are tuples of n packed rows, one int per row of [A|B].
+    assert all(len(key) == n and all(type(row) is int for row in key) for key in keys)
     assert (_decompose(keys, orbit_generators(f, n), p)
             == _decompose(keys, gl2_generators(f, n), p))
 

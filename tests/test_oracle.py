@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,8 +22,8 @@ from triorbit import (
 )
 from triorbit.errors import InconsistentDecomposition, InvalidSampleCount, TriOrbitError
 from triorbit.modpairs import ring_matrices
-from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _normal_form,
-                             _order, _pair_key, random_free_pairs)
+from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _mover,
+                             _normal_form, _order, _pair_key, _Trie, random_free_pairs)
 
 
 def test_free_submodule_enumeration_counts():
@@ -195,6 +196,40 @@ def test_unimodular_orbit_size_matches_pointwise_count(gf2):
         assert sum(orbit_sizes) == unim_keys
 
 
+def encode_row(columns, p):
+    """A row of residues a_i1..a_in, b_i1..b_in as one int, a_i1 the top base-p digit."""
+    return sum(x * p ** k for k, x in enumerate(reversed(columns)))
+
+
+def decode_row(row, p, n):
+    """The 2n residues of a packed row, a_i1 first."""
+    columns = []
+    for _ in range(2 * n):
+        row, x = divmod(row, p)
+        columns.append(x)
+    assert row == 0, "a packed row has at most 2n digits"
+    return tuple(reversed(columns))
+
+
+def reference_normal_form(rows, p):
+    """The normal form on residue lists: each row is reduced at every lead
+    found so far, in ascending order, and scaled to lead 1."""
+    basis = {}
+    key = []
+    for row in rows:
+        row = list(row)
+        for lead in sorted(basis):
+            if row[lead]:
+                row = [(x - row[lead] * y) % p for x, y in zip(row, basis[lead])]
+        lead = next((k for k, x in enumerate(row) if x), None)
+        if lead is None:
+            return None
+        inverse = pow(row[lead], p - 2, p)
+        basis[lead] = [x * inverse % p for x in row]
+        key.append(tuple(basis[lead]))
+    return tuple(key)
+
+
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
 def test_packed_pair_key_matches_row_reference(n, p):
     # Every pair, free or not (a pair that is not free has no key).
@@ -204,7 +239,11 @@ def test_packed_pair_key_matches_row_reference(n, p):
         for B in ring:
             pair = ModulePair(A, B)
             rows = [A.row(i) + B.row(i) for i in range(1, n + 1)]
-            assert _pair_key(pair) == _normal_form(rows, p)
+            key = _pair_key(pair)
+            assert key == _normal_form([encode_row(row, p) for row in rows], p)
+            expected = reference_normal_form(rows, p)
+            assert (key if key is None
+                    else tuple(decode_row(row, p, n) for row in key)) == expected
 
 
 def _random_free_pairs_by_constructor(field, n, count, seed):
@@ -249,7 +288,14 @@ def test_report_serialization_shape():
 
 
 def reference_decomposition(keys, generators, p):
-    """Every key times every generator, reduced to its key, joined by union-find."""
+    """Every key times every generator, reduced to its key, joined by union-find.
+
+    The packed keys are decoded here, and every image is reduced by
+    ``reference_normal_form``: neither the trie nor the library's normal
+    form takes part.
+    """
+    n = len(keys[0])
+    keys = [tuple(decode_row(row, p, n) for row in key) for key in keys]
     ordinal = {key: i for i, key in enumerate(keys)}
     parent = list(range(len(keys)))
 
@@ -269,7 +315,7 @@ def reference_decomposition(keys, generators, p):
                     images[row] = [sum(x * y for x, y in zip(row, column)) % p
                                    for column in columns]
             moved = [images[row] for row in key]
-            a, b = find(i), find(ordinal[_normal_form(moved, p)])
+            a, b = find(i), find(ordinal[reference_normal_form(moved, p)])
             parent[max(a, b)] = min(a, b)
     groups = {}
     for i in range(len(keys)):
@@ -294,9 +340,85 @@ def test_decompose_matches_reference_exhaustively(n, p, generators):
 
 @pytest.mark.parametrize("n,p", [(3, 2), (2, 3), (2, 5), (3, 3)])
 def test_normal_form_fixes_every_key(n, p):
-    # The lemma behind the key lookup: keys are exactly the normal forms.
+    # The lemma behind the trie's key edges: keys are exactly the normal forms.
     for key in _free_submodule_keys(GF(p), n, None):
+        assert type(key) is tuple and len(key) == n
+        assert all(type(row) is int for row in key)
         assert _normal_form(list(key), p) == key
+        rows = tuple(decode_row(row, p, n) for row in key)
+        assert reference_normal_form(rows, p) == rows
+
+
+FAST_PATH_CASES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n,p", FAST_PATH_CASES)
+def test_trie_transitions_are_the_normal_form(n, p, monkeypatch):
+    # Every memoized transition, hit or miss, is the normal form of the
+    # node's rows and that row: first the memo a decomposition leaves,
+    # then every row a node can meet, each supported on the next row's
+    # columns and independent of the node's rows.
+    field = GF(p)
+    keys = _free_submodule_keys(field, n, None)
+    tries = []
+
+    class Recorded(_Trie):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tries.append(self)
+
+    monkeypatch.setattr("triorbit.oracle._Trie", Recorded)
+    _decompose(keys, orbit_generators(field, n) + gl2_generators(field, n), p)
+    trie, = tries
+
+    def check_edges():
+        count = 0
+        for node, edges in enumerate(trie.edges):
+            prefix = trie.prefixes[node]
+            rows = [decode_row(row, p, n) for row in prefix]
+            for row, child in edges.items():
+                reached = keys[child] if len(prefix) == n - 1 else trie.prefixes[child]
+                assert reached == _normal_form(prefix + (row,), p)
+                assert (tuple(decode_row(r, p, n) for r in reached)
+                        == reference_normal_form(rows + [decode_row(row, p, n)], p))
+                count += 1
+        return count
+
+    memoized = check_edges()
+    assert memoized > len(keys) + len(trie.prefixes) - 1  # some edges were misses
+    for node, prefix in enumerate(trie.prefixes):
+        rows = [decode_row(row, p, n) for row in prefix]
+        d = len(prefix)
+        support = [*range(d + 1), *range(n, n + d + 1)]
+        for values in itertools.product(range(p), repeat=len(support)):
+            columns = [0] * (2 * n)
+            for k, v in zip(support, values):
+                columns[k] = v
+            if reference_normal_form(rows + [columns], p) is not None:
+                trie.child(node, encode_row(columns, p))
+    assert check_edges() > memoized
+
+
+@pytest.mark.parametrize("n,p", FAST_PATH_CASES)
+@pytest.mark.parametrize("generators", [orbit_generators, gl2_generators])
+def test_generators_fix_the_rows_they_cannot_move(n, p, generators):
+    # Rows 1..f(g) of every key are fixed by g, checked on the image that
+    # act_right computes; the mover's image of every row agrees with it.
+    field = GF(p)
+    keys = _free_submodule_keys(field, n, None)
+    for g in generators(field, n):
+        fixed, move = _mover(g, p)
+        block = [g.X.row(i) + g.Y.row(i) for i in range(1, n + 1)]
+        block += [g.W.row(i) + g.Z.row(i) for i in range(1, n + 1)]
+        identity = [[int(j == k) for j in range(2 * n)] for k in range(2 * n)]
+        assert fixed == min((k % n for k in range(2 * n) if block[k] != identity[k]),
+                            default=n)
+        for key in keys:
+            image = act_right(_key_pair(field, key), g)
+            rows = [image.A.row(i) + image.B.row(i) for i in range(1, n + 1)]
+            assert [decode_row(row, p, n) for row in key[:fixed]] == [
+                tuple(row) for row in rows[:fixed]]
+            assert [move(row) for row in key] == [encode_row(row, p) for row in rows]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
