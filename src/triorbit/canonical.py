@@ -10,8 +10,9 @@ checkable by plain multiplication.  It takes one of three paths.
 1. Unimodular pairs (a_ii or b_ii nonzero in every row) form the single
    orbit of (I, 0).  Such a pair is free and its jump map is the identity
    (the lemma in ``ModulePair.is_unimodular``), so no invariant is
-   computed: ``_reduce_unimodular`` reaches (I, 0) in closed form, in at
-   most three stages (diagonal_clearing, row_clearing, b_transvection).
+   computed: ``_closed_form`` computes (I, 0), U, Q and at most three
+   stages (diagonal_clearing, row_clearing, b_transvection) straight from
+   their formula, in one pass over the packed entries.
 2. Other pairs are decided by the exact orbit invariant ``jump_map``,
    read off the one row pass over [A|B], ``trimat._row_pass``, which
    also decides freeness and rank: NotFree when a row is dependent, and
@@ -52,18 +53,17 @@ products and diagonal scalings have entries reduced mod p and a nonzero
 diagonal, and the right factors (the B-diagonal blocks, block_diag(P, I),
 upper(-B) and the row pass's column factor) have diagonal 2x2 cells of
 nonzero determinant.  The proof of each sits beside its build.  The
-working state (``_Reduction``) keeps U and Q as packed tuples: a left
-stage applies its row moves to A, B and U instead of multiplying by its
-factor, and a right stage updates Q's block rows by g's column moves, so
-U and Q are built once, at the end.  The two self-checks, canonical shape
+working state of paths 2 and 3 (``_Reduction``) keeps U and Q as packed
+tuples: a left stage applies its row moves to A, B and U instead of
+multiplying by its factor, and a right stage updates Q's block rows by
+g's column moves, so U and Q are built once, at the end.  The two self-checks, canonical shape
 and certificate, stay explicit raises over the result on every path.
 
 Nothing a stage has just built is rediscovered.  Every right factor of
-the closed form and the cleanup carries its column moves from its
-builder, which knows where g - I is nonzero: the diagonal cells of the
-B-diagonal blocks (``GL2Element._diagonal_cells``), the nonzero entries
-of -B in upper(-B) and P's entries below the diagonal in block_diag(P,
-I); the search's generators list theirs once.  The row pass's
+the cleanup carries its column moves from its builder, which knows where
+g - I is nonzero: the diagonal cells of the B-diagonal blocks
+(``GL2Element._diagonal_cells``) and P's entries below the diagonal in
+block_diag(P, I); the search's generators list theirs once.  The row pass's
 factor carries none and is never scanned by ``act_right``: the pair it
 produces is recorded by proof, and Q starts from its blocks when it is
 the first right stage; only after a cleanup or search does updating Q
@@ -71,9 +71,12 @@ scan its moves.  The certificate's Q is built from packed blocks without
 moves, so ``verify_certificate`` scans it afresh, and the self-check
 does not rest on any recorded move or proved pair.  A left stage taken
 while U is still the identity reads its factor off the new U (L I = L).
-In the closed form, row clearing sets A to the identity it is proved to
-reach, ``b_transvection`` records the (I, 0) it is proved to reach, and
-``is_canonical`` accepts (I, 0) with one comparison.
+
+The closed form records what its formula fixes and acts with nothing:
+each stage's factor and pair, U and Q are computed entry by entry (the
+proofs are in ``_closed_form``), its factors carry no moves, and
+``is_canonical`` accepts (I, 0) with one comparison.  So a unimodular
+pair costs one ``act_right``, the certificate self-check's.
 """
 
 import functools
@@ -418,21 +421,18 @@ class _Reduction:
         self.pair = ModulePair(_trusted(f, n, a), _trusted(f, n, b))
         self.stages.append(Stage(label, "left", factor, self.pair))
 
-    def left(self, label, moves, a=None):
+    def left(self, label, moves):
         """Left stage by the row moves of ``_row_moves``, in order.
 
         Its factor L is the product of their transvections in reverse
         order, which is the moves run on the identity.  While U is still
         the identity the new U is L I = L, so L is read off it and not
-        built a second time.  ``a``, when given, is the A that the moves
-        produce, as the caller has proved it, and the moves are not run on
-        A.
+        built a second time.
         """
         f, n, p = self.field, self.n, self.field.p
         one = LowerTriMatrix.identity(f, n).entries
         first = self.u == one
-        if a is None:
-            a = _row_moves(self.pair.A.entries, moves, p)
+        a = _row_moves(self.pair.A.entries, moves, p)
         b = _row_moves(self.pair.B.entries, moves, p)
         self.u = _row_moves(self.u, moves, p)
         factor = self.u if first else _row_moves(one, moves, p)
@@ -829,28 +829,68 @@ def _search_word(pair, generators, reach):
     return None
 
 
-def _reduce_unimodular(red):
-    """The closed form of a unimodular pair: at most three stages to (I, 0).
+_CLOSED_FORM = {}
 
-    A stage that would be the identity is not recorded, so (I, 0) itself
-    records none.
-    1. ``diagonal_clearing`` (right): diagonal blocks whose cell i sends
-       (a_ii, b_ii) to (1, 0): (a^-1, -b a^-1; 0, 1) where a_ii != 0 and
-       (0, -1; b^-1, 0) where a_ii = 0, so b_ii != 0.  With X, Y, W, Z
-       diagonal, the diagonals of AX + BW and AY + BZ are a_ii x_ii +
-       b_ii w_ii = 1 and a_ii y_ii + b_ii z_ii = 0.  The cells have
-       determinant a^-1 or b^-1, nonzero, so g is in the group.
-    2. ``row_clearing`` (left): A has a unit diagonal, and the moves are
-       row i -= a_ij row j for each a_ij != 0 below it, rows ascending.
-       Row j is already e_j when it is added into a later row, so each
-       move changes exactly its target entry, and A becomes I.
-    3. ``b_transvection`` (right): (I, B) upper(-B) = (I, 0).  B has a
-       zero diagonal, so the cells of upper(-B) are the identity.
+
+def _closed_form_plan(field, n):
+    """Per (p, n): the row and column of each packed slot, I, 0 and (I, 0).
+
+    Slot k of a packed matrix holds (r, c), 0-based, for the k-th r >= c
+    in row-major order.  Built on first use, once per (p, n).
     """
-    f, n = red.field, red.n
+    key = (field.p, n)
+    plan = _CLOSED_FORM.get(key)
+    if plan is None:
+        slots = [(r, c) for r in range(n) for c in range(r + 1)]
+        plan = _CLOSED_FORM[key] = (
+            tuple(r for r, _ in slots), tuple(c for _, c in slots),
+            LowerTriMatrix.identity(field, n), LowerTriMatrix.zero(field, n),
+            _canonical_pair(field, range(1, n + 1)))
+    return plan
+
+
+def _closed_form(pair):
+    """The closed form of a unimodular pair: (I, 0), its certificate and its stages.
+
+    Returns ((I, 0), Certificate(U, Q), stages), computed on packed
+    entries from the formula below; nothing acts on the pair and no move
+    list reaches ``act_right``.  A stage that would be the identity is not
+    recorded, so (I, 0) itself records none.
+    1. ``diagonal_clearing`` (right, g1, (A', B')): g1 has the diagonal
+       cells (a^-1, -b a^-1; 0, 1) where a = a_ii != 0 and (0, -1; b^-1,
+       0) where a_ii = 0, so b = b_ii != 0.  Their determinants a^-1 and
+       b^-1 are nonzero, so g1 is in the group.  X1, Y1, W1 and Z1 are
+       diagonal, so A' = A X1 + B W1 and B' = A Y1 + B Z1 are column
+       scalings: a'_rc = a_rc x_c + b_rc w_c and b'_rc = a_rc y_c + b_rc
+       z_c.  Their diagonals are a x + b w = 1 and a y + b z = 0 in both
+       kinds of cell.
+    2. ``row_clearing`` (left, U, (I, B'')): A' has a unit diagonal, and
+       the moves are row i -= a'_ij row j for each a'_ij != 0 below it,
+       rows ascending and j descending.  Row j is already e_j when it is
+       added into a later row, so each move changes exactly its target
+       entry, which no earlier move into row i has touched; A' becomes I.
+       The moves run on I give U, the product of their transvections, so
+       U A' = I, and run on B' they give B'' = U B'.  U has a unit
+       diagonal, so diag(B'') = diag(B') = 0.
+    3. ``b_transvection`` (right, upper(-B''), (I, 0)): (I, B'')
+       upper(-B'') = (I, -B'' + B'') = (I, 0).  Its diagonal cells are
+       (1, -b''_ii; 0, 1) = I, so it is in the group.
+    So U (A, B) g1 upper(-B'') = U (A', B') upper(-B'') = (I, 0), and Q =
+    g1 upper(-B''), whose block rows are (X1, Y1 - X1 B'') and (W1, Z1 -
+    W1 B'').  X1 and W1 are diagonal, so these are row scalings: entry
+    (r, c) of X1 B'' is x_r b''_rc.  Q is g1 or upper(-B'') alone when the
+    other stage is skipped, and the identity when both are.  Every entry
+    is reduced mod p, so the factors are built through ``_trusted`` and
+    ``GL2Element._trusted`` without moves; ``_column_moves`` scans them
+    if anything acts with them.
+    """
+    f, n = pair.field, pair.n
     p = f.p
+    rows, cols, one, zero, target = _closed_form_plan(f, n)
     offsets = _diagonal_offsets(n)
-    a, b = red.pair.A.entries, red.pair.B.entries
+    a, b = pair.A.entries, pair.B.entries
+    stages = []
+    g1 = None
     if any(a[d] != 1 or b[d] for d in offsets):
         cells = []
         for d in offsets:
@@ -859,32 +899,41 @@ def _reduce_unimodular(red):
                 cells.append((inv, -b[d] * inv % p, 0, 1))
             else:
                 cells.append((0, p - 1, pow(b[d], p - 2, p), 0))
-        red.right(GL2Element._diagonal_cells(f, n, cells), "diagonal_clearing")
-        a = red.pair.A.entries
+        x, y, w, z = columns = list(zip(*cells))
+        a, b = (tuple([(u * x[c] + v * w[c]) % p for u, v, c in zip(a, b, cols)]),
+                tuple([(u * y[c] + v * z[c]) % p for u, v, c in zip(a, b, cols)]))
+        blocks = []
+        for values in columns:
+            block = [0] * len(a)
+            for d, v in zip(offsets, values):
+                block[d] = v
+            blocks.append(_trusted(f, n, tuple(block)))
+        g1 = GL2Element._trusted(*blocks)
+        stages.append(Stage("diagonal_clearing", "right", g1,
+                            ModulePair(_trusted(f, n, a), _trusted(f, n, b))))
     # Row i (0-based) starts at offsets[i] - i, so a_ij sits at d - i + j.
     moves = [(i, j, -a[d - i + j] % p) for i, d in enumerate(offsets)
              for j in range(i - 1, -1, -1) if a[d - i + j]]
+    U = one
     if moves:
-        red.left("row_clearing", moves, LowerTriMatrix.identity(f, n).entries)
-    if any(red.pair.B.entries):
-        _b_transvection(red)
-
-
-def _b_transvection(red):
-    """Right stage by upper(-B), which takes (I, B) to (I, B - B) = (I, 0).
-
-    It runs once row clearing has made A the identity, so the pair it
-    produces is recorded as (I, 0), c(j) of the identity jump map, and g
-    does not act.  Its diagonal cells (1, -b_ii; 0, 1) have determinant 1,
-    so it is in the group.  Its moves are the nonzero entries of -B, from
-    A into B'.
-    """
-    f, n = red.field, red.n
-    one = LowerTriMatrix.identity(f, n)
-    neg = -red.pair.B
-    red.right(GL2Element._trusted(one, neg, LowerTriMatrix.zero(f, n), one,
-                                  ([], _block_moves(0, neg.entries, n))),
-              "b_transvection", _canonical_pair(f, range(1, n + 1)))
+        U = _trusted(f, n, _row_moves(one.entries, moves, p))
+        b = _row_moves(b, moves, p)
+        stages.append(Stage("row_clearing", "left", U, ModulePair(one, _trusted(f, n, b))))
+    if any(b):
+        neg = tuple([-v % p for v in b])
+        g2 = GL2Element._trusted(one, _trusted(f, n, neg), zero, one)
+        stages.append(Stage("b_transvection", "right", g2, target))
+        if g1 is None:
+            Q = g2
+        else:
+            Q = GL2Element._trusted(
+                g1.X, _trusted(f, n, tuple([(s + x[r] * v) % p
+                                            for s, v, r in zip(g1.Y.entries, neg, rows)])),
+                g1.W, _trusted(f, n, tuple([(s + w[r] * v) % p
+                                            for s, v, r in zip(g1.Z.entries, neg, rows)])))
+    else:
+        Q = GL2Element.identity(f, n) if g1 is None else g1
+    return target, Certificate(U, Q), stages
 
 
 def _reduce_rows(red, passed):
@@ -961,8 +1010,8 @@ def _reduce_general(red):
 def canonicalize(pair: ModulePair):
     """Reduce a free pair to its canonical form (three paths; see the module docstring).
 
-    A unimodular pair takes the closed form ``_reduce_unimodular`` and ends
-    on (I, 0).  By the lemma in ``ModulePair.is_unimodular`` its jump map
+    A unimodular pair takes the closed form ``_closed_form`` and ends on
+    (I, 0).  By the lemma in ``ModulePair.is_unimodular`` its jump map
     is the identity, which is free and canonical, so the NotFree and
     ``is_canonical_jump_map`` decisions could only pass and are skipped.
     The general reduction would end on the same pair and never search:
@@ -986,18 +1035,17 @@ def canonicalize(pair: ModulePair):
     raised only when the jump map is not canonical, or when a self-check
     (the cleanup's swept rows, canonical shape, certificate) fails.
     """
-    red = _Reduction(pair)
     if pair.is_unimodular():
-        _reduce_unimodular(red)
+        result, cert, stages = _closed_form(pair)
         pivots = []
     else:
+        red = _Reduction(pair)
         pivots = _reduce_general(red)
-    result = red.pair
+        result, cert, stages = red.pair, red.certificate(), red.stages
     if not is_canonical(result):
         raise CanonicalizationFailed(
             "canonical-shape self-check failed: the pipeline ended off the canonical shape")
-    cert = red.certificate()
     if not verify_certificate(pair, result, cert):
         raise CanonicalizationFailed(
             "certificate self-check failed: U (input) Q differs from the result")
-    return result, cert, Trace(red.stages, pivots)
+    return result, cert, Trace(stages, pivots)

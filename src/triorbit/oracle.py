@@ -307,27 +307,6 @@ class OrbitReport:
         return "\n".join(lines)
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if rx > ry:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-
-
 def _mover(g, p):
     """f(g), and the map taking a packed row r of [A|B] to r [X Y; W Z].
 
@@ -435,13 +414,17 @@ def _decompose(keys, generators, p):
     walked whole, so its members are never starts again, and every edge
     of g's permutation is accounted for.
 
-    The union keeps the lower index as the root, so each root is the least
-    member of its component, and grouping by root and sorting give the
-    same orbit list for any order of unions.
+    Union-find on ``parent``, with path halving.  The union keeps the
+    lower root as the root, so each root is the least member of its
+    component, and grouping by root and sorting give the same orbit list
+    for any order of unions.  Every link points down, parent[x] <= x, as
+    a union links a root to a lower one and halving links x to its
+    grandparent; so the final sweep, in ascending order, sets each
+    parent[x] to its root from the root already set at parent[x].
     """
     trie = _Trie(keys, p)
     edges = trie.edges
-    uf = _UnionFind(len(keys))
+    parent = list(range(len(keys)))
     for g in generators:
         steps = _order(g) - 1
         fixed, move = _mover(g, p)
@@ -465,12 +448,21 @@ def _decompose(keys, generators, p):
                     node = trie.child(node, image) if child is None else child
                 if node == start:
                     break
-                uf.union(i, node)
+                x, y = i, node
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
                 done[node] = 1
                 i, key = node, keys[node]
     groups = {}
-    for i in range(len(keys)):
-        groups.setdefault(uf.find(i), []).append(i)
+    for x, up in enumerate(parent):
+        parent[x] = root = parent[up]
+        groups.setdefault(root, []).append(x)
     return [groups[root] for root in sorted(groups)]
 
 
@@ -555,7 +547,7 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
     no pair and pass.  A failing check is reported in the verdicts, with a
     counterexample, and is not raised.
     """
-    report, (keys, orbits, orbit_of, orbit_canonical) = _build_report(n, p, budget)
+    report, (keys, orbits, orbit_of, _) = _build_report(n, p, budget)
     field = GF(p)
 
     report.verdicts["orbit_count_equals_bell"] = report.orbit_count == report.bell
@@ -598,8 +590,15 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
             agreed = False
             continue
         report.search_activations += trace.search_steps
-        expected = orbit_canonical[orbit_of[_pair_key(pair)]]
-        if expected is None or _pair_key(result) != expected:
+        # The result is canonical (canonicalize checks it), and so is the
+        # orbit's canonical pair.  A canonical pair's rows are distinct unit
+        # vectors, each 0 at the other rows' leads and 1 at its own: the one
+        # shape of a key's rows (``_normal_form``), so the pair is its own
+        # key's least pair, ``_key_pair`` of its key.  Two canonical pairs
+        # with equal keys are therefore equal, and comparing the pairs
+        # decides what comparing their keys did.
+        expected = report.orbits[orbit_of[_pair_key(pair)]]
+        if expected.canonical_count != 1 or result != expected.canonical_pair:
             agreed = False
             if report.counterexample is None:
                 report.counterexample = pair

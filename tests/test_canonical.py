@@ -319,8 +319,8 @@ CLOSED_FORM_LABELS = ["diagonal_clearing", "row_clearing", "b_transvection"]
 def test_unimodular_pairs_take_the_closed_form(n, p, monkeypatch):
     # Every unimodular pair: the lemma of ModulePair.is_unimodular (full
     # rank, identity jump map), then (I, 0) with a certificate that checks,
-    # at most three stages that compose to it, in their fixed order, and at
-    # most three group actions, the certificate self-check included.
+    # at most three stages that compose to it, in their fixed order, and
+    # exactly one group action, the certificate self-check's.
     f = GF(p)
     target = _identity_zero(f, n)
     one = LowerTriMatrix.identity(f, n)
@@ -338,7 +338,7 @@ def test_unimodular_pairs_take_the_closed_form(n, p, monkeypatch):
         assert jump_map(pair) == tuple(range(1, n + 1))
         calls = 0
         result, cert, trace = canonicalize(pair)
-        assert calls <= 3
+        assert calls == 1
         assert result == target
         assert verify_certificate(pair, result, cert)
         labels = [stage.label for stage in trace]
@@ -504,15 +504,69 @@ def test_closed_form_on_large_seeded_unimodular_pairs(n, p):
         assert len(trace) <= 3
 
 
+def _reference_closed_form(pair):
+    """The closed form's stages, from its formula, through the public products.
+
+    g1 has the diagonal cells (a^-1, -b a^-1; 0, 1) where a = a_ii != 0
+    and (0, -1; b^-1, 0) where a_ii = 0, and (A', B') = (A X1 + B W1, A Y1
+    + B Z1).  Then U = A'^-1 by ``LowerTriMatrix.inverse``, B'' = U B', and
+    Q = g1 upper(-B'') by ``GL2Element.__mul__``.  A stage is listed unless
+    its factor is the identity.
+    """
+    f, n, p = pair.field, pair.n, pair.field.p
+    one, zero = LowerTriMatrix.identity(f, n), LowerTriMatrix.zero(f, n)
+    cells = []
+    for a, b in zip(pair.A.diag(), pair.B.diag()):
+        if a:
+            cells.append((pow(a, -1, p), -b * pow(a, -1, p) % p, 0, 1))
+        else:
+            cells.append((0, p - 1, pow(b, -1, p), 0))
+    X1, Y1, W1, Z1 = (LowerTriMatrix.diagonal(f, list(values)) for values in zip(*cells))
+    g1 = GL2Element(X1, Y1, W1, Z1)
+    A1 = pair.A * X1 + pair.B * W1
+    B1 = pair.A * Y1 + pair.B * Z1
+    U = A1.inverse()
+    B2 = U * B1
+    g2 = GL2Element.upper(-B2)
+    stages = [("diagonal_clearing", "right", g1, ModulePair(A1, B1)),
+              ("row_clearing", "left", U, ModulePair(one, B2)),
+              ("b_transvection", "right", g2, ModulePair(one, zero))]
+    identities = (GL2Element.identity(f, n), one, GL2Element.identity(f, n))
+    stages = [stage for stage, e in zip(stages, identities) if stage[2] != e]
+    return ModulePair(one, zero), U, g1 * g2, stages
+
+
+@pytest.mark.parametrize("n,p,count", [(2, 2, None), (2, 3, None), (3, 2, None),
+                                       (6, 3, 300), (7, 5, 200)])
+def test_closed_form_matches_the_reference(n, p, count):
+    # Every unimodular pair at desk scale, or seeded ones: the result, U, Q
+    # and every stage's label, side, factor and pair equal the reference,
+    # which builds them through the public products and inverse, not
+    # through the closed form's code.
+    f = GF(p)
+    if count is None:
+        pairs = list(_unimodular_pairs(n, p))
+    else:
+        rng = random.Random(n * p)
+        pairs = [_seeded_unimodular_pair(f, n, rng) for _ in range(count)]
+    kinds = set()
+    for pair in pairs:
+        result, cert, trace = canonicalize(pair)
+        expected, U, Q, stages = _reference_closed_form(pair)
+        assert (result, cert.U, cert.Q) == (expected, U, Q)
+        assert [(s.label, s.side, s.factor, s.pair) for s in trace] == stages
+        assert trace.pivots == []
+        kinds.add(tuple(stage[0] for stage in stages))
+    # Every subset of the three stages occurs, the empty one only for (I, 0).
+    assert len(kinds) == (8 if count is None else 1)
+
+
 @pytest.mark.parametrize("n,p,count,labels", [
-    (2, 2, None, {"diagonal_clearing", "b_transvection", "column_reduction"}),
-    (2, 3, None, {"diagonal_clearing", "b_transvection", "column_reduction"}),
-    (3, 2, None, {"diagonal_clearing", "b_transvection", "column_reduction",
-                  "similarity_right", "search"}),
-    (6, 3, 1000, {"diagonal_clearing", "b_transvection", "column_reduction",
-                  "similarity_right", "search"}),
-    (7, 5, 400, {"diagonal_clearing", "b_transvection", "column_reduction",
-                 "similarity_right", "search"}),
+    (2, 2, None, {"column_reduction"}),
+    (2, 3, None, {"column_reduction"}),
+    (3, 2, None, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
+    (6, 3, 1000, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
+    (7, 5, 400, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
 ])
 def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monkeypatch):
     # Right factors carry the column moves their builders know; a fresh
@@ -523,14 +577,17 @@ def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monk
     # from U while U is the identity; it must still be the product of its
     # moves reversed.  Every free pair at desk scale, or the first seed-0
     # pairs; only a pair whose orbit holds no canonical pair may raise.
+    # Unimodular pairs take the closed form, which records its stages
+    # without _Reduction; test_closed_form_matches_the_reference covers
+    # those factors.
     f = GF(p)
     recorded = []
     seen = set()
     left, right = _Reduction.left, _Reduction.right
 
-    def recording_left(self, label, moves, a=None):
+    def recording_left(self, label, moves):
         recorded.append(moves)
-        return left(self, label, moves, a)
+        return left(self, label, moves)
 
     def checking_right(self, g, label, pair=None):
         fresh = GL2Element._trusted(g.X, g.Y, g.W, g.Z)
@@ -547,6 +604,9 @@ def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monk
             _, _, trace = canonicalize(pair)
         except CanonicalizationFailed:
             assert not is_canonical_jump_map(jump_map(pair))
+            continue
+        if pair.is_unimodular():
+            assert not recorded
             continue
         rows = [stage for stage in trace if stage.side == "left" and stage.label != "scaling"]
         assert len(rows) == len(recorded)
@@ -822,14 +882,15 @@ def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
 
 # Calls of ``triorbit.canonical.act_right`` over the same samples: one per
 # search child built and per recorded right move that acts, plus the
-# certificate self-check; column_reduction and b_transvection record the
-# pair their proofs fix and make none.  The search's first-layer pre-scan builds no child that
-# provably scores above zero, so a search that ends in its first layer
-# builds fewer children than the generators it walks.  perfbench's action
-# cap counts these calls.  Each entry is (all calls, calls on
+# certificate self-check; column_reduction records the pair its proof
+# fixes and makes none.  The search's first-layer pre-scan builds no child
+# that provably scores above zero, so a search that ends in its first
+# layer builds fewer children than the generators it walks.  perfbench's
+# action cap counts these calls.  Each entry is (all calls, calls on
 # non-unimodular pairs); only the second can include the search, and
-# unimodular pairs take the closed form, which makes at most three.
-SEED0_ACT_RIGHT_CALLS = {(4, 2): (5783, 3605), (5, 2): (10971, 10751), (3, 3): (3749, 424)}
+# unimodular pairs take the closed form, which computes its stages from
+# their formula and makes exactly one, the self-check's.
+SEED0_ACT_RIGHT_CALLS = {(4, 2): (4703, 3605), (5, 2): (10861, 10751), (3, 3): (2089, 424)}
 
 
 @pytest.mark.parametrize("n,p,count,steps,searched", [
@@ -902,7 +963,7 @@ def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
                 others += calls
         steps += trace.search_steps
         searched += trace.search_activated
-    assert (steps, searched, actions, others, censored) == (50, 48, 2845, 1651, 0)
+    assert (steps, searched, actions, others, censored) == (50, 48, 2248, 1651, 0)
 
 
 def _reference_search_word(pair, generators):
