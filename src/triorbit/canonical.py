@@ -56,8 +56,10 @@ nonzero determinant.  The proof of each sits beside its build.  The
 working state of paths 2 and 3 (``_Reduction``) keeps U and Q as packed
 tuples: a left stage applies its row moves to A, B and U instead of
 multiplying by its factor, and a right stage updates Q's block rows by
-g's column moves, so U and Q are built once, at the end.  The two self-checks, canonical shape
-and certificate, stay explicit raises over the result on every path.
+g's column moves, so U and Q are built once, at the end.  The two
+self-checks, canonical shape and certificate, stay explicit raises over
+the result on every path.  The certificate check multiplies packed
+entries (``_certificate_image``) and makes no ``act_right`` call.
 
 Nothing a stage has just built is rediscovered.  Every right factor of
 the cleanup carries its column moves from its builder, which knows where
@@ -67,16 +69,16 @@ block_diag(P, I); the search's generators list theirs once.  The row pass's
 factor carries none and is never scanned by ``act_right``: the pair it
 produces is recorded by proof, and Q starts from its blocks when it is
 the first right stage; only after a cleanup or search does updating Q
-scan its moves.  The certificate's Q is built from packed blocks without
-moves, so ``verify_certificate`` scans it afresh, and the self-check
-does not rest on any recorded move or proved pair.  A left stage taken
-while U is still the identity reads its factor off the new U (L I = L).
+scan its moves.  The certificate check reads only U, Q, the input and
+the output, so it does not rest on any recorded move or proved pair.  A
+left stage taken while U is still the identity reads its factor off the
+new U (L I = L).
 
 The closed form records what its formula fixes and acts with nothing:
 each stage's factor and pair, U and Q are computed entry by entry (the
 proofs are in ``_closed_form``), its factors carry no moves, and
 ``is_canonical`` accepts (I, 0) with one comparison.  So a unimodular
-pair costs one ``act_right``, the certificate self-check's.
+pair makes no ``act_right`` call.
 """
 
 import functools
@@ -86,19 +88,22 @@ import itertools
 from .errors import (
     BudgetExceeded,
     CanonicalizationFailed,
+    DimensionMismatch,
     NotFree,
     PivotSelectionFailed,
     SingularSystem,
     UnsupportedDimension,
 )
 from .field import GF
-from .gl2 import GL2Element, _act, _block_moves, act_right, gl2_generators
+from .gl2 import GL2Element, _act, _block_moves, _move_cells, act_right, gl2_generators
 from .modpairs import ModulePair, _canonical_pair, enumeration_budget
 from .partitions import bell
 from .trimat import (
     LowerTriMatrix,
+    _accumulate,
     _diagonal_offsets,
     _pos,
+    _product_plan,
     _row_pass,
     _trusted,
     matrix_rank,
@@ -160,17 +165,63 @@ class Trace:
 def verify_certificate(inp: ModulePair, out: ModulePair, cert: Certificate) -> bool:
     """True iff U is a unit, Q is valid, and U (input) Q equals the output.
 
-    U (input) is formed directly: the unit test ``act_left_unit`` would
-    repeat has just passed.
+    A Q of another dimension or field raises DimensionMismatch, as
+    ``act_right`` does.  The product is ``_certificate_image``'s; it reads
+    only U, Q and the input, so the check rests on no recorded move or
+    proved pair.
     """
-    U = cert.U
+    U, Q = cert.U, cert.Q
     if not isinstance(U, LowerTriMatrix) or not U.is_unit():
         return False
-    if not isinstance(cert.Q, GL2Element):
+    if not isinstance(Q, GL2Element):
         return False
-    if U.n != inp.n or (U.field is not inp.field and U.field != inp.field):
+    f, n = inp.field, inp.n
+    if U.n != n or (U.field is not f and U.field != f):
         return False
-    return act_right(ModulePair(U * inp.A, U * inp.B), cert.Q) == out
+    if Q.X.n != n or (Q.X.field is not f and Q.X.field != f):
+        raise DimensionMismatch("pair and group element must match")
+    if not isinstance(out, ModulePair):
+        return False
+    o = out.A
+    return ((o.n == n and (o.field is f or o.field == f))
+            and _certificate_image(U.entries, inp.A.entries, inp.B.entries, Q, n, f.p)
+            == (o.entries, out.B.entries))
+
+
+def _certificate_image(u, a, b, Q, n, p):
+    """Packed entries of U (A, B) Q, from those of U, A, B and Q's blocks.
+
+    (A, B) Q = (A X + B W, A Y + B Z), so U (A, B) Q = (M_A X + M_B W,
+    M_A Y + M_B Z) with M_A = U A and M_B = U B.  Each factor L is read as
+    I + (L - I), and only the nonzero entries of L - I do work.
+    1. Row i of a lower triangular product L R is the sum over k <= i of
+       l_ik times row k of R, and ``trimat._accumulate`` adds it
+       unreduced, skipping zero l_ik.  So M_A = A + (U - I) A and M_B =
+       B + (U - I) B start as A and B and take (U - I) A and (U - I) B.
+    2. Column c of M E is the sum over k >= c of e_kc times column k of M,
+       which is zero above row k (the rows and shift of
+       ``gl2._move_cells``).  So each nonzero entry v at (k, c) of X - I,
+       W, Y or Z - I adds v times column k of its source (M_A for X and Y,
+       M_B for W and Z) into column c of its target (the first part for X
+       and W, the second for Y and Z), which starts as M_A or M_B.
+    Every entry is reduced mod p once, at the end.
+    """
+    one, steps = _product_plan(n)
+    u_minus_i = [x - e for x, e in zip(u, one)]
+    ma, mb = list(a), list(b)
+    _accumulate(ma, u_minus_i, a, steps)
+    _accumulate(mb, u_minus_i, b, steps)
+    oa, ob = ma[:], mb[:]
+    cells = _move_cells(n)
+    zero = itertools.repeat(0)
+    for src, dst, block, base in ((ma, oa, Q.X.entries, one), (mb, oa, Q.W.entries, zero),
+                                  (ma, ob, Q.Y.entries, zero), (mb, ob, Q.Z.entries, one)):
+        for v, d, (rows, shift) in zip(block, base, cells):
+            if v != d:
+                v -= d
+                for r in rows:
+                    dst[r - shift] += v * src[r]
+    return tuple([v % p for v in oa]), tuple([v % p for v in ob])
 
 
 # -- the canonical predicate -------------------------------------------------
@@ -881,8 +932,8 @@ def _closed_form(pair):
     (r, c) of X1 B'' is x_r b''_rc.  Q is g1 or upper(-B'') alone when the
     other stage is skipped, and the identity when both are.  Every entry
     is reduced mod p, so the factors are built through ``_trusted`` and
-    ``GL2Element._trusted`` without moves; ``_column_moves`` scans them
-    if anything acts with them.
+    ``GL2Element._trusted`` without moves; nothing acts with them, and
+    ``verify_certificate`` reads Q's blocks as they are.
     """
     f, n = pair.field, pair.n
     p = f.p

@@ -519,18 +519,30 @@ def _build_report(n, p, budget=None):
 
 
 def random_free_pairs(field, n, count, seed):
-    """Deterministic sample of free pairs, by rejection on uniform entries."""
+    """Deterministic sample of free pairs, by rejection on uniform entries.
+
+    Each entry is drawn as ``Random.randrange(p)`` draws it, inlined: r =
+    getrandbits(k) with k = p.bit_length(), drawn again while r >= p.  So
+    the sample is the stream of A's entries then B's entries, pair after
+    pair, that ``randrange`` gives for the seed, and each entry lies in
+    [0, p), so the constructor's checks could only pass.
+    """
     if n < 1:
         raise DimensionMismatch(f"dimension {n} < 1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     m = n * (n + 1) // 2
     p = field.p
+    k = p.bit_length()
     out = []
     while len(out) < count:
-        # randrange(p) lies in [0, p), so the constructor's checks could only pass.
-        A = _trusted(field, n, tuple([rng.randrange(p) for _ in range(m)]))
-        B = _trusted(field, n, tuple([rng.randrange(p) for _ in range(m)]))
-        pair = ModulePair(A, B)
+        entries = []
+        for _ in range(2 * m):
+            r = getrandbits(k)
+            while r >= p:
+                r = getrandbits(k)
+            entries.append(r)
+        pair = ModulePair(_trusted(field, n, tuple(entries[:m])),
+                          _trusted(field, n, tuple(entries[m:])))
         if pair.is_free():
             out.append(pair)
     return out
