@@ -3,13 +3,14 @@
 A free pair and its unit multiples generate the same submodule, so each
 free submodule is keyed by its least generating pair, which has a normal
 form (``_normal_form``).  The free submodules are enumerated straight in
-that form and grouped into group orbits with union-find, walking each
-generator's cycles on the keys (``_decompose``).  An image's key is found
-on a trie of the key prefixes that memoizes the normal form row by row,
-and each generator moves only the rows it does not fix.  The resulting
-decomposition is confronted with the claimed classification: orbit count
-equals the Bell number, each orbit holds exactly one canonical submodule,
-the canonicalizer lands on it, and exactly one orbit is unimodular.
+that form and grouped into group orbits with union-find (``_decompose``):
+each generator maps the nodes of a trie of the key prefixes, on which the
+normal form is a left fold, level by level over the trie's edges, from
+the depth of the rows it fixes, and each key is united with its image.
+The resulting decomposition is confronted with the claimed
+classification: orbit count equals the Bell number, each orbit holds
+exactly one canonical submodule, the canonicalizer lands on it, and
+exactly one orbit is unimodular.
 
 A key is a tuple of n packed rows.  Row i of [A|B] packs into one int:
 its 2n residues a_i1..a_in, b_i1..b_in are its base-p digits, a_i1 the
@@ -26,7 +27,7 @@ from .canonical import canonicalize, enumerate_canonical
 from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
                      InconsistentDecomposition, InvalidSampleCount)
 from .field import GF
-from .gl2 import GL2Element, orbit_generators
+from .gl2 import orbit_generators
 from .modpairs import (ModulePair, Submodule, _canonical_pair, enumeration_budget,
                        ring_size, unit_count, unit_matrices)
 from .partitions import bell
@@ -335,22 +336,13 @@ def _mover(g, p):
     return fixed, move
 
 
-def _order(g):
-    """Multiplicative order of g: the least m >= 1 with g^m the identity."""
-    one = GL2Element.identity(g.field, g.n)
-    power, m = g, 1
-    while power != one:
-        power = power * g
-        m += 1
-    return m
-
-
 class _Trie:
-    """The key prefixes, with a memo of ``_normal_form``'s left fold.
+    """The key prefixes, and the step of ``_normal_form``'s left fold on them.
 
     Node 0 is the empty prefix, and ``prefixes[node]`` holds a node's key
-    rows.  ``edges[node]`` maps a row to the node after it; at depth n - 1
-    it maps to key ordinals.  The keys' own rows give the first edges.
+    rows.  ``edges[node]`` maps each key row that follows the prefix to
+    the node after it; at depth n - 1 it maps to key ordinals.  The edges
+    are fixed once the keys are read.
     """
 
     def __init__(self, keys, p):
@@ -370,12 +362,12 @@ class _Trie:
             self.edges[node][key[-1]] = ordinal
 
     def child(self, node, row):
-        """The node after ``row``, reduced and stored on first sight."""
-        edges = self.edges[node]
-        child = edges.get(row)
-        if child is None:
-            child = edges[row] = edges[_reduce_row(self.prefixes[node], row, self.p)]
-        return child
+        """The node after ``row``, which must be independent of the node's rows.
+
+        ``_reduce_row`` takes ``row`` to the next key row of the fold, a key
+        row itself unchanged, and its edge is the node after it.
+        """
+        return self.edges[node][_reduce_row(self.prefixes[node], row, self.p)]
 
 
 def _decompose(keys, generators, p):
@@ -383,36 +375,36 @@ def _decompose(keys, generators, p):
 
     (A, B) g = (AX + BW, AY + BZ), so each row of [A|B] moves to itself
     times [X Y; W Z].  Keys share most of their rows, so the image of a
-    row under a generator is computed once, when a walk first needs it;
+    row under a generator is computed once, when the walk first needs it;
     generators are taken one at a time, so only one such cache is alive.
 
     Left fold.  ``_normal_form`` folds ``_reduce_row`` over the rows, so
     its state after i rows, key rows 1..i of the result, is fixed by
     input rows 1..i.  The image of a key under a group element is a free
     pair, whose key is a key; so every state of the fold of an image is a
-    key prefix, a node of the ``_Trie``, and the node's edge for the next
-    row is the fold's next state, reduced once on first sight.  The key
-    of an image is then n edge lookups, the last giving its ordinal,
-    whether or not the image is a key already.
+    key prefix, a node of the ``_Trie``, and ``_Trie.child`` gives the
+    fold's next state from it.
 
-    Unmoved rows.  Let f = f(g) (``_mover``).  Row i of [A|B] is supported
-    on the columns a_1..a_i, b_1..b_i, which meet the rows i' and n + i'
-    of [X Y; W Z] for i' <= i only; for i <= f these are the identity's
-    rows, so row i maps to itself.  Rows 1..f of an image are therefore
-    the key's own rows 1..f, which are key rows, and the fold of the image
-    passes through the key's node at depth f: the cycle of g through a
-    key stays below that node.  The walk finds it once per cycle and
-    moves rows f + 1..n only.
-
-    Cycle walk.  A generator g of order m permutes the keys, and each
-    cycle's length divides m.  From a start s not yet visited under g the
-    walk takes s -> g s -> g^2 s ..., uniting each image with the key
-    before it and marking it visited, until it returns to s or has taken
-    m - 1 steps.  A cycle shorter than m closes within those steps; one
-    that has not closed has length m, and its closing edge
-    g (g^(m-1) s) = s joins two keys already united.  Every cycle is
-    walked whole, so its members are never starts again, and every edge
-    of g's permutation is accounted for.
+    Trie map.  Rows 1..d of a key's image under g are its rows 1..d times
+    g, which its node N at depth d fixes; so the image's fold state after
+    d rows depends on N alone.  Call it phi(N): a node at depth d, or at
+    depth n the ordinal of the image's key.  Let f = f(g) (``_mover``).
+    Row i of [A|B] is supported on the columns a_1..a_i, b_1..b_i, which
+    meet the rows i' and n + i' of [X Y; W Z] for i' <= i only; for
+    i <= f these are the identity's rows, so row i maps to itself.  A
+    node N at depth f therefore has phi(N) = N, as the fold of a key's
+    own rows passes through its own nodes.  Below that, the fold's next
+    step gives phi(child(N, r)) = child(phi(N), r g).  So phi is built
+    level by level from depth f over the key edges, one transition per
+    edge, and at depth n it pairs every key ordinal with the ordinal of
+    its image.  Every key lies below exactly one node at depth f, so each
+    key meets each generator once: uniting key and image for every
+    generator joins each orbit, as the group is finite and g^-1 is a
+    power of g.  An identity generator, f = n, moves no key and is
+    skipped.  A row off the node's key edges is reduced each time it is
+    met, and not stored: one generator never meets a transition twice, as
+    a node is fixed by the spans of its first 1, ..., d rows, which g maps
+    one to one, and g moves distinct rows to distinct rows.
 
     Union-find on ``parent``, with path halving.  The union keeps the
     lower root as the root, so each root is the least member of its
@@ -424,41 +416,40 @@ def _decompose(keys, generators, p):
     """
     trie = _Trie(keys, p)
     edges = trie.edges
+    n = len(keys[0])
     parent = list(range(len(keys)))
     for g in generators:
-        steps = _order(g) - 1
         fixed, move = _mover(g, p)
+        if fixed == n:
+            continue
+        nodes = [0]
+        for _ in range(fixed):
+            nodes = [child for node in nodes for child in edges[node].values()]
+        level = zip(nodes, nodes)
         images = {}
-        done = bytearray(len(keys))
-        for start in range(len(keys)):
-            if done[start]:
-                continue
-            key = keys[start]
-            base = 0
-            for row in key[:fixed]:
-                base = edges[base][row]
-            i = start
-            for _ in range(steps):
-                node = base
-                for row in key[fixed:]:
+        for depth in range(fixed + 1, n + 1):
+            mapped = []
+            for node, target in level:
+                moved = edges[target]
+                for row, x in edges[node].items():
                     image = images.get(row)
                     if image is None:
                         image = images[row] = move(row)
-                    child = edges[node].get(image)
-                    node = trie.child(node, image) if child is None else child
-                if node == start:
-                    break
-                x, y = i, node
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
-                done[node] = 1
-                i, key = node, keys[node]
+                    y = moved.get(image)
+                    if y is None:
+                        y = trie.child(target, image)
+                    if depth < n:
+                        mapped.append((x, y))
+                        continue
+                    while parent[x] != x:
+                        parent[x] = x = parent[parent[x]]
+                    while parent[y] != y:
+                        parent[y] = y = parent[parent[y]]
+                    if x < y:
+                        parent[y] = x
+                    elif y < x:
+                        parent[x] = y
+            level = mapped
     groups = {}
     for x, up in enumerate(parent):
         parent[x] = root = parent[up]

@@ -428,6 +428,36 @@ def solve_mod_p(rows, width, p):
     return solution
 
 
+_ROW_PASS_PLANS = {}
+
+
+def _row_pass_plan(n):
+    """The layout of the row pass over [A|B] at size n, computed once per n.
+
+    One getter per row i of [A|B] gathers it interleaved, (a_i1, b_i1,
+    ..., a_ii, b_ii), from A's packed entries followed by B's; the 2n
+    rows of the 2n x 2n identity start the right factor; and one getter
+    takes X, Y, W and Z, each packed, one after another, from the factor's
+    rows laid end to end.  Row 2r (2r + 1) of the factor holds row r of X
+    and Y (W and Z), interleaved.  Each getter takes at least two
+    entries, so it returns a tuple also at n = 1.
+    """
+    plan = _ROW_PASS_PLANS.get(n)
+    if plan is None:
+        m = _tri_len(n)
+        rows = []
+        for i in range(n):
+            start = _tri_len(i)
+            rows.append(operator.itemgetter(
+                *(k + h for k in range(start, start + i + 1) for h in (0, m))))
+        one = tuple(tuple(int(c == r) for c in range(2 * n)) for r in range(2 * n))
+        blocks = operator.itemgetter(
+            *((2 * r + h) * 2 * n + s + 2 * c
+              for h in (0, 1) for s in (0, 1) for r in range(n) for c in range(r + 1)))
+        plan = _ROW_PASS_PLANS[n] = (rows, one, blocks)
+    return plan
+
+
 def _row_pass(A, B, record=False):
     """One row pass over [A|B]: the jump map, and on request the moves that reduce the pair.
 
@@ -472,38 +502,33 @@ def _row_pass(A, B, record=False):
     of the cells and column moves, as packed X, Y, W, Z; its rows start as
     the identity's and run every column step after the pair's rows.  The
     moves take a free pair with a canonical jump map to its canonical pair.
+
+    The layout is the per-n plan of ``_row_pass_plan``: each row of [A|B]
+    is gathered interleaved by one getter, the factor's rows are copied
+    from the identity's, and X, Y, W and Z are cut from the finished
+    factor by one getter.
     """
     A._check_compatible(B)
     n, p = A.n, A.field.p
-    a, b = A.entries, B.entries
+    rows, one, blocks = _row_pass_plan(n)
+    entries = A.entries + B.entries
     # Per pivot row: (row, e, 1 / (row at e), the row, swap), the row being 0
     # beyond its pair k; swap is 0, 1 for a plain swap of pair k, or p - 1 for a
     # negating one.
     steps, jumps, row_moves = [], [], []
-    factor = [[int(c == m) for c in range(2 * n)] for m in range(2 * n if record else 0)]
-    for i in range(n + len(factor)):
-        if i < n:
-            # Row i as (a_i1, b_i1, ..., a_ii, b_ii), 0-based: pair k at 2k, 2k + 1.
-            start = i * (i + 1) // 2
-            w = [0] * (2 * i + 2)
-            w[0::2], w[1::2] = a[start:start + i + 1], b[start:start + i + 1]
-        else:
-            w = factor[i - n]
-        # Each column step; a pair row then makes the row move that zeroes
-        # the entry at e, and a factor row keeps the scaled entry there.
+    for i, gather in enumerate(rows):
+        # Row i as (a_i1, b_i1, ..., a_ii, b_ii), 0-based: pair k at 2k, 2k + 1.
+        w = list(gather(entries))
+        # Each column step, then the row move that zeroes the entry at e.
         for r, e, inv, v, swap in steps:
             t = w[e]
             if t:
                 t = t * inv % p
                 w[:len(v)] = [(x - t * y) % p for x, y in zip(w, v)]
-                if i >= n:
-                    w[e] = t
-                elif record:
+                if record:
                     row_moves.append((i, r, p - t))
             if swap:
                 w[e & ~1], w[e | 1] = w[e | 1], w[e & ~1] * swap % p
-        if i >= n:
-            continue
         c = 2 * i
         while c >= 0 and not (w[c] or w[c + 1]):
             c -= 2
@@ -517,10 +542,22 @@ def _row_pass(A, B, record=False):
         steps.append((i, e, pow(w[e], p - 2, p), w, swap))
     if not record:
         return tuple(jumps), None, None
-    # Row 2r (2r + 1) of the factor holds row r of X and Y (W and Z), interleaved.
-    blocks = tuple(tuple(v for r in range(n) for v in factor[2 * r + h][s:2 * r + 2:2])
-                   for h in (0, 1) for s in (0, 1))
-    return tuple(jumps), row_moves, blocks
+    # The factor's rows take every column step, keeping the scaled entry at e.
+    factor = []
+    for w in map(list, one):
+        for r, e, inv, v, swap in steps:
+            t = w[e]
+            if t:
+                t = t * inv % p
+                w[:len(v)] = [(x - t * y) % p for x, y in zip(w, v)]
+                w[e] = t
+            if swap:
+                w[e & ~1], w[e | 1] = w[e | 1], w[e & ~1] * swap % p
+        factor += w
+    m = _tri_len(n)
+    packed = blocks(factor)
+    return tuple(jumps), row_moves, (packed[:m], packed[m:2 * m], packed[2 * m:3 * m],
+                                     packed[3 * m:])
 
 
 def augmented_rank(A: LowerTriMatrix, B: LowerTriMatrix) -> int:

@@ -141,6 +141,75 @@ def test_packed_jump_map_matches_column_reference(n, p):
         assert third_rows > 0
 
 
+def reference_row_pass(A, B, record=False):
+    """The row pass as it was before its per-n plan: slices and a fresh identity.
+
+    Same steps as ``trimat._row_pass``; only the layout differs.  Each row
+    of [A|B] is interleaved by slice assignment, the factor's rows are
+    built entry by entry and run in the same loop as the pair's rows, and
+    the blocks are read off the factor's rows by strided slices.
+    """
+    n, p = A.n, A.field.p
+    a, b = A.entries, B.entries
+    steps, jumps, row_moves = [], [], []
+    factor = [[int(c == m) for c in range(2 * n)] for m in range(2 * n if record else 0)]
+    for i in range(n + len(factor)):
+        if i < n:
+            start = i * (i + 1) // 2
+            w = [0] * (2 * i + 2)
+            w[0::2], w[1::2] = a[start:start + i + 1], b[start:start + i + 1]
+        else:
+            w = factor[i - n]
+        for r, e, inv, v, swap in steps:
+            t = w[e]
+            if t:
+                t = t * inv % p
+                w[:len(v)] = [(x - t * y) % p for x, y in zip(w, v)]
+                if i >= n:
+                    w[e] = t
+                elif record:
+                    row_moves.append((i, r, p - t))
+            if swap:
+                w[e & ~1], w[e | 1] = w[e | 1], w[e & ~1] * swap % p
+        if i >= n:
+            continue
+        c = 2 * i
+        while c >= 0 and not (w[c] or w[c + 1]):
+            c -= 2
+        jumps.append(c // 2 + 1)
+        if c < 0:
+            continue
+        if c == 2 * i:
+            e, swap = (c, 0) if w[c] else (c + 1, p - 1)
+        else:
+            e, swap = (c + 1, 0) if w[c + 1] else (c, 1)
+        steps.append((i, e, pow(w[e], p - 2, p), w, swap))
+    if not record:
+        return tuple(jumps), None, None
+    blocks = tuple(tuple(v for r in range(n) for v in factor[2 * r + h][s:2 * r + 2:2])
+                   for h in (0, 1) for s in (0, 1))
+    return tuple(jumps), row_moves, blocks
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                 (4, 2), (5, 3), (6, 3), (7, 5), (8, 2)])
+def test_row_pass_plan_matches_reference(n, p):
+    # Every pair, free or not, through (3,2), and 3000 uniformly drawn
+    # pairs beyond: jumps, moves and blocks, recorded or not, equal the
+    # reference's, as do their types (tuples of tuples, also at n = 1).
+    f = GF(p)
+    if n <= 3:
+        pairs = (ModulePair(A, B) for A in ring_matrices(f, n) for B in ring_matrices(f, n))
+    else:
+        pairs = _uniform_pairs(f, n, 3000, seed=n * p)
+    for pair in pairs:
+        for record in (False, True):
+            got = _row_pass(pair.A, pair.B, record)
+            assert got == reference_row_pass(pair.A, pair.B, record)
+            if record:
+                assert all(type(block) is tuple for block in got[2])
+
+
 def test_exactly_bell_many_jump_maps_pass():
     zigzag = [1, 1, 2, 5, 16, 61, 272, 1385, 7936]  # E_(n+1)
     for n in range(1, 9):

@@ -23,7 +23,7 @@ from triorbit import (
 from triorbit.errors import InconsistentDecomposition, InvalidSampleCount, TriOrbitError
 from triorbit.modpairs import ring_matrices
 from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _mover,
-                             _normal_form, _order, _pair_key, _Trie, random_free_pairs)
+                             _normal_form, _pair_key, _Trie, random_free_pairs)
 
 
 def test_free_submodule_enumeration_counts():
@@ -328,15 +328,23 @@ def reference_decomposition(keys, generators, p):
     return sorted(groups.values())
 
 
+def identity_and_repeat(field, n):
+    # The identity fixes every row (f(g) = n), and one generator comes twice.
+    gens = orbit_generators(field, n)
+    return [GL2Element.identity(field, n), *gens, gens[-1]]
+
+
 @pytest.mark.parametrize("n,p,generators", [
+    (1, 2, orbit_generators), (1, 3, orbit_generators),
     (2, 2, orbit_generators), (2, 3, orbit_generators), (2, 5, orbit_generators),
     (3, 2, orbit_generators), (3, 3, orbit_generators), (4, 2, orbit_generators),
     (2, 3, gl2_generators), (2, 5, gl2_generators), (3, 2, gl2_generators),
+    (1, 3, identity_and_repeat), (2, 3, identity_and_repeat), (3, 2, identity_and_repeat),
 ])
 def test_decompose_matches_reference_exhaustively(n, p, generators):
-    # The cycle walk and the key lookup skip images; the reference reduces
-    # every key's image under every generator.  gl2_generators mixes orders
-    # 2, p and p - 1 with elements that fix many keys.
+    # The trie map walks each key edge once per generator, from depth f(g);
+    # the reference reduces every key's image under every generator.
+    # gl2_generators adds elements that fix many rows and keys.
     field = GF(p)
     keys = _free_submodule_keys(field, n, None)
     gens = generators(field, n)
@@ -358,40 +366,19 @@ FAST_PATH_CASES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("n,p", FAST_PATH_CASES)
-def test_trie_transitions_are_the_normal_form(n, p, monkeypatch):
-    # Every memoized transition, hit or miss, is the normal form of the
-    # node's rows and that row: first the memo a decomposition leaves,
-    # then every row a node can meet, each supported on the next row's
-    # columns and independent of the node's rows.
+def test_trie_transitions_are_the_normal_form(n, p):
+    # Every transition, on a key edge or not, is the normal form of the
+    # node's rows and that row, for every row a node can meet: each row
+    # supported on the next row's columns and independent of the node's
+    # rows.  A node's edges are exactly the key rows after its prefix.
     field = GF(p)
     keys = _free_submodule_keys(field, n, None)
-    tries = []
-
-    class Recorded(_Trie):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tries.append(self)
-
-    monkeypatch.setattr("triorbit.oracle._Trie", Recorded)
-    _decompose(keys, orbit_generators(field, n) + gl2_generators(field, n), p)
-    trie, = tries
-
-    def check_edges():
-        count = 0
-        for node, edges in enumerate(trie.edges):
-            prefix = trie.prefixes[node]
-            rows = [decode_row(row, p, n) for row in prefix]
-            for row, child in edges.items():
-                reached = keys[child] if len(prefix) == n - 1 else trie.prefixes[child]
-                assert reached == _normal_form(prefix + (row,), p)
-                assert (tuple(decode_row(r, p, n) for r in reached)
-                        == reference_normal_form(rows + [decode_row(row, p, n)], p))
-                count += 1
-        return count
-
-    memoized = check_edges()
-    assert memoized > len(keys) + len(trie.prefixes) - 1  # some edges were misses
+    trie = _Trie(keys, p)
+    heads = {key[:d] for key in keys for d in range(1, n + 1)}
+    misses = 0
     for node, prefix in enumerate(trie.prefixes):
+        assert {prefix + (row,) for row in trie.edges[node]} == {
+            head for head in heads if head[:-1] == prefix}
         rows = [decode_row(row, p, n) for row in prefix]
         d = len(prefix)
         support = [*range(d + 1), *range(n, n + d + 1)]
@@ -399,9 +386,16 @@ def test_trie_transitions_are_the_normal_form(n, p, monkeypatch):
             columns = [0] * (2 * n)
             for k, v in zip(support, values):
                 columns[k] = v
-            if reference_normal_form(rows + [columns], p) is not None:
-                trie.child(node, encode_row(columns, p))
-    assert check_edges() > memoized
+            expected = reference_normal_form(rows + [columns], p)
+            if expected is None:
+                continue
+            row = encode_row(columns, p)
+            child = trie.child(node, row)
+            reached = keys[child] if d == n - 1 else trie.prefixes[child]
+            assert reached == _normal_form(prefix + (row,), p)
+            assert tuple(decode_row(r, p, n) for r in reached) == expected
+            misses += row not in trie.edges[node]
+    assert misses > 0  # some rows are not key rows
 
 
 @pytest.mark.parametrize("n,p", FAST_PATH_CASES)
@@ -424,18 +418,3 @@ def test_generators_fix_the_rows_they_cannot_move(n, p, generators):
             assert [decode_row(row, p, n) for row in key[:fixed]] == [
                 tuple(row) for row in rows[:fixed]]
             assert [move(row) for row in key] == [encode_row(row, p) for row in rows]
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_order_of_orbit_generator_kinds(p):
-    field = GF(p)
-    n = 3
-    one = LowerTriMatrix.identity(field, n)
-    assert _order(GL2Element.identity(field, n)) == 1
-    assert _order(GL2Element.swap(field, n)) == 2
-    for i in range(1, n + 1):
-        assert _order(GL2Element.upper(LowerTriMatrix.single(field, n, i, i))) == p
-        if p > 2:
-            root = next(g for g in range(2, p)
-                        if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-            assert _order(GL2Element.block_diag(one.with_entry(i, i, root), one)) == p - 1
