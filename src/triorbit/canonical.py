@@ -61,24 +61,23 @@ self-checks, canonical shape and certificate, stay explicit raises over
 the result on every path.  The certificate check multiplies packed
 entries (``_certificate_image``) and makes no ``act_right`` call.
 
-Nothing a stage has just built is rediscovered.  Every right factor of
-the cleanup carries its column moves from its builder, which knows where
-g - I is nonzero: the diagonal cells of the B-diagonal blocks
-(``GL2Element._diagonal_cells``) and P's entries below the diagonal in
-block_diag(P, I); the search's generators list theirs once.  The row pass's
-factor carries none and is never scanned by ``act_right``: the pair it
-produces is recorded by proof, and Q starts from its blocks when it is
-the first right stage; only after a cleanup or search does updating Q
-scan its moves.  The certificate check reads only U, Q, the input and
-the output, so it does not rest on any recorded move or proved pair.  A
-left stage taken while U is still the identity reads its factor off the
-new U (L I = L).
+Every move list comes from one scan, ``GL2Element._column_moves``,
+cached on its element.  The cleanup's right factors, the B-diagonal
+blocks (``GL2Element._diagonal_cells``) and block_diag(P, I), are each
+scanned once, when they act; the search's generators are built and
+scanned once per (p, n).  The row pass's factor is never scanned by
+``act_right``: the pair it produces is recorded by proof, and Q starts
+from its blocks when it is the first right stage; only after a cleanup
+or search does updating Q scan its moves.  The certificate check reads
+only U, Q, the input and the output, so it does not rest on any
+recorded move or proved pair.  A left stage taken while U is still the
+identity reads its factor off the new U (L I = L).
 
 The closed form records what its formula fixes and acts with nothing:
 each stage's factor and pair, U and Q are computed entry by entry (the
-proofs are in ``_closed_form``), its factors carry no moves, and
-``is_canonical`` accepts (I, 0) with one comparison.  So a unimodular
-pair makes no ``act_right`` call.
+proofs are in ``_closed_form``), its factors are never scanned for
+moves, and ``is_canonical`` accepts (I, 0) with one comparison.  So a
+unimodular pair makes no ``act_right`` call.
 """
 
 import functools
@@ -95,7 +94,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import GF
-from .gl2 import GL2Element, _act, _block_moves, _move_cells, act_right, gl2_generators
+from .gl2 import GL2Element, _act, _move_cells, act_right, gl2_generators
 from .modpairs import ModulePair, _canonical_pair, enumeration_budget
 from .partitions import bell
 from .trimat import (
@@ -640,13 +639,10 @@ def _cleanup(red):
             # the left, that is the negated moves in order.
             red.left("similarity_left", [(i, j, -t % p) for i, j, t in moves])
             # P has a unit diagonal, so every diagonal cell (p_ii, 0; 0, 1)
-            # has determinant 1 and block_diag(P, I) is in the group.  Its
-            # moves are P's entries below the diagonal, from A into A'.
+            # has determinant 1 and block_diag(P, I) is in the group.
             P = _transvection_product(f, n, moves)
             zero = LowerTriMatrix.zero(f, n)
-            one = LowerTriMatrix.identity(f, n)
-            red.right(GL2Element._trusted(P, zero, zero, one,
-                                          (_block_moves(0, P.entries, n, one.entries), [])),
+            red.right(GL2Element._trusted(P, zero, zero, LowerTriMatrix.identity(f, n)),
                       "similarity_right")
         elif label == "scaling":
             red.scale(moves)
@@ -931,9 +927,10 @@ def _closed_form(pair):
     W1 B'').  X1 and W1 are diagonal, so these are row scalings: entry
     (r, c) of X1 B'' is x_r b''_rc.  Q is g1 or upper(-B'') alone when the
     other stage is skipped, and the identity when both are.  Every entry
-    is reduced mod p, so the factors are built through ``_trusted`` and
-    ``GL2Element._trusted`` without moves; nothing acts with them, and
-    ``verify_certificate`` reads Q's blocks as they are.
+    is reduced mod p, so the factors are built through ``_trusted``,
+    ``GL2Element._trusted`` and ``GL2Element._diagonal_cells``; nothing
+    acts with them, and ``verify_certificate`` reads Q's blocks as they
+    are.
     """
     f, n = pair.field, pair.n
     p = f.p
@@ -950,16 +947,10 @@ def _closed_form(pair):
                 cells.append((inv, -b[d] * inv % p, 0, 1))
             else:
                 cells.append((0, p - 1, pow(b[d], p - 2, p), 0))
-        x, y, w, z = columns = list(zip(*cells))
+        x, y, w, z = zip(*cells)
         a, b = (tuple([(u * x[c] + v * w[c]) % p for u, v, c in zip(a, b, cols)]),
                 tuple([(u * y[c] + v * z[c]) % p for u, v, c in zip(a, b, cols)]))
-        blocks = []
-        for values in columns:
-            block = [0] * len(a)
-            for d, v in zip(offsets, values):
-                block[d] = v
-            blocks.append(_trusted(f, n, tuple(block)))
-        g1 = GL2Element._trusted(*blocks)
+        g1 = GL2Element._diagonal_cells(f, n, cells)
         stages.append(Stage("diagonal_clearing", "right", g1,
                             ModulePair(_trusted(f, n, a), _trusted(f, n, b))))
     # Row i (0-based) starts at offsets[i] - i, so a_ij sits at d - i + j.

@@ -13,9 +13,11 @@ search, and the much smaller ``orbit_generators`` that the oracle's orbit
 decomposition multiplies every submodule by.
 """
 
+import functools
+
 from .errors import DimensionMismatch, NotAUnit, NotInvertible
 from .modpairs import ModulePair
-from .trimat import LowerTriMatrix, _diagonal_offsets, _pos, _trusted
+from .trimat import LowerTriMatrix, _diagonal_offsets, _pos, _tri_len, _trusted
 
 
 def gl2_is_invertible(X, Y, W, Z) -> bool:
@@ -32,10 +34,10 @@ def gl2_is_invertible(X, Y, W, Z) -> bool:
     return True
 
 
-_MOVE_CELLS = {}
 _IDENTITY = {}
 
 
+@functools.cache
 def _move_cells(n):
     """Per packed position (k, c) of a block, the rows and shift of its move.
 
@@ -43,25 +45,8 @@ def _move_cells(n):
     target.  Column k occupies the packed offsets of (r, k) for r >= k, and
     (r, c) lies k - c places before (r, k).  Computed once per n.
     """
-    cells = _MOVE_CELLS.get(n)
-    if cells is None:
-        cells = _MOVE_CELLS[n] = [
-            (tuple(_pos(r, k) for r in range(k, n + 1)), k - c)
+    return [(tuple(_pos(r, k) for r in range(k, n + 1)), k - c)
             for k in range(1, n + 1) for c in range(1, k + 1)]
-    return cells
-
-
-def _block_moves(source, entries, n, one=None):
-    """The moves of one block of g - I, in packed order.
-
-    ``entries`` are the block's packed entries and ``one`` the identity's,
-    subtracted for the diagonal blocks X and Z; ``source`` is 0 for the
-    X and Y blocks, which read A, and 1 for W and Z, which read B.
-    """
-    cells = _move_cells(n)
-    if one is None:
-        return [(source, v, *cell) for v, cell in zip(entries, cells) if v]
-    return [(source, v - d, *cell) for v, d, cell in zip(entries, one, cells) if v != d]
 
 
 def _act(a, b, moves, p):
@@ -110,19 +95,14 @@ class GL2Element:
         self._moves = None
 
     @classmethod
-    def _trusted(cls, X, Y, W, Z, moves=None):
-        """[X Y; W Z] without the invertibility test; the caller vouches for it.
-
-        ``moves``, when given, must be exactly what ``_column_moves`` would
-        scan from the blocks, in its order; the builder that knows where
-        g - I is nonzero passes them, so they are never scanned.
-        """
+    def _trusted(cls, X, Y, W, Z):
+        """[X Y; W Z] without the invertibility test; the caller vouches for it."""
         g = object.__new__(cls)
         g.X = X
         g.Y = Y
         g.W = W
         g.Z = Z
-        g._moves = moves
+        g._moves = None
         return g
 
     @classmethod
@@ -130,25 +110,17 @@ class GL2Element:
         """The element whose only nonzero entries are the diagonal cells (x, y, w, z).
 
         ``cells`` holds one cell per index 1..n, entries reduced mod p, and
-        the caller vouches that each has a nonzero determinant.  Its column
-        moves are read off the n cells, in the order ``_column_moves``
-        scans them: the diagonal offsets ascend, so packed order among the
-        cells is index order.
+        the caller vouches that each has a nonzero determinant.
         """
         offsets = _diagonal_offsets(n)
-        x, y, w, z = columns = list(zip(*cells))
+        zero = [0] * _tri_len(n)
         blocks = []
-        for values in columns:
-            block = [0] * (n * (n + 1) // 2)
+        for values in zip(*cells):
+            block = zero[:]
             for d, v in zip(offsets, values):
                 block[d] = v
             blocks.append(_trusted(field, n, tuple(block)))
-        at = [_move_cells(n)[d] for d in offsets]
-        moves = ([(0, v - 1, *c) for v, c in zip(x, at) if v != 1]
-                 + [(1, v, *c) for v, c in zip(w, at) if v],
-                 [(0, v, *c) for v, c in zip(y, at) if v]
-                 + [(1, v - 1, *c) for v, c in zip(z, at) if v != 1])
-        return cls._trusted(*blocks, moves)
+        return cls._trusted(*blocks)
 
     def _column_moves(self):
         """The nonzero entries of g - I as the moves ``_act`` runs.
@@ -157,15 +129,19 @@ class GL2Element:
         rows, shift) with source 0 for A and 1 for B, and rows and shift
         from ``_move_cells``.  The diagonal blocks give X - I and Z - I, the
         others W and Y as they are, each block in packed order; v = x - 1 is
-        left unreduced, as ``_act`` reduces once.
+        left unreduced, as ``_act`` reduces once.  Scanned on first use and
+        cached: this is the one place that writes the move format.
         """
         moves = self._moves
         if moves is None:
-            n = self.n
-            one = LowerTriMatrix.identity(self.field, n).entries
+            cells = _move_cells(self.n)
+            one = LowerTriMatrix.identity(self.field, self.n).entries
+            x, y, w, z = self.X.entries, self.Y.entries, self.W.entries, self.Z.entries
             moves = self._moves = (
-                _block_moves(0, self.X.entries, n, one) + _block_moves(1, self.W.entries, n),
-                _block_moves(0, self.Y.entries, n) + _block_moves(1, self.Z.entries, n, one))
+                [(0, v - d, *c) for v, d, c in zip(x, one, cells) if v != d]
+                + [(1, v, *c) for v, c in zip(w, cells) if v],
+                [(0, v, *c) for v, c in zip(y, cells) if v]
+                + [(1, v - d, *c) for v, d, c in zip(z, one, cells) if v != d])
         return moves
 
     @property

@@ -29,7 +29,7 @@ from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
 from .field import GF
 from .gl2 import orbit_generators
 from .modpairs import (ModulePair, Submodule, _canonical_pair, enumeration_budget,
-                       ring_size, unit_count, unit_matrices)
+                       format_pair, pair_to_dict, ring_size, unit_count, unit_matrices)
 from .partitions import bell
 from .trimat import LowerTriMatrix, _trusted
 
@@ -223,8 +223,6 @@ class OrbitSummary:
         self.mixed_flags = mixed_flags
 
     def to_dict(self):
-        from .modpairs import pair_to_dict
-
         return {
             "size": self.size,
             "canonical_count": self.canonical_count,
@@ -258,8 +256,6 @@ class OrbitReport:
         return bool(self.verdicts) and all(self.verdicts.values())
 
     def to_dict(self):
-        from .modpairs import pair_to_dict
-
         return {
             "n": self.n,
             "p": self.p,
@@ -301,8 +297,6 @@ class OrbitReport:
             lines.append(f"  verdict {name}: {'pass' if ok else 'FAIL'}")
         if self.counterexample is not None:
             lines.append("  counterexample pair:")
-            from .modpairs import format_pair
-
             lines.extend("    " + ln for ln in format_pair(self.counterexample).splitlines())
         lines.append(f"  overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)

@@ -14,6 +14,7 @@ matrix rank and linear solver built on it, and the row pass over [A|B]
 rank, and records the moves that take the pair to its canonical form.
 """
 
+import functools
 import operator
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidEntry, SingularMatrix
@@ -54,9 +55,7 @@ def _trusted(field, n, entries):
     return M
 
 
-_PRODUCT_PLANS = {}
-
-
+@functools.cache
 def _product_plan(n):
     """The packed identity of size n and the offsets the product walks.
 
@@ -65,13 +64,10 @@ def _product_plan(n):
     position (i, k) in packed order, its offset, the offset of (i, 1) and
     the bounds of row k; both parts are computed once per n.
     """
-    plan = _PRODUCT_PLANS.get(n)
-    if plan is None:
-        one = tuple(int(i == j) for i in range(1, n + 1) for j in range(1, i + 1))
-        steps = [(_pos(i, k), _pos(i, 1), _pos(k, 1), _pos(k, k) + 1)
-                 for i in range(1, n + 1) for k in range(1, i + 1)]
-        plan = _PRODUCT_PLANS[n] = (one, steps)
-    return plan
+    one = tuple(int(i == j) for i in range(1, n + 1) for j in range(1, i + 1))
+    steps = [(_pos(i, k), _pos(i, 1), _pos(k, 1), _pos(k, k) + 1)
+             for i in range(1, n + 1) for k in range(1, i + 1)]
+    return one, steps
 
 
 def _accumulate(out, left, right, steps):
@@ -90,16 +86,17 @@ def _accumulate(out, left, right, steps):
                 j += 1
 
 
-_DIAGONAL_OFFSETS = {}
-_IDENTITY = {}
-
-
+@functools.cache
 def _diagonal_offsets(n):
     """Packed offsets of (1,1), ..., (n,n), computed once per n."""
-    offsets = _DIAGONAL_OFFSETS.get(n)
-    if offsets is None:
-        offsets = _DIAGONAL_OFFSETS[n] = [_pos(i, i) for i in range(1, n + 1)]
-    return offsets
+    return [_pos(i, i) for i in range(1, n + 1)]
+
+
+# The package's caches keyed by (p, n), this one, ``GL2Element.identity``'s
+# and ``canonical._closed_form_plan``'s, stay dicts keyed on field.p:
+# functools.cache would hash the GF argument through its Python-level
+# __hash__, which about doubles the cost of a call.
+_IDENTITY = {}
 
 
 class LowerTriMatrix:
@@ -428,9 +425,7 @@ def solve_mod_p(rows, width, p):
     return solution
 
 
-_ROW_PASS_PLANS = {}
-
-
+@functools.cache
 def _row_pass_plan(n):
     """The layout of the row pass over [A|B] at size n, computed once per n.
 
@@ -442,20 +437,17 @@ def _row_pass_plan(n):
     and Y (W and Z), interleaved.  Each getter takes at least two
     entries, so it returns a tuple also at n = 1.
     """
-    plan = _ROW_PASS_PLANS.get(n)
-    if plan is None:
-        m = _tri_len(n)
-        rows = []
-        for i in range(n):
-            start = _tri_len(i)
-            rows.append(operator.itemgetter(
-                *(k + h for k in range(start, start + i + 1) for h in (0, m))))
-        one = tuple(tuple(int(c == r) for c in range(2 * n)) for r in range(2 * n))
-        blocks = operator.itemgetter(
-            *((2 * r + h) * 2 * n + s + 2 * c
-              for h in (0, 1) for s in (0, 1) for r in range(n) for c in range(r + 1)))
-        plan = _ROW_PASS_PLANS[n] = (rows, one, blocks)
-    return plan
+    m = _tri_len(n)
+    rows = []
+    for i in range(n):
+        start = _tri_len(i)
+        rows.append(operator.itemgetter(
+            *(k + h for k in range(start, start + i + 1) for h in (0, m))))
+    one = tuple(tuple(int(c == r) for c in range(2 * n)) for r in range(2 * n))
+    blocks = operator.itemgetter(
+        *((2 * r + h) * 2 * n + s + 2 * c
+          for h in (0, 1) for s in (0, 1) for r in range(n) for c in range(r + 1)))
+    return rows, one, blocks
 
 
 def _row_pass(A, B, record=False):

@@ -15,6 +15,7 @@ from triorbit import (
     ModulePair,
     NotFree,
     PivotSelectionFailed,
+    SingularSystem,
     Submodule,
     UnsupportedDimension,
     act_left_unit,
@@ -178,6 +179,12 @@ def test_build_v_seven_dim_relations(fixture_t7, gf5):
     assert v(3, 2) == f.mul(f.neg(f.inv(e(6, 3))), s)
     s = f.sub(1, (e(7, 2) * v(2, 1) + e(7, 3) * v(3, 1) + e(7, 4) * v(4, 1)) % 5)
     assert v(1, 1) == f.mul(f.inv(e(7, 1)), s)
+
+
+def test_build_v_singular_system_raises():
+    # The zero G gives column 1 the equation 0 v_11 = 1.
+    with pytest.raises(SingularSystem, match="V system for column 1 is singular"):
+        build_v(LowerTriMatrix.zero(GF(3), 2), [(1, 1)])
 
 
 def test_build_v_single_constraint(gf5):
@@ -672,17 +679,15 @@ def test_closed_form_matches_the_reference(n, p, count):
     (7, 5, 400, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
 ])
 def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monkeypatch):
-    # Right factors carry the column moves their builders know; a fresh
-    # element with the same blocks has none, so _column_moves scans it, and
-    # the two must agree exactly, order and unreduced values included.  They
-    # are compared as each stage is recorded, before a wrong move could make
-    # the self-checks raise.  A left stage from row moves takes its factor
-    # from U while U is the identity; it must still be the product of its
-    # moves reversed.  Every free pair at desk scale, or the first seed-0
-    # pairs; only a pair whose orbit holds no canonical pair may raise.
-    # Unimodular pairs take the closed form, which records its stages
-    # without _Reduction; test_closed_form_matches_the_reference covers
-    # those factors.
+    # Every right factor's column moves come from the one scan,
+    # GL2Element._column_moves, so the right stages are only pinned by
+    # label: the set of labels that occur.  A left stage from row moves
+    # takes its factor from U while U is the identity; it must still be
+    # the product of its moves reversed.  Every free pair at desk scale, or
+    # the first seed-0 pairs; only a pair whose orbit holds no canonical
+    # pair may raise.  Unimodular pairs take the closed form, which records
+    # its stages without _Reduction;
+    # test_closed_form_matches_the_reference covers those factors.
     f = GF(p)
     recorded = []
     seen = set()
@@ -692,14 +697,12 @@ def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monk
         recorded.append(moves)
         return left(self, label, moves)
 
-    def checking_right(self, g, label, pair=None):
-        fresh = GL2Element._trusted(g.X, g.Y, g.W, g.Z)
-        assert g._column_moves() == fresh._column_moves(), label
+    def recording_right(self, g, label, pair=None):
         seen.add(label)
         return right(self, g, label, pair)
 
     monkeypatch.setattr(_Reduction, "left", recording_left)
-    monkeypatch.setattr(_Reduction, "right", checking_right)
+    monkeypatch.setattr(_Reduction, "right", recording_right)
     pairs = free_pairs(f, n) if count is None else random_free_pairs(f, n, count, 0)
     for pair in pairs:
         recorded.clear()
@@ -716,6 +719,37 @@ def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monk
         for stage, moves in zip(rows, recorded):
             assert stage.factor == _transvection_product(f, n, moves[::-1])
     assert seen == labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_diagonal_cells_equal_the_checked_element(n, p):
+    # GL2Element._diagonal_cells builds both kinds of diagonal-cell factor
+    # unchecked: the B-diagonal clearing's (1, -a^-1 b; 0, 1) or (0, -1;
+    # 1, 0), and the closed form's (a^-1, -b a^-1; 0, 1) or (0, -1; b^-1,
+    # 0).  On seeded diagonals each must equal the element that the checked
+    # constructor builds from the same diagonal blocks, and act on a seeded
+    # pair as the public products (A X + B W, A Y + B Z) do.
+    f = GF(p)
+    rng = random.Random(10 * n + p)
+    for _ in range(40):
+        diag = []
+        for _ in range(n):
+            a, b = rng.randrange(p), rng.randrange(p)
+            while not (a or b):
+                a, b = rng.randrange(p), rng.randrange(p)
+            diag.append((a, b))
+        clearing = [(1, -pow(a, -1, p) * b % p, 0, 1) if a else (0, p - 1, 1, 0)
+                    for a, b in diag]
+        closed = [(pow(a, -1, p), -b * pow(a, -1, p) % p, 0, 1) if a
+                  else (0, p - 1, pow(b, -1, p), 0) for a, b in diag]
+        A, B = (LowerTriMatrix(f, n, [rng.randrange(p) for _ in range(n * (n + 1) // 2)])
+                for _ in range(2))
+        for cells in (clearing, closed):
+            g = GL2Element._diagonal_cells(f, n, cells)
+            X, Y, W, Z = (LowerTriMatrix.diagonal(f, list(v)) for v in zip(*cells))
+            assert g == GL2Element(X, Y, W, Z)
+            assert act_right(ModulePair(A, B), g) == ModulePair(A * X + B * W, A * Y + B * Z)
 
 
 def _transvection_product_by_columns(field, n, moves):
