@@ -43,9 +43,11 @@ checkable by plain multiplication.  It takes one of three paths.
    are not unimodular start at 0 and never clean or search: 86 % at
    (4,2) and (6,3) and 96 % at (3,3), on seeded samples.  Each search
    child built costs exactly one ``act_right`` and is deduplicated on its
-   packed entries.  A pre-scan of the first layer builds no child that
-   provably scores above zero, those of generators with W = 0 and
-   y_ii = 0 wherever a_ii != 0 (lemma in ``_search_word``).
+   packed entries.  A pre-scan decides the first layer on the cleaned
+   pair by rank, in O(n^2) steps, and builds only the child it returns,
+   if any (the mask and rank lemmas in ``_search_word``); on a pair not
+   in the cleanup's swept form it builds nothing and the best-first body
+   runs, whose first layer returns the same word.
 
 Every recorded factor is built without the public constructors' checks,
 since each is in range and invertible by construction: the transvection
@@ -542,7 +544,7 @@ def _clear_b_diagonal(red):
     # still covers the result.
     cells = [(1, -pow(a[d], p - 2, p) * b[d] % p, 0, 1) if a[d] else (0, p - 1, 1, 0)
              for d in offsets]
-    red.right(GL2Element._diagonal_cells(f, n, cells), "diagonal_clearing")
+    red.right(GL2Element._diagonal_cells(f, n, *zip(*cells)), "diagonal_clearing")
 
 
 def _lower_rows(M):
@@ -683,11 +685,19 @@ def _cleaned_offense(pair):
       a_ii = a_jj, so the entries counted are those of A'' below the
       diagonal, whose row and column diagonals both vanish.
     No matrix, group element or pair is built.
+
+    So the count is 0, and nothing is swept, when A' has fewer than two
+    zero diagonal entries: each counted entry lies between two of them.
+    The zero diagonal of A' is {c : a_cc = b_cc = 0} whether or not B's
+    diagonal vanishes, as a column of B replaces each zero a_cc.
     """
     n = pair.n
+    a, b = pair.A.entries, pair.B.entries
+    offsets = _diagonal_offsets(n)
+    if sum(1 for d in offsets if not (a[d] or b[d])) < 2:
+        return 0
     rows = _lower_rows(pair.A)
-    if any(pair.B.diag()):
-        b = pair.B.entries
+    if any(b[d] for d in offsets):
         for c in range(n):
             if rows[c][c] == 0:
                 for r in range(c, n):
@@ -774,20 +784,83 @@ def _search_generators(field, n):
 
 
 @functools.lru_cache(maxsize=None)
-def _search_reach(field, n):
-    """Per search generator: None if W != 0, else the bitmask of i with y_ii != 0.
+def _search_kinds(field, n):
+    """Where each generator that the rank lemma decides sits in ``_search_generators``.
 
-    Aligned with ``_search_generators(field, n)``; bit i stands for the
-    0-based index i.  ``_search_word`` skips a first-layer generator whose
-    mask is not None and meets no nonzero diagonal entry of A.
+    Returns (uppers, lowers, swap): ``uppers[i]`` lists the indices of the
+    upper(lam E_ii), ``lowers`` maps (i, j, lam) to the index of
+    lower(lam E_ij), with i and j 0-based, and ``swap`` is the swap's
+    index.  Among ``gl2_generators`` the swap alone has X = 0, the
+    lower(lam E_ij) alone have W != 0, and the upper(lam E_ii) alone a
+    nonzero Y diagonal.  Every other generator has W = 0 and a zero Y
+    diagonal, so by the mask lemma of ``_search_word`` its child scores
+    at least 1.
     """
     offsets = _diagonal_offsets(n)
-    return tuple(None if any(g.W.entries)
-                 else sum(1 << i for i, d in enumerate(offsets) if g.Y.entries[d])
-                 for g in _search_generators(field, n))
+    slots = [(r, c) for r in range(n) for c in range(r + 1)]
+    uppers = [[] for _ in range(n)]
+    lowers = {}
+    for index, g in enumerate(_search_generators(field, n)):
+        y, w = g.Y.entries, g.W.entries
+        if not any(g.X.entries):
+            swap = index
+        elif any(w):
+            (k, lam), = [(k, v) for k, v in enumerate(w) if v]
+            lowers[(*slots[k], lam)] = index
+        else:
+            for i, d in enumerate(offsets):
+                if y[d]:
+                    uppers[i].append(index)
+    return tuple(map(tuple, uppers)), lowers, swap
 
 
-def _search_word(pair, generators, reach):
+def _first_layer_zeros(pair, kinds):
+    """The indices of the first-layer generators whose child scores zero, by rank.
+
+    ``kinds`` is ``_search_kinds`` for the generators, and the pair scores
+    above zero with a zero B diagonal, as at the pre-scan.  Returns the
+    indices ascending, by the rank lemma of ``_search_word``, building no
+    child; or None when A is not in swept form (A = I_S + N with N
+    supported on Z x Z).  Swept form is checked, and every case decided,
+    in O(n^2) steps, besides listing the upper(lam E_ii) that score zero.
+    """
+    p = pair.field.p
+    a, b = pair.A.entries, pair.B.entries
+    offsets = _diagonal_offsets(pair.n)
+    zero = [not a[d] for d in offsets]
+    cols = set()  # the nonzero columns of N
+    for r, d in enumerate(offsets):
+        if a[d] > 1:
+            return None
+        for c in range(r):
+            if a[d - r + c]:
+                if not (zero[r] and zero[c]):
+                    return None
+                cols.add(c)
+    uppers, lowers, swap = kinds
+    rows = [r for r, z in enumerate(zero) if z]  # Z, ascending
+    found = []
+    if all(not b[offsets[r] - r + c] for r in rows for c in rows if c < r):
+        for i, z in enumerate(zero):
+            if not z:
+                found += uppers[i]
+    if len(cols) == 1:
+        (j,) = cols
+        col = [a[d - r + j] if r > j else 0 for r, d in enumerate(offsets)]
+        first = next(r for r in rows if col[r])
+        # lam b_ri = -a_rj on every r in Z: b vanishes on r <= i, so i < first.
+        for i in range(j, first):
+            v = b[offsets[first] - first + i]
+            if v:
+                lam = -col[first] * pow(v, p - 2, p) % p
+                if all((col[r] + lam * b[offsets[r] - r + i]) % p == 0 for r in rows if r > i):
+                    found.append(lowers[(i, j, lam)])
+    if all(zero) and not any(b):
+        found.append(swap)
+    return sorted(found)
+
+
+def _search_word(pair, generators, kinds):
     """Best-first search for a short generator word lowering the offense.
 
     Each child built costs exactly one ``act_right``, looked up by that
@@ -800,19 +873,25 @@ def _search_word(pair, generators, reach):
     None.  A child scoring zero returns as soon as it is pushed, so every
     popped node scores above zero.
 
-    ``reach`` is ``_search_reach`` for ``generators``.  When the pair
-    scores above zero with a zero B diagonal, as the cleaned pair that
-    ``_reduce_general`` hands over does, a pre-scan first walks the first
-    layer in generator order.  It builds no child for a generator with
-    W = 0 and y_ii = 0 wherever a_ii != 0, and returns (g,) at the first
-    built child that differs from the pair and scores zero.  If none does,
-    the best-first body runs as before, and the pre-scan has changed no
-    returned word.
+    ``kinds`` is ``_search_kinds`` for ``generators``.  When the pair
+    scores above zero with a zero B diagonal and A is in swept form
+    (below), as at the cleaned pair that ``_reduce_general`` hands over,
+    a pre-scan first decides every first-layer generator by the rank
+    lemma through ``_first_layer_zeros``.  It builds only the child of
+    the first generator in order whose child scores zero, confirms it
+    with ``_cleaned_offense`` (a child that fails raises
+    CanonicalizationFailed), and returns (g,).  If none scores zero, or
+    A is not in swept form, as on pairs handed in directly, it builds
+    nothing and the best-first body runs.  Its first layer pushes the
+    children in generator order and returns at the first that scores
+    zero, which differs from the pair, as the pair scores above zero; so
+    the pre-scan returns the word the body would.
 
-    Lemma: such a skipped child scores at least 1.  Proof.  Let S be the
-    set of i with a_ii != 0.  The cleanup of a pair with a zero B diagonal
-    ends on A'' = ``_sweep_a`` of A itself.  That sweep multiplies A by
-    units on both sides, changes no zero pattern of the diagonal, and
+    Mask lemma: on such a pair, the child of a generator with W = 0 and
+    y_ii = 0 wherever a_ii != 0 scores at least 1.  Proof.  Let S be the
+    set of i with a_ii != 0.  The cleanup of a pair with a zero B
+    diagonal ends on A'' = ``_sweep_a`` of A itself.  That sweep multiplies
+    A by units on both sides, changes no zero pattern of the diagonal, and
     leaves A'' = I_S + N'' with N'' strictly lower and nonzero only in
     rows and columns outside S (see ``_sweep_a``).  So rank A = |S| +
     rank N'', and the score, the number of nonzero entries of N'', is at
@@ -824,21 +903,55 @@ def _search_word(pair, generators, reach):
       is zero, as y_ii = 0 where a_ii != 0 and b_ii = 0 throughout.  So
       its cleanup sweeps AX, and AX has rank A and, as x_ii != 0, the
       nonzero diagonal S.  By the above, the child scores at least 1.
-    The old first layer therefore returns at the same generator: a skipped
-    child, a duplicate of one or of the pair, and every earlier built
-    child score at least 1, so the first zero it pushes is the first zero
-    the pre-scan builds.  Only the number of ``act_right`` calls changes.
+
+    Rank lemma.  By the proof in ``_cleaned_offense``, a child (A', B')
+    ends its cleanup on ``_sweep_a`` of A*, the A' there: A' with each
+    zero-diagonal column taken from B' if diag B' != 0, else A' itself.
+    So, as above, it scores zero iff rank A* = |S*|, S* the set of i with
+    a*_ii != 0.  The pair is in swept form when A = I_S + N with N
+    supported on Z x Z, Z the complement of S: the shape the cleanup
+    leaves, as its own self-check enforces.  Then N is its own sweep, so
+    the parent scores the number of nonzero entries of N, and N != 0.
+    Order rows and columns as S, then Z; this keeps every rank.  A matrix
+    [[P, Q], [R, T]] with P invertible and Q = 0 or R = 0 has rank rank P
+    + rank T.  The generators (``gl2_generators``) are decided as follows.
+    - lower(lam E_ij), i >= j: the child is (A + lam B E_ij, B), column j
+      of A plus lam c, c the column i of B, which vanishes on rows <= i
+      as B is lower with b_ii = 0.  So c_j = 0, the diagonal and S stay,
+      and B' = B gives A* = A'.  If j is in S, the S x S block I + lam c_S
+      e_j^T is unipotent and the S x Z block stays 0, so rank A' = |S| +
+      rank N > |S|.  If j is in Z, the S x S block stays I and the Z x S
+      block 0, so rank A' = |S| + rank(N + lam c_Z e_j^T).  So the child
+      scores zero iff N's only nonzero column is j, and column j of A
+      plus lam c vanishes on every row in Z (N's columns in S are zero,
+      and N != 0, so j is then in Z).
+    - upper(lam E_ii) with i in S: the child is (A, B + lam A E_ii), and
+      column i of A is e_i, so B' = B + lam E_ii, whose diagonal is
+      nonzero at i alone.  So A* is A with its Z columns taken from B,
+      the same for every such i and lam, and S* = S as b_zz = 0.  Its S
+      columns are e_s, so its Z x S block is 0 and rank A* = |S| + rank
+      B_ZZ: they all score zero iff B vanishes on Z x Z.
+    - The swap: the child is (B, A), and A' = B has a zero diagonal.  If S
+      is not empty, diag B' = diag A != 0, so every column is taken from
+      B' and A* = A, which scores as the pair does.  If S is empty, A* =
+      B with S* empty: it scores zero iff B = 0.
+    - Every other generator has W = 0 and y_ii = 0 wherever a_ii != 0,
+      so by the mask lemma its child scores at least 1.
+    So the first index that ``_first_layer_zeros`` returns is the
+    generator at which the body's first layer returns, and only the
+    number of ``act_right`` calls changes.
     """
     base = _cleaned_offense(pair)
     parent = (pair.A.entries, pair.B.entries)
     if base and not any(pair.B.diag()):
-        units = sum(1 << i for i, a in enumerate(pair.A.diag()) if a)
-        for g, mask in zip(generators, reach):
-            if mask is not None and not mask & units:
-                continue
-            child = act_right(pair, g)
-            if (child.A.entries, child.B.entries) != parent and _cleaned_offense(child) == 0:
-                return (g,)
+        zeros = _first_layer_zeros(pair, kinds)
+        if zeros:
+            g = generators[zeros[0]]
+            if _cleaned_offense(act_right(pair, g)):
+                raise CanonicalizationFailed(
+                    "search self-check failed: a first-layer child decided by rank "
+                    "scores above zero")
+            return (g,)
     counter = itertools.count()
     heap = []
     seen = {parent}
@@ -950,7 +1063,7 @@ def _closed_form(pair):
         x, y, w, z = zip(*cells)
         a, b = (tuple([(u * x[c] + v * w[c]) % p for u, v, c in zip(a, b, cols)]),
                 tuple([(u * y[c] + v * z[c]) % p for u, v, c in zip(a, b, cols)]))
-        g1 = GL2Element._diagonal_cells(f, n, cells)
+        g1 = GL2Element._diagonal_cells(f, n, x, y, w, z)
         stages.append(Stage("diagonal_clearing", "right", g1,
                             ModulePair(_trusted(f, n, a), _trusted(f, n, b))))
     # Row i (0-based) starts at offsets[i] - i, so a_ij sits at d - i + j.
@@ -1038,7 +1151,7 @@ def _reduce_general(red):
     while offense:
         _cleanup(red)
         word = _search_word(red.pair, _search_generators(red.field, red.n),
-                            _search_reach(red.field, red.n))
+                            _search_kinds(red.field, red.n))
         if word is None:
             break
         for g in word:
@@ -1075,7 +1188,8 @@ def canonicalize(pair: ModulePair):
     Returns (canonical pair, certificate, trace); the certificate is
     checked by multiplication before returning.  CanonicalizationFailed is
     raised only when the jump map is not canonical, or when a self-check
-    (the cleanup's swept rows, canonical shape, certificate) fails.
+    (the cleanup's swept rows, the child the search's rank decision
+    returns, canonical shape, certificate) fails.
     """
     if pair.is_unimodular():
         result, cert, stages = _closed_form(pair)

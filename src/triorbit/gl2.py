@@ -106,16 +106,17 @@ class GL2Element:
         return g
 
     @classmethod
-    def _diagonal_cells(cls, field, n, cells):
-        """The element whose only nonzero entries are the diagonal cells (x, y, w, z).
+    def _diagonal_cells(cls, field, n, x, y, w, z):
+        """The element whose only nonzero entries are the diagonal cells (x_i, y_i, w_i, z_i).
 
-        ``cells`` holds one cell per index 1..n, entries reduced mod p, and
-        the caller vouches that each has a nonzero determinant.
+        ``x``, ``y``, ``w`` and ``z`` are the four value columns, one value
+        per index 1..n, reduced mod p, and the caller vouches that each cell
+        has a nonzero determinant.
         """
         offsets = _diagonal_offsets(n)
         zero = [0] * _tri_len(n)
         blocks = []
-        for values in zip(*cells):
+        for values in (x, y, w, z):
             block = zero[:]
             for d, v in zip(offsets, values):
                 block[d] = v

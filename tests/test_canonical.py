@@ -37,10 +37,13 @@ from triorbit.canonical import (
     SEARCH_LIMIT,
     _cleaned_offense,
     _cleanup,
+    _first_layer_zeros,
     _lower_rows,
     _Reduction,
     _reduce_general,
     _reduce_rows,
+    _search_generators,
+    _search_kinds,
     _search_word,
     _sweep_a,
     _transvection_product,
@@ -678,7 +681,7 @@ def test_closed_form_matches_the_reference(n, p, count):
     (6, 3, 1000, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
     (7, 5, 400, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
 ])
-def test_recorded_factors_carry_the_moves_a_scan_finds(n, p, count, labels, monkeypatch):
+def test_left_stage_factors_and_right_stage_labels(n, p, count, labels, monkeypatch):
     # Every right factor's column moves come from the one scan,
     # GL2Element._column_moves, so the right stages are only pinned by
     # label: the set of labels that occur.  A left stage from row moves
@@ -746,7 +749,7 @@ def test_diagonal_cells_equal_the_checked_element(n, p):
         A, B = (LowerTriMatrix(f, n, [rng.randrange(p) for _ in range(n * (n + 1) // 2)])
                 for _ in range(2))
         for cells in (clearing, closed):
-            g = GL2Element._diagonal_cells(f, n, cells)
+            g = GL2Element._diagonal_cells(f, n, *zip(*cells))
             X, Y, W, Z = (LowerTriMatrix.diagonal(f, list(v)) for v in zip(*cells))
             assert g == GL2Element(X, Y, W, Z)
             assert act_right(ModulePair(A, B), g) == ModulePair(A * X + B * W, A * Y + B * Z)
@@ -1021,13 +1024,14 @@ def test_trailing_pivots_are_the_pivot_search_and_k_is_identity(n, p, per_key):
 # search child built and per recorded right move that acts;
 # column_reduction records the pair its proof fixes and makes none, and the
 # certificate self-check multiplies packed entries and makes none.  The
-# search's first-layer pre-scan builds no child that provably scores above
-# zero, so a search that ends in its first layer builds fewer children
-# than the generators it walks.  perfbench's action cap counts these calls.
+# search's first-layer pre-scan decides every first-layer child by rank on
+# the cleaned pair and builds only the one it returns, so a search that
+# ends in its first layer makes one call.  perfbench's action cap counts
+# these calls.
 # Each entry is (all calls, calls on non-unimodular pairs); they are equal,
 # since only the search and the cleanup act, and unimodular pairs take the
 # closed form, which computes its stages from their formula and makes none.
-SEED0_ACT_RIGHT_CALLS = {(4, 2): (2703, 2703), (5, 2): (10561, 10561), (3, 3): (89, 89)}
+SEED0_ACT_RIGHT_CALLS = {(4, 2): (2361, 2361), (5, 2): (10267, 10267), (3, 3): (50, 50)}
 
 
 @pytest.mark.parametrize("n,p,count,steps,searched", [
@@ -1100,7 +1104,7 @@ def test_search_totals_at_the_canon_6_3_configuration(monkeypatch):
                 others += calls
         steps += trace.search_steps
         searched += trace.search_activated
-    assert (steps, searched, actions, others, censored) == (50, 48, 1248, 1248, 0)
+    assert (steps, searched, actions, others, censored) == (50, 48, 607, 607, 0)
 
 
 def _reference_search_word(pair, generators):
@@ -1148,26 +1152,40 @@ def test_search_prescan_skips_only_nonzero_children(n, p, count, monkeypatch):
     # At every search of canonicalize on seed-0 pairs: the pair is the
     # cleaned one the pre-scan needs (score above zero, zero B diagonal);
     # every generator with W = 0 and y_ii = 0 wherever a_ii != 0 yields a
-    # child scoring at least 1; ``_search_reach`` marks exactly those
-    # generators; and the word equals that of the search without pre-scan.
+    # child scoring at least 1; and the word equals that of the search
+    # without pre-scan.
+    # The pre-scan decides the cleaned pair by rank, so the search's first
+    # act_right call is the child it returns, or the best-first body's
+    # first child: the pre-scan makes at most one call.
     calls = skipped = first_layer = 0
+    acted = []
 
-    def checked_search_word(pair, generators, reach):
+    def logging_act_right(pair, g):
+        acted.append(g)
+        return act_right(pair, g)
+
+    def checked_search_word(pair, generators, kinds):
         nonlocal calls, skipped, first_layer
         assert _cleaned_offense(pair) >= 1 and not any(pair.B.diag())
         units = [i for i in range(1, n + 1) if pair.A.entry(i, i)]
-        for g, mask in zip(generators, reach):
+        for g in generators:
             skip = not any(g.W.entries) and all(g.Y.entry(i, i) == 0 for i in units)
-            assert skip == (mask is not None and not mask & sum(1 << (i - 1) for i in units))
             if skip:
                 assert _cleaned_offense(act_right(pair, g)) >= 1
                 skipped += 1
-        word = _search_word(pair, generators, reach)
+        zeros = _first_layer_zeros(pair, kinds)
+        acted.clear()
+        word = _search_word(pair, generators, kinds)
+        if zeros:
+            assert acted == [generators[zeros[0]]]
+        else:
+            assert acted[:len(generators)] == list(generators)
         assert word == _reference_search_word(pair, generators)
         calls += 1
         first_layer += word is not None and len(word) == 1
         return word
 
+    monkeypatch.setattr("triorbit.canonical.act_right", logging_act_right)
     monkeypatch.setattr("triorbit.canonical._search_word", checked_search_word)
     for pair in random_free_pairs(GF(p), n, count, 0):
         try:
@@ -1175,6 +1193,140 @@ def test_search_prescan_skips_only_nonzero_children(n, p, count, monkeypatch):
         except CanonicalizationFailed:
             pass
     assert calls and skipped and first_layer
+
+
+def _built_first_layer_zeros(pair, generators):
+    """Indices of the generators whose child scores zero, each child built and scored."""
+    return [k for k, g in enumerate(generators) if _cleaned_offense(act_right(pair, g)) == 0]
+
+
+def _zero_kinds(zeros, kinds):
+    """The kinds of ``_search_kinds`` that the indices ``zeros`` fall in."""
+    uppers, lowers, swap = kinds
+    up, low = {k for ks in uppers for k in ks}, set(lowers.values())
+    return {"upper" if k in up else "lower" if k in low else "swap" if k == swap else "other"
+            for k in zeros}
+
+
+@pytest.mark.parametrize("n,p,count", [(4, 2, 2000), (3, 3, 2000), (5, 2, 300), (4, 3, 300)])
+def test_rank_decision_matches_build_and_score_at_search_entries(n, p, count, monkeypatch):
+    # At every search of canonicalize on seed-0 pairs the cleaned pair is
+    # in swept form, and the first-layer children that the rank lemma says
+    # score zero are exactly those that score zero when every generator's
+    # child is built and scored.  Searches end at lower and at upper
+    # generators alike.
+    entries = 0
+    ends = set()
+
+    def checked_search_word(pair, generators, kinds):
+        nonlocal entries
+        zeros = _first_layer_zeros(pair, kinds)
+        assert zeros is not None
+        assert zeros == _built_first_layer_zeros(pair, generators)
+        entries += 1
+        ends.update(_zero_kinds(zeros[:1], kinds))
+        return _search_word(pair, generators, kinds)
+
+    monkeypatch.setattr("triorbit.canonical._search_word", checked_search_word)
+    for pair in random_free_pairs(GF(p), n, count, 0):
+        try:
+            canonicalize(pair)
+        except CanonicalizationFailed:
+            pass
+    assert entries and ends == {"lower", "upper"}
+
+
+def _random_swept_pair(f, n, rng):
+    """A seeded pair (I_S + N, B), N on Z x Z, B with a zero diagonal, scoring above zero.
+
+    One time in four each: N is one column and B's column i is chosen so
+    that a lower(lam E_ij) child scores zero; B vanishes on Z x Z, so that
+    the upper(lam E_ii) children with i in S do; S is empty and B = 0, so
+    that the swap's child does; or nothing is imposed.
+    """
+    p = f.p
+    while True:
+        zero = [rng.random() < 0.6 for _ in range(n)]
+        A = [[0] * (r + 1) for r in range(n)]
+        B = [[rng.randrange(p) for _ in range(r)] + [0] for r in range(n)]
+        for r in range(n):
+            A[r][r] = 0 if zero[r] else 1
+            for c in range(r):
+                if zero[r] and zero[c] and rng.random() < 0.5:
+                    A[r][c] = rng.randrange(p)
+        mode = rng.randrange(4)
+        rows = [r for r in range(n) if zero[r]]
+        if mode == 0 and len(rows) >= 2:
+            j = rng.choice(rows[:-1])
+            A = [[v if c in (j, r) else 0 for c, v in enumerate(row)] for r, row in enumerate(A)]
+            below = [r for r in rows if r > j]
+            A[rng.choice(below)][j] = rng.randrange(1, p)
+            first = min(r for r in below if A[r][j])
+            i, lam = rng.randrange(j, first), rng.randrange(1, p)
+            inv = pow(lam, p - 2, p)
+            for r in rows:
+                if r > i:
+                    B[r][i] = -A[r][j] * inv % p
+        elif mode == 1:
+            for r in rows:
+                for c in rows:
+                    if c < r:
+                        B[r][c] = 0
+        elif mode == 2:
+            A = [[rng.randrange(p) if c < r else 0 for c in range(r + 1)] for r in range(n)]
+            B = [[0] * (r + 1) for r in range(n)]
+        pair = ModulePair(LowerTriMatrix(f, n, [v for row in A for v in row]),
+                          LowerTriMatrix(f, n, [v for row in B for v in row]))
+        if _cleaned_offense(pair):
+            return pair
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_decision_matches_build_and_score_on_seeded_pairs(n, p, monkeypatch):
+    # On seeded swept pairs the rank lemma decides every first-layer child
+    # as building and scoring it does, and the search returns the first
+    # such child with one act_right call.  On seeded pairs with a zero B
+    # diagonal that are not swept, the decision declines and the best-first
+    # body returns the first child scoring zero, if any.
+    f = GF(p)
+    rng = random.Random(100 * n + p)
+    generators = _search_generators(f, n)
+    kinds = _search_kinds(f, n)
+    calls = 0
+
+    def counting_act_right(*args):
+        nonlocal calls
+        calls += 1
+        return act_right(*args)
+
+    monkeypatch.setattr("triorbit.canonical.act_right", counting_act_right)
+    ends = set()
+    for _ in range(60):
+        pair = _random_swept_pair(f, n, rng)
+        zeros = _first_layer_zeros(pair, kinds)
+        assert zeros == _built_first_layer_zeros(pair, generators)
+        ends |= _zero_kinds(zeros, kinds)
+        if zeros:
+            calls = 0
+            assert _search_word(pair, generators, kinds) == (generators[zeros[0]],)
+            assert calls == 1
+    assert ends == ({"lower", "upper", "swap"} if n > 2 else {"lower", "swap"})
+    fallback = 0
+    m = n * (n + 1) // 2
+    diagonal = [r * (r + 3) // 2 for r in range(n)]
+    for _ in range(60):
+        a = [rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(m)]
+        b = [0 if k in diagonal else rng.randrange(p) for k in range(m)]
+        pair = ModulePair(LowerTriMatrix(f, n, a), LowerTriMatrix(f, n, b))
+        if not _cleaned_offense(pair) or _first_layer_zeros(pair, kinds) is not None:
+            continue
+        built = _built_first_layer_zeros(pair, generators)
+        if built:
+            assert _search_word(pair, generators, kinds) == (generators[built[0]],)
+            fallback += 1
+    # At n = 2 a pair scoring above zero has a zero diagonal in A, so it is swept.
+    assert fallback or n == 2
 
 
 # -- reachability invariant -------------------------------------------------------
@@ -1259,6 +1411,21 @@ def test_self_checks_raise_without_asserts(gf2, monkeypatch, check, message):
     canonicalize(pair)
     monkeypatch.setattr(canonical, check, lambda *args: False)
     with pytest.raises(CanonicalizationFailed, match=message):
+        canonicalize(pair)
+
+
+def test_search_self_check_raises_on_a_wrong_rank_decision(gf2, monkeypatch):
+    # The child that the rank decision returns is scored before the word
+    # is taken; a decision naming a child that scores above zero raises,
+    # under python -O as well.
+    import triorbit.canonical as canonical
+
+    A = LowerTriMatrix.single(gf2, 3, 1, 1) + LowerTriMatrix.single(gf2, 3, 3, 2)
+    B = LowerTriMatrix.zero(gf2, 3).with_entry(2, 1, 1).with_entry(3, 2, 1)
+    pair = ModulePair(A, B)
+    assert canonicalize(pair)[2].search_activated
+    monkeypatch.setattr(canonical, "_first_layer_zeros", lambda *args: [0])
+    with pytest.raises(CanonicalizationFailed, match="search self-check"):
         canonicalize(pair)
 
 
