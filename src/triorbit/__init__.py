@@ -55,14 +55,12 @@ from .gl2 import (
 from .canonical import (
     Certificate,
     Trace,
-    build_k,
-    build_v,
     canonicalize,
     enumerate_canonical,
     is_canonical,
-    select_pivots,
     verify_certificate,
 )
+from .paper import build_k, build_v, select_pivots
 from .partitions import (
     SetPartition,
     bell,

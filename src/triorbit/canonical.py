@@ -27,9 +27,9 @@ checkable by plain multiplication.  It takes one of three paths.
    two stages, one left and one right; the right one records c(j), built
    by ``modpairs._canonical_pair``, as its proof fixes it, and does not
    act on the pair.  Their pivots are those of the paper's pivot search
-   ``select_pivots`` on the result, and the paper's left unit ``build_k``
-   would be the identity there; both stay public as the paper's
-   construction.
+   ``paper.select_pivots`` on the result, and the paper's left unit
+   ``paper.build_k`` would be the identity there; this module uses
+   neither.
    Before the moves, and only while ``_cleaned_offense`` is above 0, a
    cleanup and a bounded best-first word search run, as they did before
    the pass existed, so the search sees the same pairs and takes the same
@@ -91,8 +91,6 @@ from .errors import (
     CanonicalizationFailed,
     DimensionMismatch,
     NotFree,
-    PivotSelectionFailed,
-    SingularSystem,
     UnsupportedDimension,
 )
 from .field import GF
@@ -103,12 +101,10 @@ from .trimat import (
     LowerTriMatrix,
     _accumulate,
     _diagonal_offsets,
-    _pos,
     _product_plan,
+    _row_moves,
     _row_pass,
     _trusted,
-    matrix_rank,
-    solve_mod_p,
 )
 
 
@@ -288,79 +284,7 @@ def enumerate_canonical(n: int, field=None, budget=None):
     return sorted(_canonical_pair(field, jumps) for jumps, _ in maps)
 
 
-# -- pivot selection and the V / K constructions ------------------------------
-
-
-def select_pivots(G: LowerTriMatrix):
-    """Choose, per nonzero row of G, the pivot column for the V step.
-
-    Row i_1 takes its last nonzero column.  Each later row takes the
-    largest unused column j with a nonzero entry, no nonzero entries to its
-    right outside already-chosen columns, and a nonsingular growing minor
-    on the chosen rows and columns.
-    """
-    n = G.n
-    p = G.field.p
-    rows = [i for i in range(1, n + 1) if any(G.entry(i, j) for j in range(1, n + 1))]
-    pivots = []
-    chosen = []
-    for t, i in enumerate(rows, start=1):
-        best = None
-        for j in range(n, 0, -1):
-            if j in chosen or G.entry(i, j) == 0:
-                continue
-            if any(G.entry(i, k) for k in range(j + 1, n + 1) if k not in chosen):
-                continue
-            minor = [[G.entry(r, c) for c in chosen + [j]] for r in rows[:t]]
-            if matrix_rank(minor, p) == t:
-                best = j
-                break
-        if best is None:
-            raise PivotSelectionFailed(
-                f"no admissible pivot column for row {i}; G violates the rank precondition")
-        pivots.append((i, best))
-        chosen.append(best)
-    return pivots
-
-
-def build_v(G: LowerTriMatrix, pivots) -> LowerTriMatrix:
-    """The right unit V normalizing pivot entries of G to leading ones.
-
-    Column l of V carries unknowns exactly at the pivot-column rows >= l.
-    Each pivot row with column >= l contributes one equation: 1 when its
-    pivot column is l, else 0.  Unconstrained entries are 0 and
-    unconstrained diagonal entries are 1.
-    """
-    n = G.n
-    f = G.field
-    p = f.p
-    entries = {}
-    for l in range(1, n + 1):
-        involved = [(i, j) for (i, j) in pivots if j >= l]
-        if not involved:
-            entries[(l, l)] = 1
-            continue
-        unknown_rows = sorted(j for (_, j) in involved)
-        eqs = []
-        for (i, j) in involved:
-            target = 1 if j == l else 0
-            if l not in unknown_rows:
-                target = f.sub(target, G.entry(i, l))  # fixed v_ll = 1 term
-            eqs.append([G.entry(i, r) for r in unknown_rows] + [target])
-        sol = solve_mod_p(eqs, len(unknown_rows), p)
-        if sol is None:
-            raise SingularSystem(f"V system for column {l} is singular")
-        for r, (val,) in zip(unknown_rows, sol):
-            entries[(r, l)] = val
-        if l not in unknown_rows:
-            entries[(l, l)] = 1
-    packed = [0] * len(G.entries)
-    for (i, j), v in entries.items():
-        packed[_pos(i, j)] = v % p
-    V = _trusted(f, n, tuple(packed))
-    if not V.is_unit():
-        raise SingularSystem("constructed V is not a unit")
-    return V
+# -- the reduction pipeline ---------------------------------------------------
 
 
 def _transvection_product(field, n, moves):
@@ -374,63 +298,6 @@ def _transvection_product(field, n, moves):
     """
     one = LowerTriMatrix.identity(field, n).entries
     return _trusted(field, n, _row_moves(one, moves[::-1], field.p))
-
-
-def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
-    """The left unit K clearing below-pivot residue from pivot columns of H.
-
-    Pivot rows are the zero-diagonal rows of A; each holds a leading 1.
-    Rows are processed from the bottom pivot upward so every subtraction
-    lands in columns whose own clearing pass still lies ahead.  Raises
-    PivotSelectionFailed when H breaks that shape: a zero-diagonal row of
-    H that is zero, a leading entry other than 1, a nonzero entry above a
-    pivot, or a nonzero row of H where A's diagonal is nonzero.
-    """
-    n = A.n
-    p = A.field.p
-    pivots = []
-    for i in range(1, n + 1):
-        if A.entry(i, i) == 0:
-            row = H.row(i)
-            lead = next((j for j in range(1, n + 1) if row[j - 1]), None)
-            if lead is None:
-                raise PivotSelectionFailed(f"zero-diagonal row {i} of H is zero")
-            if row[lead - 1] != 1:
-                raise PivotSelectionFailed(f"pivot ({i}, {lead}) is not normalized to 1")
-            if any(H.entry(r, lead) for r in range(1, i)):
-                raise PivotSelectionFailed(f"nonzero entry above pivot ({i}, {lead})")
-            pivots.append((i, lead))
-        elif any(H.row(i)):
-            raise PivotSelectionFailed(f"unit row {i} of H is nonzero")
-    hwork = [H.row(i) for i in range(1, n + 1)]
-    moves = []
-    for (ipiv, jpiv) in sorted(pivots, reverse=True):
-        prow_h = hwork[ipiv - 1]
-        for i in range(ipiv + 1, n + 1):
-            c = hwork[i - 1][jpiv - 1]
-            if c:
-                hwork[i - 1] = [(a - c * b) % p for a, b in zip(hwork[i - 1], prow_h)]
-                moves.append((i - 1, ipiv - 1, -c % p))  # row i -= c * row ipiv
-    return _transvection_product(A.field, n, moves[::-1])
-
-
-# -- the reduction pipeline ---------------------------------------------------
-
-
-def _row_moves(e, moves, p):
-    """Packed entries of M after the row moves (i, j, t), 0-based i > j, in order.
-
-    A move is row i += t * row j.  Row j vanishes right of column j, so
-    only its entries 0..j are read, and zero ones are skipped.
-    """
-    out = list(e)
-    for i, j, t in moves:
-        ri, rj = i * (i + 1) // 2, j * (j + 1) // 2
-        for c in range(j + 1):
-            v = out[rj + c]
-            if v:
-                out[ri + c] = (out[ri + c] + t * v) % p
-    return tuple(out)
 
 
 def _scale_rows(e, scale, p):
@@ -1181,9 +1048,10 @@ def canonicalize(pair: ModulePair):
     = 4 on).  Then the cleanup and the word search run only while a
     cleanup would leave entries for the search, and the moves of the row
     pass end on the canonical pair c(j) of the jump map j.  Their pivots
-    are those of the paper's pivot search ``select_pivots`` on the result,
-    and its K step ``build_k`` would be the identity there: each row of
-    c(j) is a unit vector, and the 1s of B sit in distinct columns.
+    are those of the paper's pivot search ``paper.select_pivots`` on the
+    result, and its K step ``paper.build_k`` would be the identity there:
+    each row of c(j) is a unit vector, and the 1s of B sit in distinct
+    columns.
 
     Returns (canonical pair, certificate, trace); the certificate is
     checked by multiplication before returning.  CanonicalizationFailed is

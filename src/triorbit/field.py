@@ -84,7 +84,7 @@ class GF:
         return (-a) % self.p
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by extended Euclid.
+        """Multiplicative inverse a^(p-2), by Fermat's little theorem.
 
         Raises ZeroInverse on 0; that always indicates an upstream logic
         error, never bad user input.
@@ -92,20 +92,7 @@ class GF:
         a %= self.p
         if a == 0:
             raise ZeroInverse(f"0 has no inverse in GF({self.p})")
-        # Invariant: r = s * a (mod p), nr = ns * a (mod p).
-        r, nr = self.p, a
-        s, ns = 0, 1
-        while nr:
-            q = r // nr
-            r, nr = nr, r - q * nr
-            s, ns = ns, s - q * ns
-        if r != 1:
-            # r = gcd(p, a), which is 1 for a prime p and 0 < a < p.
-            raise NonPrimeModulus(f"{a} shares the factor {r} with the modulus {self.p}")
-        return s % self.p
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
+        return pow(a, self.p - 2, self.p)
 
     def elements(self):
         """All residues, ascending."""

@@ -8,10 +8,11 @@ are handed (``_check_integers``: exactly ``int``, else InvalidEntry); the
 ring operations, whose results are reduced mod p by construction, build
 through ``_trusted`` instead.
 
-The module also holds the package's mod-p elimination kernel, with the
-matrix rank and linear solver built on it, and the row pass over [A|B]
-(``_row_pass``) that finds a pair's jump map, and with it the augmented
-rank, and records the moves that take the pair to its canonical form.
+The module also holds the packed kernels that the reduction builds on:
+the product's accumulation (``_accumulate``), the row moves
+(``_row_moves``), and the row pass over [A|B] (``_row_pass``) that finds
+a pair's jump map, and with it the augmented rank, and records the moves
+that take the pair to its canonical form.
 """
 
 import functools
@@ -84,6 +85,22 @@ def _accumulate(out, left, right, steps):
             for v in right[start_k:stop_k]:
                 out[j] += c * v
                 j += 1
+
+
+def _row_moves(e, moves, p):
+    """Packed entries of M after the row moves (i, j, t), 0-based i > j, in order.
+
+    A move is row i += t * row j.  Row j vanishes right of column j, so
+    only its entries 0..j are read, and zero ones are skipped.
+    """
+    out = list(e)
+    for i, j, t in moves:
+        ri, rj = i * (i + 1) // 2, j * (j + 1) // 2
+        for c in range(j + 1):
+            v = out[rj + c]
+            if v:
+                out[ri + c] = (out[ri + c] + t * v) % p
+    return tuple(out)
 
 
 @functools.cache
@@ -358,71 +375,6 @@ def parse_matrix(field, lines):
             row.append(v)
         rows.append(row)
     return LowerTriMatrix.from_rows(field, rows)
-
-
-# -- the elimination kernel --------------------------------------------------
-
-
-def _echelon_insert(basis, row, p):
-    """Reduce ``row`` (residues mod p) against ``basis``; keep it if independent.
-
-    ``basis`` maps a lead, the index of the first nonzero entry, to a row
-    that is 1 there and 0 before it.  An independent row is stored
-    normalized under its new lead, which is returned; a dependent row
-    returns None.  This is the package's one elimination on residue
-    lists; the oracle reduces its packed rows against rows already in
-    echelon form with ``oracle._reduce_row``.  Callers outside the package
-    use matrix_rank and solve_mod_p.
-    """
-    while True:
-        lead = None
-        for k, v in enumerate(row):
-            if v:
-                lead = k
-                break
-        if lead is None:
-            return None
-        known = basis.get(lead)
-        if known is None:
-            c = row[lead]
-            if c != 1:
-                c = pow(c, p - 2, p)
-                row = [v * c % p for v in row]
-            basis[lead] = row
-            return lead
-        factor = row[lead]
-        row = [(x - factor * y) % p for x, y in zip(row, known)]
-
-
-def matrix_rank(rows, p):
-    """Rank of a dense matrix (list of row lists) mod p: its independent rows."""
-    basis = {}
-    return sum(_echelon_insert(basis, [v % p for v in row], p) is not None
-               for row in rows)
-
-
-def solve_mod_p(rows, width, p):
-    """Solve M X = R mod p for a square M given as rows [M | R]; None if singular.
-
-    M is invertible exactly when each row is independent with its lead
-    among the first ``width`` columns; back-substitution from the last
-    lead then gives the unique X, as a list of rows.
-    """
-    basis = {}
-    for row in rows:
-        lead = _echelon_insert(basis, [v % p for v in row], p)
-        if lead is None or lead >= width:
-            return None
-    solution = [None] * width
-    for lead in range(width - 1, -1, -1):
-        row = basis[lead]
-        x = row[width:]
-        for k in range(lead + 1, width):
-            c = row[k]
-            if c:
-                x = [(a - c * b) % p for a, b in zip(x, solution[k])]
-        solution[lead] = x
-    return solution
 
 
 @functools.cache

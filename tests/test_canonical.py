@@ -211,6 +211,37 @@ def test_v_step_normalizes_pivots(fixture_t7):
             assert H.entry(r, j) == 0
 
 
+@pytest.mark.parametrize("n,p,accepted", [(3, 3, 497), (4, 2, 550), (3, 5, 11529)])
+def test_build_v_is_a_unit_on_every_accepted_g(n, p, accepted):
+    # Every G of T_n that select_pivots accepts: build_v returns a unit V
+    # (the Cramer's-rule proof in its docstring), and row i of G V is 1 at
+    # column j and 0 left of it, for each pivot (i, j).
+    count = 0
+    for G in ring_matrices(GF(p), n):
+        try:
+            pivots = select_pivots(G)
+        except PivotSelectionFailed:
+            continue
+        count += 1
+        V = build_v(G, pivots)
+        assert V.is_unit()
+        H = G * V
+        for i, j in pivots:
+            assert [H.entry(i, l) for l in range(1, j + 1)] == [0] * (j - 1) + [1]
+    assert count == accepted
+
+
+def test_build_v_raises_on_a_g_the_pivot_search_accepts():
+    # The growing minors of select_pivots leave out column 2's system, rows
+    # {3, 5} x columns {2, 3}, which is singular here: the one such G of the
+    # 13074 that select_pivots accepts at (5,2).
+    G = LowerTriMatrix(GF(2), 5, (0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0))
+    pivots = select_pivots(G)
+    assert pivots == [(3, 3), (4, 1), (5, 2)]
+    with pytest.raises(SingularSystem, match="V system for column 2 is singular"):
+        build_v(G, pivots)
+
+
 def test_build_k_seven_dim_entries(fixture_t7, gf5):
     G = fixture_t7.B
     V = build_v(G, select_pivots(G))

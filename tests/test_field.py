@@ -36,6 +36,17 @@ def test_inverse_values():
         assert GF(p).inv(1) == 1
 
 
+@pytest.mark.parametrize("p", [2**61 - 1, 3317044064679887385961813])
+def test_inverse_at_large_primes(p):
+    # The second is the largest prime GF accepts, just below MAX_MODULUS.
+    assert p < MAX_MODULUS and is_prime(p)
+    if p > 2**61:
+        assert not any(is_prime(q) for q in range(p + 1, MAX_MODULUS))
+    f = GF(p)
+    for a in (1, 2, 3, 2**40 + 15, p // 3, p - 2, p - 1):
+        assert f.mul(a, f.inv(a)) == 1
+
+
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroInverse):
         GF(5).inv(0)

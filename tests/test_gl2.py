@@ -69,7 +69,7 @@ def test_criterion_matches_constructive_inverse_exhaustively():
     # Blocks passing the diagonal test have a two-sided inverse; blocks
     # failing it are singular even as plain 2n x 2n matrices, so no inverse
     # can exist in any containing ring.
-    from triorbit.trimat import matrix_rank
+    from triorbit.paper import matrix_rank
 
     for p in (2, 3):
         f = GF(p)

@@ -26,7 +26,6 @@ from triorbit import (
     partition_to_pair,
 )
 from triorbit.canonical import (
-    _row_moves,
     is_canonical_jump_map,
     jump_map,
     reachable_profiles,
@@ -35,7 +34,8 @@ from triorbit.canonical import (
 from triorbit.cli import main
 from triorbit.modpairs import format_pair, ring_matrices
 from triorbit.oracle import enumerate_free_submodules, random_free_pairs
-from triorbit.trimat import _echelon_insert, _row_pass, augmented_rank, matrix_rank
+from triorbit.paper import _echelon_insert, matrix_rank
+from triorbit.trimat import _row_moves, _row_pass, augmented_rank
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 

@@ -15,7 +15,8 @@ from triorbit import (
     augmented_rank,
 )
 from triorbit.modpairs import ring_matrices, unit_matrices
-from triorbit.trimat import matrix_rank, parse_matrix, solve_mod_p
+from triorbit.paper import matrix_rank, solve_mod_p
+from triorbit.trimat import parse_matrix
 
 
 def test_identity_multiplication(gf5):
