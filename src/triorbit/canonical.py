@@ -24,9 +24,10 @@ checkable by plain multiplication.  It takes one of three paths.
    pivots, one 2x2 cell sets its pivot in the pair k = j(i), and column
    moves clear the rest of the row.  They end on the canonical pair c(j)
    of j (a_rr = 1 where j(r) = r, b_(r, j(r)) = 1 elsewhere) in at most
-   two stages, one left and one right; the right one records c(j), built
-   by ``modpairs._canonical_pair``, as its proof fixes it, and does not
-   act on the pair.  Their pivots are those of the paper's pivot search
+   two stages, one left and one right, whose factors are the certificate
+   (U, Q), as in the closed form; the right one records c(j), built by
+   ``modpairs._canonical_pair``, as its proof fixes it, and does not act
+   on the pair.  Their pivots are those of the paper's pivot search
    ``paper.select_pivots`` on the result, and the paper's left unit
    ``paper.build_k`` would be the identity there; this module uses
    neither.
@@ -54,11 +55,13 @@ since each is in range and invertible by construction: the transvection
 products and diagonal scalings have entries reduced mod p and a nonzero
 diagonal, and the right factors (the B-diagonal blocks, block_diag(P, I),
 upper(-B) and the row pass's column factor) have diagonal 2x2 cells of
-nonzero determinant.  The proof of each sits beside its build.  The
-working state of paths 2 and 3 (``_Reduction``) keeps U and Q as packed
-tuples: a left stage applies its row moves to A, B and U instead of
-multiplying by its factor, and a right stage updates Q's block rows by
-g's column moves, so U and Q are built once, at the end.  The two
+nonzero determinant.  The proof of each sits beside its build.  Each
+path returns its result, certificate and stages as values and keeps no
+working state.  The cleanup and search stages act on the pair as they
+are recorded (``_left_stage``, ``_right_stage``), and when they ran the
+certificate is formed once, by the ring and group products, as U2 (L_k
+... L_1) and (R_1 ... R_m) Q2: their left factors L and right factors R
+around the row pass's (U2, Q2) (``_reduce_general``).  The two
 self-checks, canonical shape and certificate, stay explicit raises over
 the result on every path.  The certificate check multiplies packed
 entries (``_certificate_image``) and makes no ``act_right`` call.
@@ -68,12 +71,11 @@ cached on its element.  The cleanup's right factors, the B-diagonal
 blocks (``GL2Element._diagonal_cells``) and block_diag(P, I), are each
 scanned once, when they act; the search's generators are built and
 scanned once per (p, n).  The row pass's factor is never scanned by
-``act_right``: the pair it produces is recorded by proof, and Q starts
-from its blocks when it is the first right stage; only after a cleanup
-or search does updating Q scan its moves.  The certificate check reads
-only U, Q, the input and the output, so it does not rest on any
-recorded move or proved pair.  A left stage taken while U is still the
-identity reads its factor off the new U (L I = L).
+``act_right``: the pair it produces is recorded by proof, and it is Q
+as it stands unless a cleanup or search ran, when the product (R_1 ...
+R_m) Q2 scans its moves.  The certificate check reads only U, Q, the
+input and the output, so it does not rest on any recorded move or
+proved pair.
 
 The closed form records what its formula fixes and acts with nothing:
 each stage's factor and pair, U and Q are computed entry by entry (the
@@ -87,15 +89,14 @@ import heapq
 import itertools
 
 from .errors import (
-    BudgetExceeded,
     CanonicalizationFailed,
     DimensionMismatch,
     NotFree,
     UnsupportedDimension,
 )
 from .field import GF
-from .gl2 import GL2Element, _act, _move_cells, act_right, gl2_generators
-from .modpairs import ModulePair, _canonical_pair, enumeration_budget
+from .gl2 import GL2Element, _move_cells, act_right, gl2_generators
+from .modpairs import ModulePair, _canonical_pair, _check_budget, enumeration_budget
 from .partitions import bell
 from .trimat import (
     LowerTriMatrix,
@@ -269,9 +270,7 @@ def enumerate_canonical(n: int, field=None, budget=None):
     """
     if n < 2:
         raise UnsupportedDimension(f"canonical enumeration needs n >= 2, got {n}")
-    cap = enumeration_budget(budget)
-    if bell(n) > cap:
-        raise BudgetExceeded(f"B_{n} = {bell(n)} exceeds the cap {cap}")
+    _check_budget(enumeration_budget(budget), f"B_{n}", n - 1, lambda: bell(n))
     if field is None:
         field = GF(2)
     maps = [((), frozenset())]  # (j(1), ..., j(r - 1)) and the values its moved rows took
@@ -300,118 +299,45 @@ def _transvection_product(field, n, moves):
     return _trusted(field, n, _row_moves(one, moves[::-1], field.p))
 
 
-def _scale_rows(e, scale, p):
-    """Packed entries of diag(scale) M: row r times scale[r]."""
-    out = []
-    for r, s in enumerate(scale):
-        start = r * (r + 1) // 2
-        out += [v * s % p for v in e[start:start + r + 1]]
-    return tuple(out)
+def _left_stage(stages, pair, label, factor):
+    """Record the left stage factor (A, B) in ``stages`` and return the pair it produces."""
+    pair = ModulePair(factor * pair.A, factor * pair.B)
+    stages.append(Stage(label, "left", factor, pair))
+    return pair
 
 
-class _Reduction:
-    """Working state: the current pair and the certificate, kept packed.
+def _right_stage(stages, pair, label, g):
+    """Record the right stage (A, B) g in ``stages`` and return the pair it produces.
 
-    ``pair`` is the current pair, whose packed entries each stage reads
-    and replaces; ``u`` holds the packed entries of U, and ``q`` the four
-    packed blocks (X, Y, W, Z) of Q, or None while Q is the identity.  A
-    left stage applies its row moves to A, B and U alone, which equals
-    multiplying each by the stage's factor, so no triangular product is
-    formed.  A right stage acts on the pair through ``act_right``, looked
-    up by that name at call time, unless its caller hands it the pair it
-    has proved g to produce, and updates Q's block rows with g's column
-    moves (row (X, Y) of Q g is (X, Y) g, as in ``GL2Element.__mul__``).
-    Every stage still records its factor and the pair it produced; U and
-    Q are built once, by ``certificate``.
+    g acts through ``act_right``, looked up by that name at call time, so
+    the benchmark's action cap counts the cleanup's and the search's
+    actions.
     """
-
-    __slots__ = ("pair", "field", "n", "u", "q", "stages")
-
-    def __init__(self, pair):
-        self.pair = pair
-        self.field = pair.field
-        self.n = pair.n
-        self.u = LowerTriMatrix.identity(self.field, self.n).entries
-        self.q = None
-        self.stages = []
-
-    def _left(self, factor, label, a, b):
-        f, n = self.field, self.n
-        self.pair = ModulePair(_trusted(f, n, a), _trusted(f, n, b))
-        self.stages.append(Stage(label, "left", factor, self.pair))
-
-    def left(self, label, moves):
-        """Left stage by the row moves of ``_row_moves``, in order.
-
-        Its factor L is the product of their transvections in reverse
-        order, which is the moves run on the identity.  While U is still
-        the identity the new U is L I = L, so L is read off it and not
-        built a second time.
-        """
-        f, n, p = self.field, self.n, self.field.p
-        one = LowerTriMatrix.identity(f, n).entries
-        first = self.u == one
-        a = _row_moves(self.pair.A.entries, moves, p)
-        b = _row_moves(self.pair.B.entries, moves, p)
-        self.u = _row_moves(self.u, moves, p)
-        factor = self.u if first else _row_moves(one, moves, p)
-        self._left(_trusted(f, n, factor), label, a, b)
-
-    def scale(self, scale):
-        """Left stage by the diagonal unit diag(scale)."""
-        p = self.field.p
-        a, b, self.u = (_scale_rows(e, scale, p)
-                        for e in (self.pair.A.entries, self.pair.B.entries, self.u))
-        self._left(LowerTriMatrix.diagonal(self.field, scale), "scaling", a, b)
-
-    def right(self, g, label, pair=None):
-        """Right stage by g.  ``pair``, when given, is the pair that g
-        produces, as the caller has proved it, and g does not act on the
-        current pair.
-        """
-        self.pair = act_right(self.pair, g) if pair is None else pair
-        q = self.q
-        if q is None:
-            self.q = (g.X.entries, g.Y.entries, g.W.entries, g.Z.entries)
-        else:
-            moves, p = g._column_moves(), self.field.p
-            self.q = (*_act(q[0], q[1], moves, p), *_act(q[2], q[3], moves, p))
-        self.stages.append(Stage(label, "right", g, self.pair))
-
-    def certificate(self):
-        """(U, Q) from the packed state, built unchecked.
-
-        U is a product of units and Q of group elements, each entry
-        reduced mod p, so both pass the public checks; the certificate
-        self-check still covers them.
-        """
-        f, n = self.field, self.n
-        if self.q is None:
-            Q = GL2Element.identity(f, n)
-        else:
-            Q = GL2Element._trusted(*(_trusted(f, n, e) for e in self.q))
-        return Certificate(_trusted(f, n, self.u), Q)
+    pair = act_right(pair, g)
+    stages.append(Stage(label, "right", g, pair))
+    return pair
 
 
-def _clear_b_diagonal(red):
-    """Right-multiply by per-index blocks making the B diagonal zero.
+def _clear_b_diagonal(pair, stages):
+    """Right-multiply by per-index blocks making the B diagonal zero; returns the new pair.
 
     Indices with a nonzero A diagonal get the shear (1, -a^-1 b; 0, 1);
     zero indices get the swap block (0, -1; 1, 0).  Skipped outright when
     the B diagonal is already zero, so canonical pairs stay fixed points.
     """
-    f, n = red.field, red.n
+    f, n = pair.field, pair.n
     p = f.p
-    a, b = red.pair.A.entries, red.pair.B.entries
+    a, b = pair.A.entries, pair.B.entries
     offsets = _diagonal_offsets(n)
     if not any(b[d] for d in offsets):
-        return
+        return pair
     # Each cell (1, y; 0, 1) or (0, -1; 1, 0) has determinant 1, so g is in
     # the group without the invertibility test; the certificate self-check
     # still covers the result.
     cells = [(1, -pow(a[d], p - 2, p) * b[d] % p, 0, 1) if a[d] else (0, p - 1, 1, 0)
              for d in offsets]
-    red.right(GL2Element._diagonal_cells(f, n, *zip(*cells)), "diagonal_clearing")
+    return _right_stage(stages, pair, "diagonal_clearing",
+                        GL2Element._diagonal_cells(f, n, *zip(*cells)))
 
 
 def _lower_rows(M):
@@ -489,37 +415,42 @@ def _sweep_a(rows, p):
     yield moves
 
 
-def _cleanup(red):
+def _cleanup(pair, stages):
     """The cleanup before a search: clear the B diagonal, then apply ``_sweep_a``.
 
-    Each pass's moves become recorded factors, and the A they produce is
-    checked against the swept rows.
+    Each pass's moves become stages recorded in ``stages``, and the A they
+    produce is checked against the swept rows.  Returns the cleaned pair.
     """
-    _clear_b_diagonal(red)
-    f, n = red.field, red.n
+    pair = _clear_b_diagonal(pair, stages)
+    f, n = pair.field, pair.n
     p = f.p
-    rows = _lower_rows(red.pair.A)
+    rows = _lower_rows(pair.A)
     passes = ("similarity", "scaling", "row_clearing")
     for label, moves in zip(passes, _sweep_a(rows, p)):
         if not moves:
             continue
         if label == "similarity":
-            # P^-1 is the moves reversed with t negated; as row moves on
-            # the left, that is the negated moves in order.
-            red.left("similarity_left", [(i, j, -t % p) for i, j, t in moves])
+            # P^-1 is the product of the inverse transvections, t negated,
+            # in reverse order.
+            inverse = [(i, j, -t % p) for i, j, t in reversed(moves)]
+            pair = _left_stage(stages, pair, "similarity_left",
+                               _transvection_product(f, n, inverse))
             # P has a unit diagonal, so every diagonal cell (p_ii, 0; 0, 1)
             # has determinant 1 and block_diag(P, I) is in the group.
             P = _transvection_product(f, n, moves)
             zero = LowerTriMatrix.zero(f, n)
-            red.right(GL2Element._trusted(P, zero, zero, LowerTriMatrix.identity(f, n)),
-                      "similarity_right")
+            pair = _right_stage(stages, pair, "similarity_right", GL2Element._trusted(
+                P, zero, zero, LowerTriMatrix.identity(f, n)))
         elif label == "scaling":
-            red.scale(moves)
+            pair = _left_stage(stages, pair, label, LowerTriMatrix.diagonal(f, moves))
         else:
-            red.left(label, moves)
-        if red.pair.A.entries != tuple(v for row in rows for v in row):
+            # Row moves applied in order multiply to their transvections in
+            # reverse order.
+            pair = _left_stage(stages, pair, label, _transvection_product(f, n, moves[::-1]))
+        if pair.A.entries != tuple(v for row in rows for v in row):
             raise CanonicalizationFailed(
                 f"cleanup self-check failed: the {label} pass left A off its swept rows")
+    return pair
 
 
 def _cleaned_offense(pair):
@@ -958,46 +889,65 @@ def _closed_form(pair):
     return target, Certificate(U, Q), stages
 
 
-def _reduce_rows(red, passed):
-    """Apply the row pass's moves, which take a free pair with a canonical j to c(j).
+def _reduce_rows(pair, passed):
+    """The row pass's reduction of ``pair`` to c(j): (c(j), its certificate, its stages).
 
-    ``passed`` is what ``trimat._row_pass`` returned, recording, for the
-    current pair.
+    ``passed`` is what ``trimat._row_pass`` returned, recording, for
+    ``pair``, a free pair with a canonical jump map j.
 
     Left and right multiplication commute, so all row moves make one left
-    stage, ``row_reduction``, and the cells and column moves one right
-    factor, their product, ``column_reduction``; a stage that would be the
-    identity is not recorded, so c(j) itself records none.  The factor is
-    built unchecked: its cells have nonzero determinant and the rest are
-    lower transvections, so it is in the group.  The pair it produces is
-    recorded as c(j), built by ``modpairs._canonical_pair``, and g does not
-    act.  Proof.  As the pair is free, the pass ends with every row r the
-    unit vector at its pivot in pair j(r), at b_j(r) for the last row
-    other than j(r) recording j(r) and at a_j(r) for every other row
-    (``_row_pass``).  A canonical j gives each value c to at most one row
-    other than c, so row r ends at a_r where j(r) = r and at b_j(r)
-    elsewhere: that is c(j).  ``is_canonical`` and ``verify_certificate``
-    still check the result.
-    Returns the pivots (i, j(i)) for each j(i) != i, ascending in i.
+    stage, ``row_reduction``, whose factor U is the moves run on I, and
+    the cells and column moves one right factor Q, their product,
+    ``column_reduction``; U (A, B) Q = c(j), so (U, Q) is the certificate.
+    A stage that would be the identity is not recorded, so c(j) itself
+    records none; Q is the identity exactly when its packed blocks are
+    I, 0, 0 and I.  Q is built unchecked: its cells have nonzero
+    determinant and the rest are lower transvections, so it is in the
+    group.  The pair it produces is c(j), built by
+    ``modpairs._canonical_pair``, and Q does not act.  Proof.  As the
+    pair is free, the pass ends with every row r the unit vector at its
+    pivot in pair j(r), at b_j(r) for the last row other than j(r)
+    recording j(r) and at a_j(r) for every other row (``_row_pass``).  A
+    canonical j gives each value c to at most one row other than c, so
+    row r ends at a_r where j(r) = r and at b_j(r) elsewhere: that is
+    c(j).  ``is_canonical`` and ``verify_certificate`` still check the
+    result.
     """
+    f, n, p = pair.field, pair.n, pair.field.p
     jumps, row_moves, blocks = passed
+    result = _canonical_pair(f, jumps)
+    one = LowerTriMatrix.identity(f, n)
+    stages = []
+    U = one
     if row_moves:
-        red.left("row_reduction", row_moves)
-    g = GL2Element._trusted(*(_trusted(red.field, red.n, e) for e in blocks))
-    if g != GL2Element.identity(red.field, red.n):
-        red.right(g, "column_reduction", _canonical_pair(red.field, jumps))
-    return [(i, c) for i, c in enumerate(jumps, start=1) if c != i]
+        U = _trusted(f, n, _row_moves(one.entries, row_moves, p))
+        stages.append(Stage("row_reduction", "left", U, ModulePair(
+            _trusted(f, n, _row_moves(pair.A.entries, row_moves, p)),
+            _trusted(f, n, _row_moves(pair.B.entries, row_moves, p)))))
+    x, y, w, z = blocks
+    if x == one.entries == z and not any(y) and not any(w):
+        Q = GL2Element.identity(f, n)
+    else:
+        Q = GL2Element._trusted(*(_trusted(f, n, e) for e in blocks))
+        stages.append(Stage("column_reduction", "right", Q, result))
+    return result, Certificate(U, Q), stages
 
 
-def _reduce_general(red):
-    """Paths 2 and 3 of the module docstring, for a pair that is not unimodular.
+def _reduce_general(pair):
+    """Paths 2 and 3 of the module docstring: (result, certificate, stages, pivots).
 
     One row pass (``trimat._row_pass``) decides NotFree and
     CanonicalizationFailed before any stage, and records its moves when
-    ``_cleaned_offense`` of the pair is 0.  Otherwise, while the count is
+    ``_cleaned_offense`` of the pair is 0; ``_reduce_rows`` then returns
+    the result, certificate and stages.  Otherwise, while the count is
     above 0, the cleanup and the word search run and the word is applied,
-    and a second pass records the moves from the pair they leave.
-    ``_reduce_rows`` applies the moves and returns the pivots.
+    recording left stages L_1, ..., L_k and right stages R_1, ..., R_m in
+    order, and a second pass records the moves from the pair (A', B')
+    they leave, on which ``_reduce_rows`` gives (U2, Q2).  Left and right
+    multiplication commute, so (A', B') = (L_k ... L_1) (A, B) (R_1 ...
+    R_m), and the certificate is U2 (L_k ... L_1) and (R_1 ... R_m) Q2,
+    formed once by the ring and group products.  The pivots are (i, j(i))
+    for each j(i) != i, ascending in i.
 
     The loop terminates.  The cleanup leaves a pair on which it is a no-op
     (zero B diagonal, 0/1 diagonal in A, and every nonzero below it
@@ -1006,27 +956,38 @@ def _reduce_general(red):
     strictly below that base (``_search_word``), and its score is the next
     round's count.  A word of None, never observed, ends the loop as well.
     """
-    offense = _cleaned_offense(red.pair)
-    passed = _row_pass(red.pair.A, red.pair.B, record=not offense)
-    if 0 in passed[0]:
+    offense = _cleaned_offense(pair)
+    passed = _row_pass(pair.A, pair.B, record=not offense)
+    jumps = passed[0]
+    if 0 in jumps:
         raise NotFree("canonicalize requires a free pair")
-    if not is_canonical_jump_map(passed[0]):
+    if not is_canonical_jump_map(jumps):
         # The jump map is an orbit invariant: no reduction could succeed.
         raise CanonicalizationFailed(
             "the orbit invariant matches no canonical pair; "
             "this free pair generates an orbit without a canonical form")
+    pivots = [(i, c) for i, c in enumerate(jumps, start=1) if c != i]
+    if not offense:
+        return (*_reduce_rows(pair, passed), pivots)
+    f, n = pair.field, pair.n
+    prefix = []
+    current = pair
     while offense:
-        _cleanup(red)
-        word = _search_word(red.pair, _search_generators(red.field, red.n),
-                            _search_kinds(red.field, red.n))
+        current = _cleanup(current, prefix)
+        word = _search_word(current, _search_generators(f, n), _search_kinds(f, n))
         if word is None:
             break
         for g in word:
-            red.right(g, "search")
-        offense = _cleaned_offense(red.pair)
-    if passed[1] is None:  # the cleanup and search ran: record from the pair they left
-        passed = _row_pass(red.pair.A, red.pair.B, record=True)
-    return _reduce_rows(red, passed)
+            current = _right_stage(prefix, current, "search", g)
+        offense = _cleaned_offense(current)
+    result, cert, stages = _reduce_rows(current, _row_pass(current.A, current.B, record=True))
+    U, Q = LowerTriMatrix.identity(f, n), GL2Element.identity(f, n)
+    for stage in prefix:
+        if stage.side == "left":
+            U = stage.factor * U
+        else:
+            Q = Q * stage.factor
+    return result, Certificate(cert.U * U, Q * cert.Q), prefix + stages, pivots
 
 
 def canonicalize(pair: ModulePair):
@@ -1063,9 +1024,7 @@ def canonicalize(pair: ModulePair):
         result, cert, stages = _closed_form(pair)
         pivots = []
     else:
-        red = _Reduction(pair)
-        pivots = _reduce_general(red)
-        result, cert, stages = red.pair, red.certificate(), red.stages
+        result, cert, stages, pivots = _reduce_general(pair)
     if not is_canonical(result):
         raise CanonicalizationFailed(
             "canonical-shape self-check failed: the pipeline ended off the canonical shape")

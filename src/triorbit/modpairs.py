@@ -39,6 +39,24 @@ def enumeration_budget(budget=None):
     return DEFAULT_BUDGET
 
 
+def _check_budget(cap, what, floor_bits, count):
+    """Raise BudgetExceeded when the count ``count()`` exceeds ``cap``.
+
+    ``floor_bits`` is a lower bound b on the count's base-2 logarithm:
+    p^e >= 2^(e (p.bit_length() - 1)), and B_n >= 2^(n - 1), as each of 2
+    .. n may join 1's block or stay alone.  When 2^b > cap, which for an
+    int cap holds exactly when b >= cap.bit_length(), the count is refused
+    without being computed, as at large n it has millions of digits, and
+    the message names only the bound.  Otherwise the count is computed,
+    and the message names it.  ``what`` names the count.
+    """
+    if floor_bits >= cap.bit_length():
+        raise BudgetExceeded(f"{what} is at least 2^{floor_bits}, which exceeds the cap {cap}")
+    total = count()
+    if total > cap:
+        raise BudgetExceeded(f"{what} is {total}, which exceeds the cap {cap}")
+
+
 def ring_size(field, n):
     return field.p ** (n * (n + 1) // 2)
 
@@ -173,11 +191,11 @@ def cyclic_submodule(pair: ModulePair, budget=None) -> Submodule:
     """Canonical key of the free cyclic submodule generated by ``pair``."""
     if not pair.is_free():
         raise NotFree("only free pairs have a well-defined submodule key")
-    cap = enumeration_budget(budget)
     n, field = pair.n, pair.field
-    if unit_count(field, n) > cap:
-        raise BudgetExceeded(
-            f"|T_{n}^*| = {unit_count(field, n)} exceeds the cap {cap}")
+    p = field.p
+    _check_budget(enumeration_budget(budget), f"|T_{n}^*|",
+                  n * ((p - 1).bit_length() - 1) + n * (n - 1) // 2 * (p.bit_length() - 1),
+                  lambda: unit_count(field, n))
     best = None
     for u in unit_matrices(field, n):
         candidate = ModulePair(u * pair.A, u * pair.B)
@@ -188,11 +206,9 @@ def cyclic_submodule(pair: ModulePair, budget=None) -> Submodule:
 
 def is_free_oracle(pair: ModulePair, budget=None) -> bool:
     """Brute force: no nonzero r annihilates (A, B)."""
-    cap = enumeration_budget(budget)
     n, field = pair.n, pair.field
-    if ring_size(field, n) > cap:
-        raise BudgetExceeded(
-            f"|T_{n}| = {ring_size(field, n)} exceeds the cap {cap}")
+    _check_budget(enumeration_budget(budget), f"|T_{n}|",
+                  n * (n + 1) // 2 * (field.p.bit_length() - 1), lambda: ring_size(field, n))
     for r in ring_matrices(field, n):
         if r.is_zero():
             continue
@@ -205,10 +221,8 @@ def is_free_oracle(pair: ModulePair, budget=None) -> bool:
 def _unimodular_submodule_elements(p, n, cap):
     """All elements of all cyclic submodules generated by unimodular pairs."""
     field = GF(p)
-    size = ring_size(field, n)
-    if size ** 3 > cap:
-        raise BudgetExceeded(
-            f"outlier oracle needs |T_{n}|^3 = {size ** 3} ring products")
+    _check_budget(cap, f"the outlier oracle's |T_{n}|^3 ring products",
+                  3 * (n * (n + 1) // 2) * (p.bit_length() - 1), lambda: ring_size(field, n) ** 3)
     members = set()
     ring = list(ring_matrices(field, n))
     for C in ring:

@@ -24,12 +24,13 @@ import itertools
 import random
 
 from .canonical import canonicalize, enumerate_canonical
-from .errors import (BudgetExceeded, CanonicalizationFailed, DimensionMismatch,
-                     InconsistentDecomposition, InvalidSampleCount)
+from .errors import (CanonicalizationFailed, DimensionMismatch, InconsistentDecomposition,
+                     InvalidSampleCount)
 from .field import GF
 from .gl2 import orbit_generators
-from .modpairs import (ModulePair, Submodule, _canonical_pair, enumeration_budget,
-                       format_pair, pair_to_dict, ring_size, unit_count, unit_matrices)
+from .modpairs import (ModulePair, Submodule, _canonical_pair, _check_budget,
+                       enumeration_budget, format_pair, pair_to_dict, unit_count,
+                       unit_matrices)
 from .partitions import bell
 from .trimat import LowerTriMatrix, _trusted
 
@@ -165,12 +166,10 @@ def _free_submodule_keys(field, n, budget):
     The choices depend only on the set of leads above, so the prefixes are
     grouped by it and each row is built once per group.
     """
-    total = ring_size(field, n) ** 2
-    cap = enumeration_budget(budget)
-    if total > cap:
-        raise BudgetExceeded(
-            f"{total} pairs at n={n}, p={field.p} exceed the cap {cap}")
     p = field.p
+    e = n * (n + 1)
+    _check_budget(enumeration_budget(budget), f"the pair count p^(n(n+1)) at n={n}, p={p}",
+                  e * (p.bit_length() - 1), lambda: p ** e)
     place = [p ** (2 * n - 1 - k) for k in range(2 * n)]
     groups = {(): [()]}  # the key prefixes, by the set of their leads
     for i in range(n):

@@ -10,9 +10,11 @@ the package's one builder of canonical pairs; the processing order of rows
 is what makes the construction well defined.
 """
 
-from .errors import BudgetExceeded, InvalidPartition, NotCanonical
+import itertools
+
+from .errors import InvalidPartition, NotCanonical
 from .field import GF
-from .modpairs import ModulePair, _canonical_pair, enumeration_budget
+from .modpairs import ModulePair, _canonical_pair, _check_budget, enumeration_budget
 from .trimat import _decimal
 
 
@@ -46,9 +48,13 @@ class SetPartition:
         if not norm:
             raise InvalidPartition("a partition needs at least one block")
         n = max(seen)
-        if seen != set(range(1, n + 1)):
-            missing = sorted(set(range(1, n + 1)) - seen)
-            raise InvalidPartition(f"elements {missing} are missing from 1..{n}")
+        # Distinct positive ints cover 1..n exactly when there are n of them;
+        # the first few missing ones lie within len(seen) + 3 of 1.
+        if n != len(seen):
+            missing = list(itertools.islice((x for x in range(1, n + 1) if x not in seen), 3))
+            more = n - len(seen) - len(missing)
+            tail = f" and {more} more" if more else ""
+            raise InvalidPartition(f"elements {missing}{tail} are missing from 1..{n}")
         norm.sort(key=lambda b: b[0])
         self.blocks = tuple(norm)
         self.n = n
@@ -117,9 +123,7 @@ def enumerate_partitions(n: int, budget=None):
     """All partitions of {1..n} via restricted growth strings, in RGS order."""
     if n < 1:
         raise InvalidPartition("n must be >= 1")
-    cap = enumeration_budget(budget)
-    if bell(n) > cap:
-        raise BudgetExceeded(f"B_{n} = {bell(n)} exceeds the cap {cap}")
+    _check_budget(enumeration_budget(budget), f"B_{n}", n - 1, lambda: bell(n))
     out = []
     rgs = [0] * n
 

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 import random
@@ -39,7 +40,6 @@ from triorbit.canonical import (
     _cleanup,
     _first_layer_zeros,
     _lower_rows,
-    _Reduction,
     _reduce_general,
     _reduce_rows,
     _search_generators,
@@ -509,11 +509,11 @@ def test_general_reduction_agrees_on_unimodular_pairs(n, p):
     # unimodular pair, ends on (I, 0) too, with no search step and no pivot.
     target = _identity_zero(GF(p), n)
     for pair in _unimodular_pairs(n, p):
-        red = _Reduction(pair)
-        assert _reduce_general(red) == []
-        assert red.pair == target
-        assert "search" not in [stage.label for stage in red.stages]
-        assert verify_certificate(pair, red.pair, red.certificate())
+        result, cert, stages, pivots = _reduce_general(pair)
+        assert pivots == []
+        assert result == target
+        assert "search" not in [stage.label for stage in stages]
+        assert verify_certificate(pair, result, cert)
 
 
 def _check_row_pass(pair):
@@ -521,23 +521,28 @@ def _check_row_pass(pair):
 
     Every recorded stage is replayed: its factor times the previous pair
     must give its pair, so the c(j) that ``column_reduction`` records by
-    proof is checked against the product it stands for.
+    proof is checked against the product it stands for.  On a pair that
+    never cleans or searches, ``_reduce_general`` returns the same and the
+    pivots.
     """
     jumps = jump_map(pair)
-    red = _Reduction(pair)
-    pivots = _reduce_rows(red, _row_pass(pair.A, pair.B, record=True))
+    result, cert, stages = _reduce_rows(pair, _row_pass(pair.A, pair.B, record=True))
     current = pair
-    for stage in red.stages:
+    for stage in stages:
         if stage.side == "left":
             current = act_left_unit(stage.factor, current)
         else:
             current = act_right(current, stage.factor)
         assert current == stage.pair, stage.label
-    assert is_canonical(red.pair)
-    assert jump_map(red.pair) == jumps
-    assert verify_certificate(pair, red.pair, red.certificate())
-    assert pivots == [(r, c) for r, c in enumerate(jumps, start=1) if c != r]
-    assert "search" not in [stage.label for stage in red.stages]
+    assert current == result
+    assert is_canonical(result)
+    assert jump_map(result) == jumps
+    assert verify_certificate(pair, result, cert)
+    if not _cleaned_offense(pair):
+        again, again_cert, _, pivots = _reduce_general(pair)
+        assert (again, again_cert.U, again_cert.Q) == (result, cert.U, cert.Q)
+        assert pivots == [(r, c) for r, c in enumerate(jumps, start=1) if c != r]
+    assert "search" not in [stage.label for stage in stages]
 
 
 @pytest.mark.parametrize("n,p,expected", [(2, 2, 42), (2, 3, 624), (3, 2, 2520)])
@@ -576,7 +581,7 @@ def test_row_pass_on_large_seeded_pairs(n, p):
              if is_canonical_jump_map(jump_map(pair))]
     start = time.perf_counter()
     for pair in pairs:
-        _reduce_rows(_Reduction(pair), _row_pass(pair.A, pair.B, record=True))
+        _reduce_rows(pair, _row_pass(pair.A, pair.B, record=True))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     assert len(pairs) > 250
@@ -712,46 +717,33 @@ def test_closed_form_matches_the_reference(n, p, count):
     (6, 3, 1000, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
     (7, 5, 400, {"diagonal_clearing", "column_reduction", "similarity_right", "search"}),
 ])
-def test_left_stage_factors_and_right_stage_labels(n, p, count, labels, monkeypatch):
+def test_left_stage_factors_and_right_stage_labels(n, p, count, labels):
     # Every right factor's column moves come from the one scan,
     # GL2Element._column_moves, so the right stages are only pinned by
-    # label: the set of labels that occur.  A left stage from row moves
-    # takes its factor from U while U is the identity; it must still be
-    # the product of its moves reversed.  Every free pair at desk scale, or
-    # the first seed-0 pairs; only a pair whose orbit holds no canonical
-    # pair may raise.  Unimodular pairs take the closed form, which records
-    # its stages without _Reduction;
+    # label: the set of labels that occur in the traces.  Each left
+    # stage's factor must be a unit that takes the pair before it to its
+    # pair.  Every free pair at desk scale, or the first seed-0 pairs; only
+    # a pair whose orbit holds no canonical pair may raise.  Unimodular
+    # pairs take the closed form, whose labels are its own;
     # test_closed_form_matches_the_reference covers those factors.
     f = GF(p)
-    recorded = []
     seen = set()
-    left, right = _Reduction.left, _Reduction.right
-
-    def recording_left(self, label, moves):
-        recorded.append(moves)
-        return left(self, label, moves)
-
-    def recording_right(self, g, label, pair=None):
-        seen.add(label)
-        return right(self, g, label, pair)
-
-    monkeypatch.setattr(_Reduction, "left", recording_left)
-    monkeypatch.setattr(_Reduction, "right", recording_right)
     pairs = free_pairs(f, n) if count is None else random_free_pairs(f, n, count, 0)
     for pair in pairs:
-        recorded.clear()
         try:
             _, _, trace = canonicalize(pair)
         except CanonicalizationFailed:
             assert not is_canonical_jump_map(jump_map(pair))
             continue
         if pair.is_unimodular():
-            assert not recorded
             continue
-        rows = [stage for stage in trace if stage.side == "left" and stage.label != "scaling"]
-        assert len(rows) == len(recorded)
-        for stage, moves in zip(rows, recorded):
-            assert stage.factor == _transvection_product(f, n, moves[::-1])
+        previous = pair
+        for stage in trace:
+            if stage.side == "left":
+                assert act_left_unit(stage.factor, previous) == stage.pair, stage.label
+            else:
+                seen.add(stage.label)
+            previous = stage.pair
     assert seen == labels
 
 
@@ -898,20 +890,73 @@ def test_orbit_invariance_random_moves(gf2):
         assert canonicalize(moved)[0] == base
 
 
-def test_trace_stages_compose_to_certificate(gf2):
-    for pair in random_free_pairs(gf2, 4, 40, seed=9):
-        from triorbit.canonical import span_profile as prof, reachable_profiles as reach
-        if prof(pair) not in reach(4):
-            continue
+def test_trace_stages_compose_to_certificate():
+    # Each stage's factor takes the pair before it to its pair, the last
+    # pair is the result, and the certificate is the stages' product: U is
+    # the left factors multiplied last first, Q the right factors in order.
+    # Seeded samples at (4,2), (4,3) and (6,3); the last two search.
+    searched = 0
+    for n, p, count, seed in ((4, 2, 40, 9), (4, 3, 600, 7), (6, 3, 200, 7)):
+        f = GF(p)
+        for pair in random_free_pairs(f, n, count, seed=seed):
+            if not is_canonical_jump_map(jump_map(pair)):
+                continue
+            result, cert, trace = canonicalize(pair)
+            current = pair
+            U, Q = LowerTriMatrix.identity(f, n), GL2Element.identity(f, n)
+            for stage in trace:
+                if stage.side == "left":
+                    current = act_left_unit(stage.factor, current)
+                    U = stage.factor * U
+                else:
+                    current = act_right(current, stage.factor)
+                    Q = Q * stage.factor
+                assert current == stage.pair
+            assert current == result
+            assert (U, Q) == (cert.U, cert.Q)
+            searched += (n, p) != (4, 2) and trace.search_activated
+    assert searched >= 5
+
+
+def _full_output(pair):
+    """Everything ``canonicalize`` returns for ``pair``, as plain tuples, or the error it raises."""
+    def packed(x):
+        if isinstance(x, GL2Element):
+            return (x.X.entries, x.Y.entries, x.W.entries, x.Z.entries)
+        if isinstance(x, ModulePair):
+            return (x.A.entries, x.B.entries)
+        return x.entries
+
+    try:
         result, cert, trace = canonicalize(pair)
-        current = pair
-        for stage in trace:
-            if stage.side == "left":
-                current = act_left_unit(stage.factor, current)
-            else:
-                current = act_right(current, stage.factor)
-            assert current == stage.pair
-        assert current == result
+    except (CanonicalizationFailed, NotFree) as exc:
+        return (type(exc).__name__, str(exc))
+    return (packed(result), packed(cert.U), packed(cert.Q),
+            tuple((s.label, s.side, packed(s.factor), packed(s.pair)) for s in trace),
+            tuple(trace.pivots), trace.search_steps)
+
+
+# The sha256 of _full_output over the seed-7 samples below, recorded
+# before the reduction returned its certificate from its factors; deleting
+# the word search moves it.
+SEED7_OUTPUT_SHA256 = {
+    (4, 3, 1000): "e772e2397555bcd2c47b06e31f0eb605e012e2435068dc37a1f57336f59126f4",
+    (6, 3, 300): "c27f48e0c8e369df4f3f9e4e228d1e51923e61c5f926982df2e9dc981e5e7fab",
+}
+
+
+@pytest.mark.parametrize("n,p,count", sorted(SEED7_OUTPUT_SHA256))
+def test_canonicalize_output_is_pinned(n, p, count):
+    # The result, U, Q, every stage's label, side, factor and pair, the
+    # pivots and the search steps, or the error raised, of every pair.
+    digest = hashlib.sha256()
+    searched = 0
+    for pair in random_free_pairs(GF(p), n, count, 7):
+        output = _full_output(pair)
+        digest.update(repr(output).encode())
+        searched += len(output) > 2 and output[-1] > 0
+    assert searched
+    assert digest.hexdigest() == SEED7_OUTPUT_SHA256[n, p, count]
 
 
 def test_search_reduced_states_flagged(gf2):
@@ -950,9 +995,7 @@ def test_cleaned_offense_equals_offense_after_cleanup(n, p):
     for pair in random_free_pairs(f, n, 20, seed=p):
         node = pair
         for _ in range(7):
-            red = _Reduction(node)
-            _cleanup(red)
-            assert _cleaned_offense(node) == _offense(red.pair)
+            assert _cleaned_offense(node) == _offense(_cleanup(node, []))
             swapped += any(a == 0 and b for a, b in zip(node.A.diag(), node.B.diag()))
             node = act_right(node, rng.choice(gens))
     # Some inputs take columns of B into A' (b_cc != 0 where a_cc = 0).

@@ -263,6 +263,22 @@ def test_verify_over_budget_exits_2(capsys):
     assert "error" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "125", "--p", "2"),
+    ("enumerate", "--n", "2000"),
+    ("convert", "partition-to-pair", "--n", "3", "--partition", "{1}{2}{1000000000000}"),
+])
+def test_oversized_input_exits_2_with_one_error_line(capsys, monkeypatch, argv):
+    # Each is refused before a count of its size is built or printed:
+    # 2^15750 pairs, B_2000 and an element 10^12.
+    monkeypatch.delenv("TRIORBIT_BUDGET", raising=False)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("error: ") and captured.out.count("\n") == 1
+    assert captured.err == ""
+
+
 def test_verify_determinism(capsys):
     first = run_cli(capsys, "verify", "--n", "2", "--p", "2")
     second = run_cli(capsys, "verify", "--n", "2", "--p", "2")

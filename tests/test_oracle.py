@@ -15,7 +15,10 @@ from triorbit import (
     cyclic_submodule,
     enumerate_canonical,
     enumerate_free_submodules,
+    enumerate_partitions,
     gl2_generators,
+    is_free_oracle,
+    is_outlier_oracle,
     orbit_decomposition,
     orbit_generators,
     verify_classification,
@@ -74,6 +77,33 @@ def test_budget_exceeded_on_large_configurations():
         enumerate_free_submodules(4, 3)
     with pytest.raises(BudgetExceeded):
         verify_classification(5, 2)
+
+
+def test_budget_check_refuses_from_a_lower_bound(monkeypatch):
+    # The six budget sites share one check.  A count whose lower bound
+    # exceeds the cap is refused without being computed, and the message
+    # names only the bound; B_2000 and 2^15750 have hundreds and thousands
+    # of digits, and each call returns at once.
+    monkeypatch.delenv("TRIORBIT_BUDGET", raising=False)
+    identity = ModulePair(LowerTriMatrix.identity(GF(2), 60), LowerTriMatrix.zero(GF(2), 60))
+    calls = [
+        (lambda: enumerate_free_submodules(125, 2), r"n=125, p=2 is at least 2\^15750,"),
+        (lambda: enumerate_canonical(2000), r"B_2000 is at least 2\^1999,"),
+        (lambda: enumerate_partitions(2000), r"B_2000 is at least 2\^1999,"),
+        (lambda: cyclic_submodule(identity), r"\|T_60\^\*\| is at least 2\^1770,"),
+        (lambda: is_free_oracle(identity), r"\|T_60\| is at least 2\^1830,"),
+        (lambda: is_outlier_oracle(identity), r"products is at least 2\^5490,"),
+    ]
+    for call, message in calls:
+        with pytest.raises(BudgetExceeded, match=message):
+            call()
+    # Below the bound the count is computed, and the message names it.
+    with pytest.raises(BudgetExceeded, match=r"p=3 is 3486784401, which exceeds the cap 16777216"):
+        enumerate_free_submodules(4, 3)
+    # At p = 2 the bound is exact: 2^12 pairs at n = 3 pass a cap of 2^12.
+    assert len(enumerate_free_submodules(3, 2, budget=2 ** 12)) == 315
+    with pytest.raises(BudgetExceeded, match=r"is at least 2\^12, which exceeds the cap 4095"):
+        enumerate_free_submodules(3, 2, budget=2 ** 12 - 1)
 
 
 @pytest.mark.parametrize("n,p,expected_orbits", [(2, 2, 2), (2, 3, 2), (3, 2, 5)])

@@ -68,6 +68,18 @@ def test_partition_normalization_and_parse():
     assert len(a) == 3
 
 
+def test_partition_with_a_far_element_names_a_few_missing():
+    # The elements cover 1..n exactly when their maximum is their count, so
+    # no range of n is built: 10^12 here, which a set of 1..n could not hold.
+    message = r"elements \[3, 4, 5\] and 999999999994 more are missing from 1..1000000000000$"
+    with pytest.raises(InvalidPartition, match=message):
+        SetPartition([[1], [2], [10 ** 12]])
+    with pytest.raises(InvalidPartition, match=message):
+        SetPartition.parse("{1}{2}{1000000000000}")
+    with pytest.raises(InvalidPartition, match=r"elements \[2, 4\] are missing from 1..5$"):
+        SetPartition([[1, 3], [5]])
+
+
 def test_partition_validation():
     with pytest.raises(InvalidPartition):
         SetPartition([[1, 2], [2, 3]])  # overlap
