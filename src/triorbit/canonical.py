@@ -299,9 +299,18 @@ def _transvection_product(field, n, moves):
     return _trusted(field, n, _row_moves(one, moves[::-1], field.p))
 
 
-def _left_stage(stages, pair, label, factor):
-    """Record the left stage factor (A, B) in ``stages`` and return the pair it produces."""
-    pair = ModulePair(factor * pair.A, factor * pair.B)
+def _left_stage(stages, pair, label, moves):
+    """Record the left stage by the row moves ``moves`` in ``stages`` and return its pair.
+
+    The moves are those of ``trimat._row_moves``, in order.  Its factor L
+    is the moves run on I, and its pair L (A, B) the moves run on A and
+    B: row moves applied in turn multiply to their factors in reverse
+    order.  Each entry is reduced mod p, and L has a nonzero diagonal.
+    """
+    f, n, p = pair.field, pair.n, pair.field.p
+    factor = _trusted(f, n, _row_moves(LowerTriMatrix.identity(f, n).entries, moves, p))
+    pair = ModulePair(_trusted(f, n, _row_moves(pair.A.entries, moves, p)),
+                      _trusted(f, n, _row_moves(pair.B.entries, moves, p)))
     stages.append(Stage(label, "left", factor, pair))
     return pair
 
@@ -379,14 +388,16 @@ def _similarity(rows, p):
 def _sweep_a(rows, p):
     """The three cleanup passes that read only A, swept over its rows in place.
 
-    ``rows`` is A as ``_lower_rows`` gives it.  Each pass yields its moves:
-    transvections (i, j, t), 0-based i > j, or the scale list.  No move
-    changes a diagonal entry.
+    ``rows`` is A as ``_lower_rows`` gives it.  Each pass yields its moves
+    (i, j, t), 0-based i >= j, as ``trimat._row_moves`` runs them.  Only
+    the scaling's moves, i = j, change a diagonal entry.
     - Similarity (``_similarity``): afterwards every nonzero a_ij below
-      the diagonal has a_ii = a_jj.
-    - Scaling by the diagonal unit sending nonzero diagonals to 1 (None
-      when that is the identity).  The diagonal is 0/1 from here on, and a
-      nonzero a_ij below it still has a_ii = a_jj.
+      the diagonal has a_ii = a_jj.  Its moves are the transvections whose
+      product P gives A -> P^-1 A P.
+    - Scaling by the diagonal unit sending nonzero diagonals to 1: row r
+      times s = a_rr^-1, the move (r, r, s - 1), for each a_rr outside
+      {0, 1}.  The diagonal is 0/1 from here on, and a nonzero a_ij below
+      it still has a_ii = a_jj.
     - Row clearing, row i += t row j, below a unit diagonal.  Rows ascend,
       so each unit row j is already e_j when it is added into a later row,
       and each move changes exactly its target entry, which the sweep
@@ -397,13 +408,13 @@ def _sweep_a(rows, p):
     """
     yield _similarity(rows, p)
 
-    scale = [pow(row[r], p - 2, p) if row[r] else 1 for r, row in enumerate(rows)]
-    if all(s == 1 for s in scale):
-        yield None
-    else:
-        for r, s in enumerate(scale):
-            rows[r] = [v * s % p for v in rows[r]]
-        yield scale
+    moves = []
+    for r, row in enumerate(rows):
+        if row[r] > 1:
+            s = pow(row[r], p - 2, p)
+            rows[r] = [v * s % p for v in row]
+            moves.append((r, r, s - 1))
+    yield moves
 
     moves = []
     for i in range(1, len(rows)):
@@ -430,23 +441,18 @@ def _cleanup(pair, stages):
         if not moves:
             continue
         if label == "similarity":
-            # P^-1 is the product of the inverse transvections, t negated,
-            # in reverse order.
-            inverse = [(i, j, -t % p) for i, j, t in reversed(moves)]
+            # P^-1 is the moves reversed with t negated; as row moves on
+            # the left, that is the negated moves in order.
             pair = _left_stage(stages, pair, "similarity_left",
-                               _transvection_product(f, n, inverse))
+                               [(i, j, -t % p) for i, j, t in moves])
             # P has a unit diagonal, so every diagonal cell (p_ii, 0; 0, 1)
             # has determinant 1 and block_diag(P, I) is in the group.
             P = _transvection_product(f, n, moves)
             zero = LowerTriMatrix.zero(f, n)
             pair = _right_stage(stages, pair, "similarity_right", GL2Element._trusted(
                 P, zero, zero, LowerTriMatrix.identity(f, n)))
-        elif label == "scaling":
-            pair = _left_stage(stages, pair, label, LowerTriMatrix.diagonal(f, moves))
         else:
-            # Row moves applied in order multiply to their transvections in
-            # reverse order.
-            pair = _left_stage(stages, pair, label, _transvection_product(f, n, moves[::-1]))
+            pair = _left_stage(stages, pair, label, moves)
         if pair.A.entries != tuple(v for row in rows for v in row):
             raise CanonicalizationFailed(
                 f"cleanup self-check failed: the {label} pass left A off its swept rows")
@@ -913,17 +919,15 @@ def _reduce_rows(pair, passed):
     c(j).  ``is_canonical`` and ``verify_certificate`` still check the
     result.
     """
-    f, n, p = pair.field, pair.n, pair.field.p
+    f, n = pair.field, pair.n
     jumps, row_moves, blocks = passed
     result = _canonical_pair(f, jumps)
     one = LowerTriMatrix.identity(f, n)
     stages = []
     U = one
     if row_moves:
-        U = _trusted(f, n, _row_moves(one.entries, row_moves, p))
-        stages.append(Stage("row_reduction", "left", U, ModulePair(
-            _trusted(f, n, _row_moves(pair.A.entries, row_moves, p)),
-            _trusted(f, n, _row_moves(pair.B.entries, row_moves, p)))))
+        _left_stage(stages, pair, "row_reduction", row_moves)
+        U = stages[-1].factor
     x, y, w, z = blocks
     if x == one.entries == z and not any(y) and not any(w):
         Q = GL2Element.identity(f, n)

@@ -88,10 +88,11 @@ def _accumulate(out, left, right, steps):
 
 
 def _row_moves(e, moves, p):
-    """Packed entries of M after the row moves (i, j, t), 0-based i > j, in order.
+    """Packed entries of M after the row moves (i, j, t), 0-based i >= j, in order.
 
-    A move is row i += t * row j.  Row j vanishes right of column j, so
-    only its entries 0..j are read, and zero ones are skipped.
+    A move is row i += t * row j, which for i = j scales row i by 1 + t.
+    Row j vanishes right of column j, so only its entries 0..j are read,
+    each before it is written, and zero ones are skipped.
     """
     out = list(e)
     for i, j, t in moves:
