@@ -300,7 +300,7 @@ def _transvection_product(field, n, moves):
 
 
 def _left_stage(stages, pair, label, moves):
-    """Record the left stage by the row moves ``moves`` in ``stages`` and return its pair.
+    """Record in ``stages`` the left stage of the row moves ``moves``; return its pair.
 
     The moves are those of ``trimat._row_moves``, in order.  Its factor L
     is the moves run on I, and its pair L (A, B) the moves run on A and
