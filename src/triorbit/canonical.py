@@ -100,8 +100,8 @@ from .modpairs import ModulePair, _canonical_pair, _check_budget, enumeration_bu
 from .partitions import bell
 from .trimat import (
     LowerTriMatrix,
-    _accumulate,
     _diagonal_offsets,
+    _gather,
     _product_plan,
     _row_moves,
     _row_pass,
@@ -193,40 +193,75 @@ def _certificate_image(u, a, b, Q, n, p):
     M_A Y + M_B Z) with M_A = U A and M_B = U B.  Each factor L is read as
     I + (L - I), and only the nonzero entries of L - I do work.
     1. Row i of a lower triangular product L R is the sum over k <= i of
-       l_ik times row k of R, and ``trimat._accumulate`` adds it
-       unreduced, skipping zero l_ik.  So M_A = A + (U - I) A and M_B =
-       B + (U - I) B start as A and B and take (U - I) A and (U - I) B.
+       l_ik times row k of R, the steps of ``trimat._product_plan``.  So
+       M_A = A + (U - I) A and M_B = B + (U - I) B start as A and B, and
+       one sweep over the steps adds (U - I) A and (U - I) B together,
+       unreduced, skipping zero u_ik - [i = k].
     2. Column c of M E is the sum over k >= c of e_kc times column k of M,
        which is zero above row k (the rows and shift of
-       ``gl2._move_cells``).  So each nonzero entry v at (k, c) of X - I,
-       W, Y or Z - I adds v times column k of its source (M_A for X and Y,
-       M_B for W and Z) into column c of its target (the first part for X
-       and W, the second for Y and Z), which starts as M_A or M_B.
+       ``gl2._move_cells``).  So the entries x, y, w, z at (k, c) of X - I,
+       Y, W and Z - I add x times column k of M_A plus w times column k of
+       M_B into column c of the first part, and y and z likewise into the
+       second, which start as M_A and M_B.  One sweep reads the four
+       blocks together, every entry of each, and assumes nothing about
+       Q's shape.
     Every entry is reduced mod p once, at the end.
     """
     one, steps = _product_plan(n)
-    u_minus_i = [x - e for x, e in zip(u, one)]
     ma, mb = list(a), list(b)
-    _accumulate(ma, u_minus_i, a, steps)
-    _accumulate(mb, u_minus_i, b, steps)
+    for t, row_i, start_k, stop_k in steps:
+        c = u[t] - one[t]
+        if c:
+            j = row_i
+            for va, vb in zip(a[start_k:stop_k], b[start_k:stop_k]):
+                ma[j] += c * va
+                mb[j] += c * vb
+                j += 1
     oa, ob = ma[:], mb[:]
-    cells = _move_cells(n)
-    zero = itertools.repeat(0)
-    for src, dst, block, base in ((ma, oa, Q.X.entries, one), (mb, oa, Q.W.entries, zero),
-                                  (ma, ob, Q.Y.entries, zero), (mb, ob, Q.Z.entries, one)):
-        for v, d, (rows, shift) in zip(block, base, cells):
-            if v != d:
-                v -= d
-                for r in rows:
-                    dst[r - shift] += v * src[r]
+    for x, y, w, z, d, (rows, shift) in zip(Q.X.entries, Q.Y.entries, Q.W.entries,
+                                            Q.Z.entries, one, _move_cells(n)):
+        x -= d
+        z -= d
+        if x or w:
+            for r in rows:
+                oa[r - shift] += x * ma[r] + w * mb[r]
+        if y or z:
+            for r in rows:
+                ob[r - shift] += y * ma[r] + z * mb[r]
     return tuple([v % p for v in oa]), tuple([v % p for v in ob])
 
 
 # -- the canonical predicate -------------------------------------------------
 
 
+@functools.cache
+def _below_diagonal_columns(n):
+    """A getter of the entries below the diagonal, column by column, and each column's run.
+
+    Column c (0-based) holds (r, c) for r > c, at packed offset r(r + 1)/2
+    + c.  The getter (``trimat._gather``) takes them column after column,
+    and ``runs`` lists each column's (start, stop) in what it returns.
+    Computed once per n.
+    """
+    indices, runs = [], []
+    for c in range(n):
+        start = len(indices)
+        indices += [r * (r + 1) // 2 + c for r in range(c + 1, n)]
+        runs.append((start, len(indices)))
+    return _gather(indices), runs
+
+
 def is_canonical(pair: ModulePair) -> bool:
     """Check the canonical-shape invariants directly, on the packed rows.
+
+    Entries are residues in [0, p), so a sum of them is 0 exactly when each
+    is 0, and 1 exactly when one is 1 and the others 0.  Row i + 1, at
+    a[d - i:d + 1] and b[d - i:d + 1] with its diagonal at d, passes when
+    A is 0 below the diagonal and B on it, and a_ii plus B's entries below
+    the diagonal sum to 1: the row's one nonzero entry is a 1, on A's
+    diagonal or in B below it.  Then B is 0/1, and its 1s sit in pairwise
+    distinct columns exactly when every column of B sums to at most 1,
+    each gathered by one per-n getter (``_below_diagonal_columns``).
 
     A passing pair is free: it has n nonzero entries and rank [A|B] = n,
     so neither is computed.  Proof.  Each row holds exactly one nonzero
@@ -241,22 +276,12 @@ def is_canonical(pair: ModulePair) -> bool:
     a, b = pair.A.entries, pair.B.entries
     if a == LowerTriMatrix.identity(pair.field, pair.n).entries and not any(b):
         return True
-    columns = set()
     for i, d in enumerate(_diagonal_offsets(pair.n)):
-        # Row i + 1 occupies a[d - i:d + 1], its diagonal at d: A is 0/1
-        # on the diagonal and 0 below it, B is 0 on the diagonal and 0/1
-        # below it, and the row holds one nonzero.
-        if a[d] not in (0, 1) or b[d] != 0 or any(a[d - i:d]):
+        if b[d] or any(a[d - i:d]) or a[d] + sum(b[d - i:d]) != 1:
             return False
-        row = b[d - i:d]
-        used = [j for j, v in enumerate(row) if v]
-        if any(row[j] != 1 for j in used) or a[d] + len(used) != 1:
-            return False
-        if used:
-            if used[0] in columns:
-                return False
-            columns.add(used[0])
-    return True
+    gather, runs = _below_diagonal_columns(pair.n)
+    columns = gather(b)
+    return all(sum(columns[start:stop]) <= 1 for start, stop in runs)
 
 
 def enumerate_canonical(n: int, field=None, budget=None):
@@ -296,7 +321,7 @@ def _transvection_product(field, n, moves):
     reduced mod p, so the result is built through ``_trusted``.
     """
     one = LowerTriMatrix.identity(field, n).entries
-    return _trusted(field, n, _row_moves(one, moves[::-1], field.p))
+    return _trusted(field, n, _row_moves((one,), moves[::-1], field.p)[0])
 
 
 def _left_stage(stages, pair, label, moves):
@@ -305,12 +330,13 @@ def _left_stage(stages, pair, label, moves):
     The moves are those of ``trimat._row_moves``, in order.  Its factor L
     is the moves run on I, and its pair L (A, B) the moves run on A and
     B: row moves applied in turn multiply to their factors in reverse
-    order.  Each entry is reduced mod p, and L has a nonzero diagonal.
+    order.  The moves run on I, A and B in one sweep.  Each entry is
+    reduced mod p, and L has a nonzero diagonal.
     """
     f, n, p = pair.field, pair.n, pair.field.p
-    factor = _trusted(f, n, _row_moves(LowerTriMatrix.identity(f, n).entries, moves, p))
-    pair = ModulePair(_trusted(f, n, _row_moves(pair.A.entries, moves, p)),
-                      _trusted(f, n, _row_moves(pair.B.entries, moves, p)))
+    factor, a, b = (_trusted(f, n, e) for e in _row_moves(
+        (LowerTriMatrix.identity(f, n).entries, pair.A.entries, pair.B.entries), moves, p))
+    pair = ModulePair(a, b)
     stages.append(Stage(label, "left", factor, pair))
     return pair
 
@@ -797,17 +823,24 @@ _CLOSED_FORM = {}
 
 
 def _closed_form_plan(field, n):
-    """Per (p, n): the row and column of each packed slot, I, 0 and (I, 0).
+    """Per (p, n): the closed form's getters and moves order, I, 0 and (I, 0).
 
     Slot k of a packed matrix holds (r, c), 0-based, for the k-th r >= c
-    in row-major order.  Built on first use, once per (p, n).
+    in row-major order.  ``rows`` and ``cols`` gather, from n per-index
+    values, the value of each slot's row or column, and ``diagonal`` the n
+    diagonal entries of a packed matrix (``trimat._gather``).  ``order``
+    lists (i, j, slot of (i, j)) below the diagonal, rows ascending and j
+    descending.  Built on first use, once per (p, n).
     """
     key = (field.p, n)
     plan = _CLOSED_FORM.get(key)
     if plan is None:
         slots = [(r, c) for r in range(n) for c in range(r + 1)]
         plan = _CLOSED_FORM[key] = (
-            tuple(r for r, _ in slots), tuple(c for _, c in slots),
+            _gather([r for r, _ in slots]), _gather([c for _, c in slots]),
+            _gather(_diagonal_offsets(n)),
+            [(i, j, d - i + j) for i, d in enumerate(_diagonal_offsets(n))
+             for j in range(i - 1, -1, -1)],
             LowerTriMatrix.identity(field, n), LowerTriMatrix.zero(field, n),
             _canonical_pair(field, range(1, n + 1)))
     return plan
@@ -848,35 +881,38 @@ def _closed_form(pair):
     ``GL2Element._trusted`` and ``GL2Element._diagonal_cells``; nothing
     acts with them, and ``verify_certificate`` reads Q's blocks as they
     are.
+
+    Each formula is one sweep over the packed slots: the per-index values
+    x_c, w_c, ... reach the slots through the plan's ``cols`` and ``rows``
+    getters (``_closed_form_plan``), and the moves run on I and B' at once
+    (``trimat._row_moves``).
     """
     f, n = pair.field, pair.n
     p = f.p
-    rows, cols, one, zero, target = _closed_form_plan(f, n)
-    offsets = _diagonal_offsets(n)
+    rows, cols, diagonal, order, one, zero, target = _closed_form_plan(f, n)
     a, b = pair.A.entries, pair.B.entries
     stages = []
     g1 = None
-    if any(a[d] != 1 or b[d] for d in offsets):
+    da, db = diagonal(a), diagonal(b)
+    if any(db) or da.count(1) != n:
         cells = []
-        for d in offsets:
-            if a[d]:
-                inv = pow(a[d], p - 2, p)
-                cells.append((inv, -b[d] * inv % p, 0, 1))
+        for u, v in zip(da, db):
+            if u:
+                inv = pow(u, p - 2, p)
+                cells.append((inv, -v * inv % p, 0, 1))
             else:
-                cells.append((0, p - 1, pow(b[d], p - 2, p), 0))
+                cells.append((0, p - 1, pow(v, p - 2, p), 0))
         x, y, w, z = zip(*cells)
-        a, b = (tuple([(u * x[c] + v * w[c]) % p for u, v, c in zip(a, b, cols)]),
-                tuple([(u * y[c] + v * z[c]) % p for u, v, c in zip(a, b, cols)]))
+        a, b = (tuple([(u * s + v * t) % p for u, v, s, t in zip(a, b, cols(x), cols(w))]),
+                tuple([(u * s + v * t) % p for u, v, s, t in zip(a, b, cols(y), cols(z))]))
         g1 = GL2Element._diagonal_cells(f, n, x, y, w, z)
         stages.append(Stage("diagonal_clearing", "right", g1,
                             ModulePair(_trusted(f, n, a), _trusted(f, n, b))))
-    # Row i (0-based) starts at offsets[i] - i, so a_ij sits at d - i + j.
-    moves = [(i, j, -a[d - i + j] % p) for i, d in enumerate(offsets)
-             for j in range(i - 1, -1, -1) if a[d - i + j]]
+    moves = [(i, j, p - a[k]) for i, j, k in order if a[k]]
     U = one
     if moves:
-        U = _trusted(f, n, _row_moves(one.entries, moves, p))
-        b = _row_moves(b, moves, p)
+        u, b = _row_moves((one.entries, b), moves, p)
+        U = _trusted(f, n, u)
         stages.append(Stage("row_clearing", "left", U, ModulePair(one, _trusted(f, n, b))))
     if any(b):
         neg = tuple([-v % p for v in b])
@@ -886,10 +922,10 @@ def _closed_form(pair):
             Q = g2
         else:
             Q = GL2Element._trusted(
-                g1.X, _trusted(f, n, tuple([(s + x[r] * v) % p
-                                            for s, v, r in zip(g1.Y.entries, neg, rows)])),
-                g1.W, _trusted(f, n, tuple([(s + w[r] * v) % p
-                                            for s, v, r in zip(g1.Z.entries, neg, rows)])))
+                g1.X, _trusted(f, n, tuple([(s + t * v) % p for s, v, t
+                                            in zip(g1.Y.entries, neg, rows(x))])),
+                g1.W, _trusted(f, n, tuple([(s + t * v) % p for s, v, t
+                                            in zip(g1.Z.entries, neg, rows(w))])))
     else:
         Q = GL2Element.identity(f, n) if g1 is None else g1
     return target, Certificate(U, Q), stages

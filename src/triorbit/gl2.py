@@ -17,7 +17,7 @@ import functools
 
 from .errors import DimensionMismatch, NotAUnit, NotInvertible
 from .modpairs import ModulePair
-from .trimat import LowerTriMatrix, _diagonal_offsets, _pos, _tri_len, _trusted
+from .trimat import LowerTriMatrix, _diagonal_offsets, _gather, _pos, _tri_len, _trusted
 
 
 def gl2_is_invertible(X, Y, W, Z) -> bool:
@@ -47,6 +47,19 @@ def _move_cells(n):
     """
     return [(tuple(_pos(r, k) for r in range(k, n + 1)), k - c)
             for k in range(1, n + 1) for c in range(1, k + 1)]
+
+
+@functools.cache
+def _diagonal_scatter(n):
+    """The getter taking (0, v_1, ..., v_n) to the packed matrix diag(v_1, ..., v_n).
+
+    Slot (i, i) takes v_i, and every other slot the leading 0.  Computed
+    once per n.
+    """
+    slots = [0] * _tri_len(n)
+    for i, d in enumerate(_diagonal_offsets(n), start=1):
+        slots[d] = i
+    return _gather(slots)
 
 
 def _act(a, b, moves, p):
@@ -111,17 +124,12 @@ class GL2Element:
 
         ``x``, ``y``, ``w`` and ``z`` are the four value columns, one value
         per index 1..n, reduced mod p, and the caller vouches that each cell
-        has a nonzero determinant.
+        has a nonzero determinant.  Each block is scattered by one getter,
+        ``_diagonal_scatter``.
         """
-        offsets = _diagonal_offsets(n)
-        zero = [0] * _tri_len(n)
-        blocks = []
-        for values in (x, y, w, z):
-            block = zero[:]
-            for d, v in zip(offsets, values):
-                block[d] = v
-            blocks.append(_trusted(field, n, tuple(block)))
-        return cls._trusted(*blocks)
+        scatter = _diagonal_scatter(n)
+        return cls._trusted(*(_trusted(field, n, scatter((0, *values)))
+                              for values in (x, y, w, z)))
 
     def _column_moves(self):
         """The nonzero entries of g - I as the moves ``_act`` runs.

@@ -23,18 +23,25 @@ def enumeration_budget(budget=None):
     """Effective cap: explicit argument, else TRIORBIT_BUDGET, else 2**24.
 
     Raises InvalidBudget when TRIORBIT_BUDGET is set to anything but a
-    positive integer.
+    positive integer of at most 4300 digits, the default int-string limit,
+    whatever limit the interpreter sets.  The message names the digit count
+    of a longer value and echoes at most the first 20 characters of any.
     """
     if budget is not None:
         return budget
     env = os.environ.get("TRIORBIT_BUDGET")
     if env:
+        shown = repr(env[:20]) + ("..." if len(env) > 20 else "")
+        if len(env) > 4300:
+            raise InvalidBudget(
+                f"TRIORBIT_BUDGET={shown} is {len(env)} characters long; a budget has at "
+                "most 4300 digits")
         try:
             cap = int(env)
         except ValueError:
             cap = 0
         if cap < 1:
-            raise InvalidBudget(f"TRIORBIT_BUDGET={env!r} is not a positive integer")
+            raise InvalidBudget(f"TRIORBIT_BUDGET={shown} is not a positive integer")
         return cap
     return DEFAULT_BUDGET
 

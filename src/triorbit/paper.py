@@ -213,4 +213,4 @@ def build_k(A: LowerTriMatrix, H: LowerTriMatrix) -> LowerTriMatrix:
                 hwork[i - 1] = [(a - c * b) % p for a, b in zip(hwork[i - 1], prow_h)]
                 moves.append((i - 1, ipiv - 1, -c % p))  # row i -= c * row ipiv
     one = LowerTriMatrix.identity(A.field, n).entries
-    return _trusted(A.field, n, _row_moves(one, moves, p))
+    return _trusted(A.field, n, _row_moves((one,), moves, p)[0])

@@ -16,6 +16,7 @@ that take the pair to its canonical form.
 """
 
 import functools
+import itertools
 import operator
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidEntry, SingularMatrix
@@ -87,21 +88,37 @@ def _accumulate(out, left, right, steps):
                 j += 1
 
 
-def _row_moves(e, moves, p):
-    """Packed entries of M after the row moves (i, j, t), 0-based i >= j, in order.
+def _row_moves(mats, moves, p):
+    """Packed entries of each matrix of ``mats`` after the row moves (i, j, t), 0-based i >= j.
 
-    A move is row i += t * row j, which for i = j scales row i by 1 + t.
-    Row j vanishes right of column j, so only its entries 0..j are read,
-    each before it is written, and zero ones are skipped.
+    A move is row i += t * row j, which for i = j scales row i by 1 + t;
+    the moves run in order, on every matrix.  Row j vanishes right of
+    column j, so only its entries 0..j are read, each before it is
+    written, and zero ones are skipped.  The matrices are interleaved
+    entry by entry, so entries 0..j of row j of all of them are one run,
+    and each move is one sweep over that run.  Returns one tuple per
+    matrix.
     """
-    out = list(e)
+    k = len(mats)
+    out = list(itertools.chain.from_iterable(zip(*mats)))
     for i, j, t in moves:
-        ri, rj = i * (i + 1) // 2, j * (j + 1) // 2
-        for c in range(j + 1):
-            v = out[rj + c]
+        rj = j * (j + 1) // 2 * k
+        shift = i * (i + 1) // 2 * k - rj  # from row j's run to row i's
+        for c in range(rj, rj + (j + 1) * k):
+            v = out[c]
             if v:
-                out[ri + c] = (out[ri + c] + t * v) % p
-    return tuple(out)
+                out[c + shift] = (out[c + shift] + t * v) % p
+    return [tuple(out[h::k]) for h in range(k)]
+
+
+def _gather(indices):
+    """``operator.itemgetter(*indices)``, returning a tuple for any number of indices."""
+    if len(indices) == 1:
+        index, = indices
+        return lambda values: (values[index],)
+    if not indices:
+        return lambda values: ()
+    return operator.itemgetter(*indices)
 
 
 @functools.cache

@@ -395,6 +395,59 @@ def test_certificate_check_matches_a_reference_product_under_mutation(n, p, coun
     assert checked and verdicts[True] and verdicts[False]
 
 
+def _random_lower(rng, f, n, diagonal, below):
+    """A LowerTriMatrix with diagonal entries from ``diagonal()`` and the rest from ``below()``."""
+    return LowerTriMatrix(f, n, [diagonal() if c == r else below()
+                                 for r in range(n) for c in range(r + 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_certificate_check_is_a_generic_product_on_dense_q(n):
+    # A random unit U and a Q whose X - I and Z - I are nonzero below the
+    # diagonal and whose W and Y are dense, with invertible diagonal
+    # cells: a shape that neither the closed form nor the row pass
+    # produces.  verify_certificate must agree with the reference products
+    # on the certificate and on every single-entry mutation of U and of
+    # each block of Q, and reject every single-entry mutation of the output.
+    rng = random.Random(n)
+    for p in (2, 3, 5, 7):
+        f = GF(p)
+        nonzero = lambda: rng.randrange(1, p)  # noqa: E731
+        anything = lambda: rng.randrange(p)  # noqa: E731
+        verdicts = {True: 0, False: 0}
+        for _ in range(2):
+            pair = ModulePair(_random_lower(rng, f, n, anything, anything),
+                              _random_lower(rng, f, n, anything, anything))
+            U = _random_lower(rng, f, n, nonzero, anything)
+            cells = []
+            while len(cells) < n:
+                cell = [rng.randrange(p) for _ in range(4)]
+                if (cell[0] * cell[3] - cell[1] * cell[2]) % p:
+                    cells.append(cell)
+            diagonals = [iter(column) for column in zip(*cells)]
+            X, Y, W, Z = (_random_lower(rng, f, n, d.__next__, nonzero) for d in diagonals)
+            Q = GL2Element(X, Y, W, Z)
+            image = _reference_right(p, n, _reference_left(pair, U), Q)
+            out = ModulePair(LowerTriMatrix(f, n, image[0]), LowerTriMatrix(f, n, image[1]))
+            assert verify_certificate(pair, out, Certificate(U, Q))
+            for V in _mutations(U, p):
+                moved = _reference_left(pair, V)
+                expected = moved is not None and _reference_right(p, n, moved, Q) == image
+                verdicts[expected] += 1
+                assert verify_certificate(pair, out, Certificate(V, Q)) == expected
+            blocks = [X, Y, W, Z]
+            for k in range(4):
+                for M in _mutations(blocks[k], p):
+                    R = GL2Element._trusted(*blocks[:k], M, *blocks[k + 1:])
+                    expected = _reference_right(p, n, _reference_left(pair, U), R) == image
+                    verdicts[expected] += 1
+                    assert verify_certificate(pair, out, Certificate(U, R)) == expected
+            for other in ([ModulePair(A, out.B) for A in _mutations(out.A, p)]
+                          + [ModulePair(out.A, B) for B in _mutations(out.B, p)]):
+                assert not verify_certificate(pair, other, Certificate(U, Q))
+        assert verdicts[False]
+
+
 def test_certificate_check_rejects_mismatched_q_and_non_pairs():
     # A Q of another dimension or field raises, as act_right does; an
     # output that is not a pair, or is a pair of another dimension or
@@ -894,11 +947,15 @@ def test_trace_stages_compose_to_certificate():
     # Each stage's factor takes the pair before it to its pair, the last
     # pair is the result, and the certificate is the stages' product: U is
     # the left factors multiplied last first, Q the right factors in order.
-    # Seeded samples at (4,2), (4,3) and (6,3); the last two search.
+    # Every free pair at (2,2), (2,3) and (3,2), and seeded samples at
+    # (4,2), (4,3) and (6,3); the last two search.
     searched = 0
-    for n, p, count, seed in ((4, 2, 40, 9), (4, 3, 600, 7), (6, 3, 200, 7)):
+    samples = [(n, p, free_pairs(GF(p), n)) for n, p in ((2, 2), (2, 3), (3, 2))]
+    samples += [(n, p, random_free_pairs(GF(p), n, count, seed=seed))
+                for n, p, count, seed in ((4, 2, 40, 9), (4, 3, 600, 7), (6, 3, 200, 7))]
+    for n, p, pairs in samples:
         f = GF(p)
-        for pair in random_free_pairs(f, n, count, seed=seed):
+        for pair in pairs:
             if not is_canonical_jump_map(jump_map(pair)):
                 continue
             result, cert, trace = canonicalize(pair)
@@ -914,7 +971,7 @@ def test_trace_stages_compose_to_certificate():
                 assert current == stage.pair
             assert current == result
             assert (U, Q) == (cert.U, cert.Q)
-            searched += (n, p) != (4, 2) and trace.search_activated
+            searched += (n, p) in ((4, 3), (6, 3)) and trace.search_activated
     assert searched >= 5
 
 
@@ -1605,3 +1662,19 @@ def test_is_canonical_matches_shape_and_rank_reference(n, p):
             assert is_canonical(pair) == expected
             passed += expected
     assert passed == bell(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_is_canonical_on_every_mutation_of_the_canonical_pairs(n):
+    # Every canonical pair at p = 3, and every pair one entry away from
+    # one, gets the verdict of the shape and rank reference.  A single
+    # entry changed empties a row, adds a second nonzero to it or makes its
+    # 1 a 2, so the reference refuses every mutation.
+    f = GF(3)
+    pairs = enumerate_canonical(n, f)
+    assert len(pairs) == bell(n)
+    for pair in pairs:
+        assert is_canonical(pair) and _reference_is_canonical(pair)
+        for mutated in ([ModulePair(A, pair.B) for A in _mutations(pair.A, 3)]
+                        + [ModulePair(pair.A, B) for B in _mutations(pair.B, 3)]):
+            assert is_canonical(mutated) == _reference_is_canonical(mutated)

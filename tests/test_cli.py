@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import tempfile
 import time
 
@@ -310,6 +311,25 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "canonicalize", "--input", str(f))
     assert code == 2
     assert "not a positive integer" in out
+
+
+def test_budget_env_of_5000_digits_exits_2_with_a_short_line(capsys, monkeypatch):
+    # A positive integer longer than the 4300-digit int-string limit is
+    # refused by its length, also where the interpreter lifts that limit,
+    # and the error line echoes only the start of the value.
+    monkeypatch.setenv("TRIORBIT_BUDGET", "9" * 5000)
+    limit = sys.get_int_max_str_digits()
+    for digits in (limit, 0):
+        sys.set_int_max_str_digits(digits)
+        try:
+            code = main(["enumerate", "--n", "3"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.startswith("error: ") and captured.out.count("\n") == 1
+        assert len(captured.out) < 200 and "5000" in captured.out
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 89 - 1])

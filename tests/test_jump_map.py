@@ -90,7 +90,8 @@ def _row_pass_ends(pair, jumps):
     # row in the pair moved included.
     f, n, p = pair.field, pair.n, pair.field.p
     _, row_moves, blocks = _row_pass(pair.A, pair.B, record=True)
-    A, B = (LowerTriMatrix(f, n, _row_moves(M.entries, row_moves, p)) for M in (pair.A, pair.B))
+    A, B = (LowerTriMatrix(f, n, e)
+            for e in _row_moves((pair.A.entries, pair.B.entries), row_moves, p))
     end = act_right(ModulePair(A, B), GL2Element(*(LowerTriMatrix(f, n, e) for e in blocks)))
     for r, c in enumerate(jumps, start=1):
         row = {(s, k): v for s, M in (("a", end.A), ("b", end.B))
