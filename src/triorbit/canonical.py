@@ -12,7 +12,7 @@ checkable by plain multiplication.  It takes one of three paths.
    (the lemma in ``ModulePair.is_unimodular``), so no invariant is
    computed: ``_closed_form`` computes (I, 0), U, Q and at most three
    stages (diagonal_clearing, row_clearing, b_transvection) straight from
-   their formula, in one pass over the packed entries.
+   their formula, each in one sweep over the packed slots.
 2. Other pairs are decided by the exact orbit invariant ``jump_map``,
    read off the one row pass over [A|B], ``trimat._row_pass``, which
    also decides freeness and rank: NotFree when a row is dependent, and
@@ -63,25 +63,20 @@ certificate is formed once, by the ring and group products, as U2 (L_k
 ... L_1) and (R_1 ... R_m) Q2: their left factors L and right factors R
 around the row pass's (U2, Q2) (``_reduce_general``).  The two
 self-checks, canonical shape and certificate, stay explicit raises over
-the result on every path.  The certificate check multiplies packed
-entries (``_certificate_image``) and makes no ``act_right`` call.
+the result on every path.  The certificate check makes no ``act_right``
+call: ``_certificate_image`` forms U (A, B) Q from packed entries in two
+sweeps, one for (U - I) A and (U - I) B together and one over every entry
+of Q's four blocks, so it reads only U, Q, the input and the output, and
+rests on no recorded move or proved pair.
 
 Every move list comes from one scan, ``GL2Element._column_moves``,
-cached on its element.  The cleanup's right factors, the B-diagonal
-blocks (``GL2Element._diagonal_cells``) and block_diag(P, I), are each
-scanned once, when they act; the search's generators are built and
-scanned once per (p, n).  The row pass's factor is never scanned by
-``act_right``: the pair it produces is recorded by proof, and it is Q
-as it stands unless a cleanup or search ran, when the product (R_1 ...
-R_m) Q2 scans its moves.  The certificate check reads only U, Q, the
-input and the output, so it does not rest on any recorded move or
-proved pair.
+cached on its element: the cleanup's right factors are each scanned
+once, when they act, and the search's generators once per (p, n).  The
+row pass's factor is scanned only by the product (R_1 ... R_m) Q2 after
+a cleanup or search.
 
-The closed form records what its formula fixes and acts with nothing:
-each stage's factor and pair, U and Q are computed entry by entry (the
-proofs are in ``_closed_form``), its factors are never scanned for
-moves, and ``is_canonical`` accepts (I, 0) with one comparison.  So a
-unimodular pair makes no ``act_right`` call.
+The closed form computes every factor, pair, U and Q from its formula
+and acts with nothing, so a unimodular pair makes no ``act_right`` call.
 """
 
 import functools
@@ -193,18 +188,15 @@ def _certificate_image(u, a, b, Q, n, p):
     M_A Y + M_B Z) with M_A = U A and M_B = U B.  Each factor L is read as
     I + (L - I), and only the nonzero entries of L - I do work.
     1. Row i of a lower triangular product L R is the sum over k <= i of
-       l_ik times row k of R, the steps of ``trimat._product_plan``.  So
-       M_A = A + (U - I) A and M_B = B + (U - I) B start as A and B, and
-       one sweep over the steps adds (U - I) A and (U - I) B together,
-       unreduced, skipping zero u_ik - [i = k].
+       l_ik times row k of R (``trimat._product_plan``), so M_A and M_B
+       start as A and B, and one sweep adds (U - I) A and (U - I) B.
     2. Column c of M E is the sum over k >= c of e_kc times column k of M,
        which is zero above row k (the rows and shift of
        ``gl2._move_cells``).  So the entries x, y, w, z at (k, c) of X - I,
        Y, W and Z - I add x times column k of M_A plus w times column k of
        M_B into column c of the first part, and y and z likewise into the
-       second, which start as M_A and M_B.  One sweep reads the four
-       blocks together, every entry of each, and assumes nothing about
-       Q's shape.
+       second, which start as M_A and M_B.  One sweep reads every entry of
+       the four blocks, whatever Q's shape.
     Every entry is reduced mod p once, at the end.
     """
     one, steps = _product_plan(n)
@@ -234,44 +226,15 @@ def _certificate_image(u, a, b, Q, n, p):
 # -- the canonical predicate -------------------------------------------------
 
 
-@functools.cache
-def _below_diagonal_columns(n):
-    """A getter of the entries below the diagonal, column by column, and each column's run.
-
-    Column c (0-based) holds (r, c) for r > c, at packed offset r(r + 1)/2
-    + c.  The getter (``trimat._gather``) takes them column after column,
-    and ``runs`` lists each column's (start, stop) in what it returns.
-    Computed once per n.
-    """
-    indices, runs = [], []
-    for c in range(n):
-        start = len(indices)
-        indices += [r * (r + 1) // 2 + c for r in range(c + 1, n)]
-        runs.append((start, len(indices)))
-    return _gather(indices), runs
-
-
 def is_canonical(pair: ModulePair) -> bool:
     """Check the canonical-shape invariants directly, on the packed rows.
 
-    Entries are residues in [0, p), so a sum of them is 0 exactly when each
-    is 0, and 1 exactly when one is 1 and the others 0.  Row i + 1, at
-    a[d - i:d + 1] and b[d - i:d + 1] with its diagonal at d, passes when
-    A is 0 below the diagonal and B on it, and a_ii plus B's entries below
-    the diagonal sum to 1: the row's one nonzero entry is a 1, on A's
-    diagonal or in B below it.  Then B is 0/1, and its 1s sit in pairwise
-    distinct columns exactly when every column of B sums to at most 1,
-    each gathered by one per-n getter (``_below_diagonal_columns``).
-
-    A passing pair is free: it has n nonzero entries and rank [A|B] = n,
-    so neither is computed.  Proof.  Each row holds exactly one nonzero
-    entry, a 1, so there are n of them.  The 1s of A lie on its diagonal,
-    one column per row, and the 1s of B lie in pairwise distinct columns,
-    as checked.  So the rows of [A|B] are n distinct standard basis
-    vectors, which are independent.
-
-    (I, 0), the closed form's result, is accepted at sight: each row's one
-    nonzero is its diagonal 1 in A, and B, being zero, uses no column.
+    Entries are residues, so a sum of them is 1 iff one is 1 and the rest
+    0.  Row i + 1, its diagonal at d, passes when A is 0 below the
+    diagonal and B on it, and a_ii and B's row sum to 1.  Then B is 0/1,
+    with its 1s in distinct columns iff each column (the column cells of
+    ``gl2._move_cells``) sums to at most 1.  A passing pair is free: its
+    rows are n distinct basis vectors.  (I, 0) is accepted at sight.
     """
     a, b = pair.A.entries, pair.B.entries
     if a == LowerTriMatrix.identity(pair.field, pair.n).entries and not any(b):
@@ -279,9 +242,8 @@ def is_canonical(pair: ModulePair) -> bool:
     for i, d in enumerate(_diagonal_offsets(pair.n)):
         if b[d] or any(a[d - i:d]) or a[d] + sum(b[d - i:d]) != 1:
             return False
-    gather, runs = _below_diagonal_columns(pair.n)
-    columns = gather(b)
-    return all(sum(columns[start:stop]) <= 1 for start, stop in runs)
+    return all(sum(map(b.__getitem__, rows)) <= 1
+               for rows, shift in _move_cells(pair.n) if not shift)
 
 
 def enumerate_canonical(n: int, field=None, budget=None):
@@ -315,10 +277,8 @@ def _transvection_product(field, n, moves):
     """The product of the I + t e_ij for (i, j, t) in ``moves`` (0-based), in order.
 
     Row moves applied in turn multiply to their transvections in reverse
-    order, so the product is ``_row_moves`` applied to the identity with
-    the moves reversed; and the moves reversed with t negated give the
-    inverse, as (I + t e_ij)^-1 = I - t e_ij for i > j.  Every entry is
-    reduced mod p, so the result is built through ``_trusted``.
+    order, so the product is the moves reversed run on I; every entry is
+    reduced mod p.
     """
     one = LowerTriMatrix.identity(field, n).entries
     return _trusted(field, n, _row_moves((one,), moves[::-1], field.p)[0])
@@ -327,11 +287,10 @@ def _transvection_product(field, n, moves):
 def _left_stage(stages, pair, label, moves):
     """Record in ``stages`` the left stage of the row moves ``moves``; return its pair.
 
-    The moves are those of ``trimat._row_moves``, in order.  Its factor L
-    is the moves run on I, and its pair L (A, B) the moves run on A and
-    B: row moves applied in turn multiply to their factors in reverse
-    order.  The moves run on I, A and B in one sweep.  Each entry is
-    reduced mod p, and L has a nonzero diagonal.
+    Its factor L is the moves run on I, and its pair L (A, B) the moves
+    run on A and B, all in one sweep of ``trimat._row_moves``: row moves
+    applied in turn multiply to their factors in reverse order.  Each
+    entry is reduced mod p, and L has a nonzero diagonal.
     """
     f, n, p = pair.field, pair.n, pair.field.p
     factor, a, b = (_trusted(f, n, e) for e in _row_moves(
@@ -823,14 +782,11 @@ _CLOSED_FORM = {}
 
 
 def _closed_form_plan(field, n):
-    """Per (p, n): the closed form's getters and moves order, I, 0 and (I, 0).
+    """Per (p, n), on first use: getters, the moves' order, I, 0 and (I, 0).
 
-    Slot k of a packed matrix holds (r, c), 0-based, for the k-th r >= c
-    in row-major order.  ``rows`` and ``cols`` gather, from n per-index
-    values, the value of each slot's row or column, and ``diagonal`` the n
-    diagonal entries of a packed matrix (``trimat._gather``).  ``order``
-    lists (i, j, slot of (i, j)) below the diagonal, rows ascending and j
-    descending.  Built on first use, once per (p, n).
+    ``rows`` and ``cols`` take n per-index values to the value of each
+    packed slot's row or column, ``diagonal`` takes a packed diagonal, and
+    ``order`` lists (i, j, slot) below it, rows ascending, j descending.
     """
     key = (field.p, n)
     plan = _CLOSED_FORM.get(key)
@@ -882,10 +838,7 @@ def _closed_form(pair):
     acts with them, and ``verify_certificate`` reads Q's blocks as they
     are.
 
-    Each formula is one sweep over the packed slots: the per-index values
-    x_c, w_c, ... reach the slots through the plan's ``cols`` and ``rows``
-    getters (``_closed_form_plan``), and the moves run on I and B' at once
-    (``trimat._row_moves``).
+    The getters of ``_closed_form_plan`` carry per-index values to slots.
     """
     f, n = pair.field, pair.n
     p = f.p
@@ -921,11 +874,9 @@ def _closed_form(pair):
         if g1 is None:
             Q = g2
         else:
-            Q = GL2Element._trusted(
-                g1.X, _trusted(f, n, tuple([(s + t * v) % p for s, v, t
-                                            in zip(g1.Y.entries, neg, rows(x))])),
-                g1.W, _trusted(f, n, tuple([(s + t * v) % p for s, v, t
-                                            in zip(g1.Z.entries, neg, rows(w))])))
+            y2, z2 = (_trusted(f, n, tuple([(s + t * v) % p for s, v, t in zip(e, neg, rows(c))]))
+                      for e, c in ((g1.Y.entries, x), (g1.Z.entries, w)))
+            Q = GL2Element._trusted(g1.X, y2, g1.W, z2)
     else:
         Q = GL2Element.identity(f, n) if g1 is None else g1
     return target, Certificate(U, Q), stages

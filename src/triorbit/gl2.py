@@ -51,15 +51,9 @@ def _move_cells(n):
 
 @functools.cache
 def _diagonal_scatter(n):
-    """The getter taking (0, v_1, ..., v_n) to the packed matrix diag(v_1, ..., v_n).
-
-    Slot (i, i) takes v_i, and every other slot the leading 0.  Computed
-    once per n.
-    """
-    slots = [0] * _tri_len(n)
-    for i, d in enumerate(_diagonal_offsets(n), start=1):
-        slots[d] = i
-    return _gather(slots)
+    """The getter taking (0, v_1, ..., v_n) to the packed diag(v_1, ..., v_n), per n."""
+    offsets = _diagonal_offsets(n)
+    return _gather([offsets.index(k) + 1 if k in offsets else 0 for k in range(_tri_len(n))])
 
 
 def _act(a, b, moves, p):
@@ -124,8 +118,7 @@ class GL2Element:
 
         ``x``, ``y``, ``w`` and ``z`` are the four value columns, one value
         per index 1..n, reduced mod p, and the caller vouches that each cell
-        has a nonzero determinant.  Each block is scattered by one getter,
-        ``_diagonal_scatter``.
+        has a nonzero determinant.  ``_diagonal_scatter`` builds each block.
         """
         scatter = _diagonal_scatter(n)
         return cls._trusted(*(_trusted(field, n, scatter((0, *values)))

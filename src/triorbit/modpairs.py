@@ -23,9 +23,8 @@ def enumeration_budget(budget=None):
     """Effective cap: explicit argument, else TRIORBIT_BUDGET, else 2**24.
 
     Raises InvalidBudget when TRIORBIT_BUDGET is set to anything but a
-    positive integer of at most 4300 digits, the default int-string limit,
-    whatever limit the interpreter sets.  The message names the digit count
-    of a longer value and echoes at most the first 20 characters of any.
+    positive integer of at most 4300 digits (the default int-string
+    limit), echoing at most 20 characters of the value.
     """
     if budget is not None:
         return budget
@@ -33,9 +32,7 @@ def enumeration_budget(budget=None):
     if env:
         shown = repr(env[:20]) + ("..." if len(env) > 20 else "")
         if len(env) > 4300:
-            raise InvalidBudget(
-                f"TRIORBIT_BUDGET={shown} is {len(env)} characters long; a budget has at "
-                "most 4300 digits")
+            raise InvalidBudget(f"TRIORBIT_BUDGET={shown} has {len(env)} characters, over 4300")
         try:
             cap = int(env)
         except ValueError:

@@ -8,11 +8,11 @@ are handed (``_check_integers``: exactly ``int``, else InvalidEntry); the
 ring operations, whose results are reduced mod p by construction, build
 through ``_trusted`` instead.
 
-The module also holds the packed kernels that the reduction builds on:
-the product's accumulation (``_accumulate``), the row moves
-(``_row_moves``), and the row pass over [A|B] (``_row_pass``) that finds
-a pair's jump map, and with it the augmented rank, and records the moves
-that take the pair to its canonical form.
+The module also holds the packed kernels: the product's accumulation
+(``_accumulate``), the row moves on several matrices (``_row_moves``),
+the getters of per-n plans (``_gather``), and the row pass over [A|B]
+(``_row_pass``) that finds a pair's jump map, and with it the augmented
+rank, and records the moves that take the pair to its canonical form.
 """
 
 import functools
@@ -89,15 +89,12 @@ def _accumulate(out, left, right, steps):
 
 
 def _row_moves(mats, moves, p):
-    """Packed entries of each matrix of ``mats`` after the row moves (i, j, t), 0-based i >= j.
+    """Packed entries of each of ``mats`` after the row moves (i, j, t), 0-based i >= j, in order.
 
-    A move is row i += t * row j, which for i = j scales row i by 1 + t;
-    the moves run in order, on every matrix.  Row j vanishes right of
-    column j, so only its entries 0..j are read, each before it is
-    written, and zero ones are skipped.  The matrices are interleaved
-    entry by entry, so entries 0..j of row j of all of them are one run,
-    and each move is one sweep over that run.  Returns one tuple per
-    matrix.
+    A move is row i += t * row j, which for i = j scales row i by 1 + t.
+    Row j vanishes right of column j, so only its entries 0..j are read,
+    each before it is written, and zero ones are skipped.  The matrices
+    are interleaved entry by entry, so each move is one sweep over one run.
     """
     k = len(mats)
     out = list(itertools.chain.from_iterable(zip(*mats)))
@@ -112,12 +109,10 @@ def _row_moves(mats, moves, p):
 
 
 def _gather(indices):
-    """``operator.itemgetter(*indices)``, returning a tuple for any number of indices."""
+    """``operator.itemgetter(*indices)``, returning a tuple also for one index."""
     if len(indices) == 1:
         index, = indices
         return lambda values: (values[index],)
-    if not indices:
-        return lambda values: ()
     return operator.itemgetter(*indices)
 
 
@@ -464,11 +459,7 @@ def _row_pass(A, B, record=False):
     of the cells and column moves, as packed X, Y, W, Z; its rows start as
     the identity's and run every column step after the pair's rows.  The
     moves take a free pair with a canonical jump map to its canonical pair.
-
-    The layout is the per-n plan of ``_row_pass_plan``: each row of [A|B]
-    is gathered interleaved by one getter, the factor's rows are copied
-    from the identity's, and X, Y, W and Z are cut from the finished
-    factor by one getter.
+    The layout is the per-n plan of ``_row_pass_plan``.
     """
     A._check_compatible(B)
     n, p = A.n, A.field.p
