@@ -287,10 +287,9 @@ def _transvection_product(field, n, moves):
 def _left_stage(stages, pair, label, moves):
     """Record in ``stages`` the left stage of the row moves ``moves``; return its pair.
 
-    Its factor L is the moves run on I, and its pair L (A, B) the moves
-    run on A and B, all in one sweep of ``trimat._row_moves``: row moves
-    applied in turn multiply to their factors in reverse order.  Each
-    entry is reduced mod p, and L has a nonzero diagonal.
+    Its factor L and pair L (A, B) are the moves run on I, A and B in one
+    sweep of ``trimat._row_moves``, as row moves applied in turn multiply to
+    their factors in reverse order; entries are reduced, L's diagonal nonzero.
     """
     f, n, p = pair.field, pair.n, pair.field.p
     factor, a, b = (_trusted(f, n, e) for e in _row_moves(

@@ -16,7 +16,6 @@ rank, and records the moves that take the pair to its canonical form.
 """
 
 import functools
-import itertools
 import operator
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidEntry, SingularMatrix
@@ -97,7 +96,9 @@ def _row_moves(mats, moves, p):
     are interleaved entry by entry, so each move is one sweep over one run.
     """
     k = len(mats)
-    out = list(itertools.chain.from_iterable(zip(*mats)))
+    out = [0] * (k * len(mats[0]))
+    for h, e in enumerate(mats):
+        out[h::k] = e
     for i, j, t in moves:
         rj = j * (j + 1) // 2 * k
         shift = i * (i + 1) // 2 * k - rj  # from row j's run to row i's
