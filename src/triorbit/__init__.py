@@ -36,8 +36,6 @@ from .trimat import (
 )
 from .modpairs import (
     ModulePair,
-    Submodule,
-    cyclic_submodule,
     format_pair,
     is_free_oracle,
     is_outlier_oracle,
@@ -70,6 +68,8 @@ from .partitions import (
 )
 from .oracle import (
     OrbitReport,
+    Submodule,
+    cyclic_submodule,
     enumerate_free_submodules,
     orbit_decomposition,
     random_free_pairs,

@@ -91,7 +91,7 @@ from .errors import (
 )
 from .field import GF
 from .gl2 import GL2Element, _move_cells, act_right, gl2_generators
-from .modpairs import ModulePair, _canonical_pair, _check_budget, enumeration_budget
+from .modpairs import ModulePair, _canonical_pair, _check_budget
 from .partitions import bell
 from .trimat import (
     LowerTriMatrix,
@@ -246,7 +246,7 @@ def is_canonical(pair: ModulePair) -> bool:
                for rows, shift in _move_cells(pair.n) if not shift)
 
 
-def enumerate_canonical(n: int, field=None, budget=None):
+def enumerate_canonical(n: int, field=None):
     """All canonical pairs for dimension n, sorted by the pair total order.
 
     Generated as c(j) over the canonical jump maps (see
@@ -257,7 +257,7 @@ def enumerate_canonical(n: int, field=None, budget=None):
     """
     if n < 2:
         raise UnsupportedDimension(f"canonical enumeration needs n >= 2, got {n}")
-    _check_budget(enumeration_budget(budget), f"B_{n}", n - 1, lambda: bell(n))
+    _check_budget(f"B_{n}", n - 1, lambda: bell(n))
     if field is None:
         field = GF(2)
     maps = [((), frozenset())]  # (j(1), ..., j(r - 1)) and the values its moved rows took

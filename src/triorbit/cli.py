@@ -58,7 +58,7 @@ def cmd_enumerate(args):
         _print("error: --n must be at least 2")
         return 2
     try:
-        pairs = enumerate_canonical(args.n, budget=enumeration_budget(None))
+        pairs = enumerate_canonical(args.n)
     except (BudgetExceeded, InvalidBudget) as exc:
         _print(f"error: {exc}")
         return 2
@@ -102,7 +102,7 @@ def cmd_canonicalize(args):
         return 2
     try:
         # canonicalize reads no budget, yet a malformed one still exits 2.
-        enumeration_budget(None)
+        enumeration_budget()
         result, cert, trace = canonicalize(pair)
     except NotFree:
         _print("error: the pair is not free")
@@ -198,8 +198,7 @@ def cmd_verify(args):
     if args.seed is not None:
         kwargs["seed"] = args.seed
     try:
-        report = verify_classification(args.n, args.p,
-                                       budget=enumeration_budget(None), **kwargs)
+        report = verify_classification(args.n, args.p, **kwargs)
     except (BudgetExceeded, InvalidBudget, InconsistentDecomposition) as exc:
         _print(f"error: {exc}")
         return 2

@@ -3,7 +3,8 @@
 A pair spans the cyclic submodule {r(A, B) : r in T_n}.  The fast
 predicates come from the rank characterizations; each one has a brute-force
 companion that enumerates ring elements directly, so the two can be checked
-against each other exhaustively at desk scale.
+against each other exhaustively at desk scale.  Pair files are parsed
+here, and the enumeration cap, whose one source is TRIORBIT_BUDGET, kept.
 """
 
 import functools
@@ -11,7 +12,7 @@ import itertools
 import json
 import os
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidBudget, NotFree
+from .errors import BudgetExceeded, DimensionMismatch, InvalidBudget
 from .field import GF
 from .trimat import (LowerTriMatrix, _decimal, _diagonal_offsets, _pos, _tri_len, _trusted,
                      augmented_rank, parse_matrix)
@@ -19,15 +20,13 @@ from .trimat import (LowerTriMatrix, _decimal, _diagonal_offsets, _pos, _tri_len
 DEFAULT_BUDGET = 2 ** 24
 
 
-def enumeration_budget(budget=None):
-    """Effective cap: explicit argument, else TRIORBIT_BUDGET, else 2**24.
+def enumeration_budget():
+    """The enumeration cap: TRIORBIT_BUDGET, its only source, else 2**24.
 
     Raises InvalidBudget when TRIORBIT_BUDGET is set to anything but a
     positive integer of at most 4300 digits (the default int-string
     limit), echoing at most 20 characters of the value.
     """
-    if budget is not None:
-        return budget
     env = os.environ.get("TRIORBIT_BUDGET")
     if env:
         shown = repr(env[:20]) + ("..." if len(env) > 20 else "")
@@ -43,8 +42,8 @@ def enumeration_budget(budget=None):
     return DEFAULT_BUDGET
 
 
-def _check_budget(cap, what, floor_bits, count):
-    """Raise BudgetExceeded when the count ``count()`` exceeds ``cap``.
+def _check_budget(what, floor_bits, count):
+    """Raise BudgetExceeded when the count ``count()`` exceeds the cap.
 
     ``floor_bits`` is a lower bound b on the count's base-2 logarithm:
     p^e >= 2^(e (p.bit_length() - 1)), and B_n >= 2^(n - 1), as each of 2
@@ -52,8 +51,10 @@ def _check_budget(cap, what, floor_bits, count):
     int cap holds exactly when b >= cap.bit_length(), the count is refused
     without being computed, as at large n it has millions of digits, and
     the message names only the bound.  Otherwise the count is computed,
-    and the message names it.  ``what`` names the count.
+    and the message names it.  ``what`` names the count.  The cap is read
+    at every call, so no cache of a caller outlives a change of it.
     """
+    cap = enumeration_budget()
     if floor_bits >= cap.bit_length():
         raise BudgetExceeded(f"{what} is at least 2^{floor_bits}, which exceeds the cap {cap}")
     total = count()
@@ -165,53 +166,10 @@ def _canonical_pair(field, jumps):
     return ModulePair(_trusted(field, n, tuple(a)), _trusted(field, n, tuple(b)))
 
 
-class Submodule:
-    """A free cyclic submodule, identified by its least generating pair.
-
-    Two free pairs generate the same submodule exactly when they are unit
-    multiples of each other, so the minimum of the unit orbit is a complete
-    key.
-    """
-
-    __slots__ = ("generator",)
-
-    def __init__(self, generator: ModulePair):
-        self.generator = generator
-
-    def __eq__(self, other):
-        return isinstance(other, Submodule) and self.generator == other.generator
-
-    def __hash__(self):
-        return hash(("Submodule", self.generator))
-
-    def __lt__(self, other):
-        return self.generator < other.generator
-
-    def __repr__(self):
-        return f"Submodule({self.generator!r})"
-
-
-def cyclic_submodule(pair: ModulePair, budget=None) -> Submodule:
-    """Canonical key of the free cyclic submodule generated by ``pair``."""
-    if not pair.is_free():
-        raise NotFree("only free pairs have a well-defined submodule key")
-    n, field = pair.n, pair.field
-    p = field.p
-    _check_budget(enumeration_budget(budget), f"|T_{n}^*|",
-                  n * ((p - 1).bit_length() - 1) + n * (n - 1) // 2 * (p.bit_length() - 1),
-                  lambda: unit_count(field, n))
-    best = None
-    for u in unit_matrices(field, n):
-        candidate = ModulePair(u * pair.A, u * pair.B)
-        if best is None or candidate < best:
-            best = candidate
-    return Submodule(best)
-
-
-def is_free_oracle(pair: ModulePair, budget=None) -> bool:
+def is_free_oracle(pair: ModulePair) -> bool:
     """Brute force: no nonzero r annihilates (A, B)."""
     n, field = pair.n, pair.field
-    _check_budget(enumeration_budget(budget), f"|T_{n}|",
+    _check_budget(f"|T_{n}|",
                   n * (n + 1) // 2 * (field.p.bit_length() - 1), lambda: ring_size(field, n))
     for r in ring_matrices(field, n):
         if r.is_zero():
@@ -222,11 +180,9 @@ def is_free_oracle(pair: ModulePair, budget=None) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _unimodular_submodule_elements(p, n, cap):
+def _unimodular_submodule_elements(p, n):
     """All elements of all cyclic submodules generated by unimodular pairs."""
     field = GF(p)
-    _check_budget(cap, f"the outlier oracle's |T_{n}|^3 ring products",
-                  3 * (n * (n + 1) // 2) * (p.bit_length() - 1), lambda: ring_size(field, n) ** 3)
     members = set()
     ring = list(ring_matrices(field, n))
     for C in ring:
@@ -239,11 +195,14 @@ def _unimodular_submodule_elements(p, n, cap):
     return members
 
 
-def is_outlier_oracle(pair: ModulePair, budget=None) -> bool:
+def is_outlier_oracle(pair: ModulePair) -> bool:
     """Brute force: contained in no submodule generated by a unimodular pair."""
-    cap = enumeration_budget(budget)
-    members = _unimodular_submodule_elements(pair.field.p, pair.n, cap)
-    return (pair.A, pair.B) not in members
+    n, p = pair.n, pair.field.p
+    # Charged before the cached table, so a lowered cap refuses it too.
+    _check_budget(f"the outlier oracle's |T_{n}|^3 ring products",
+                  3 * (n * (n + 1) // 2) * (p.bit_length() - 1),
+                  lambda: ring_size(pair.field, n) ** 3)
+    return (pair.A, pair.B) not in _unimodular_submodule_elements(p, n)
 
 
 # -- pair files --------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Exhaustive, assumption-free verification by orbit enumeration.
+"""Submodule keys, and assumption-free verification by orbit enumeration.
 
 A free pair and its unit multiples generate the same submodule, so each
 free submodule is keyed by its least generating pair, which has a normal
-form (``_normal_form``).  The free submodules are enumerated straight in
+form (``_normal_form``); this module alone decides what identifies a
+submodule (``cyclic_submodule``).  The free submodules are enumerated in
 that form and grouped into group orbits with union-find (``_decompose``):
 each generator maps the nodes of a trie of the key prefixes, on which the
 normal form is a left fold, level by level over the trie's edges, from
@@ -25,12 +26,11 @@ import random
 
 from .canonical import canonicalize, enumerate_canonical
 from .errors import (CanonicalizationFailed, DimensionMismatch, InconsistentDecomposition,
-                     InvalidSampleCount)
+                     InvalidSampleCount, NotFree)
 from .field import GF
 from .gl2 import orbit_generators
-from .modpairs import (ModulePair, Submodule, _canonical_pair, _check_budget,
-                       enumeration_budget, format_pair, pair_to_dict, unit_count,
-                       unit_matrices)
+from .modpairs import (ModulePair, _canonical_pair, _check_budget, format_pair, pair_to_dict,
+                       unit_count, unit_matrices)
 from .partitions import bell
 from .trimat import LowerTriMatrix, _trusted
 
@@ -126,7 +126,7 @@ def _normal_form(rows, p):
 
 
 def _pair_key(pair):
-    """Key of the submodule generated by a free pair.
+    """Key of the submodule generated by a pair; None if it is not free.
 
     Row i of [A|B] is packed row i of A and then of B, each padded with
     n - i zeros, read straight from the entries.
@@ -154,7 +154,45 @@ def _key_pair(field, key):
     return ModulePair(LowerTriMatrix(field, n, A), LowerTriMatrix(field, n, B))
 
 
-def _free_submodule_keys(field, n, budget):
+class Submodule:
+    """A free cyclic submodule, identified by its least generating pair.
+
+    Two free pairs generate the same submodule exactly when they are unit
+    multiples of each other, so the minimum of the unit orbit is a complete
+    key.
+    """
+
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: ModulePair):
+        self.generator = generator
+
+    def __eq__(self, other):
+        return isinstance(other, Submodule) and self.generator == other.generator
+
+    def __hash__(self):
+        return hash(("Submodule", self.generator))
+
+    def __lt__(self, other):
+        return self.generator < other.generator
+
+    def __repr__(self):
+        return f"Submodule({self.generator!r})"
+
+
+def cyclic_submodule(pair: ModulePair) -> Submodule:
+    """The free cyclic submodule generated by ``pair``, keyed by its normal form.
+
+    The normal form is the least generating pair (``_normal_form``), so
+    nothing is enumerated and no budget is charged.
+    """
+    key = _pair_key(pair)
+    if key is None:
+        raise NotFree("only free pairs have a well-defined submodule key")
+    return Submodule(_key_pair(pair.field, key))
+
+
+def _free_submodule_keys(field, n):
     """Every key at (n, p), in ModulePair order.
 
     A key is a tuple of n packed rows: row i of [A|B], the residues
@@ -168,7 +206,7 @@ def _free_submodule_keys(field, n, budget):
     """
     p = field.p
     e = n * (n + 1)
-    _check_budget(enumeration_budget(budget), f"the pair count p^(n(n+1)) at n={n}, p={p}",
+    _check_budget(f"the pair count p^(n(n+1)) at n={n}, p={p}",
                   e * (p.bit_length() - 1), lambda: p ** e)
     place = [p ** (2 * n - 1 - k) for k in range(2 * n)]
     groups = {(): [()]}  # the key prefixes, by the set of their leads
@@ -202,11 +240,10 @@ def _free_submodule_keys(field, n, budget):
     return keys
 
 
-def enumerate_free_submodules(n, p, budget=None):
+def enumerate_free_submodules(n, p):
     """All free cyclic submodules at (n, p), ascending by key."""
     field = GF(p)
-    return [Submodule(_key_pair(field, key))
-            for key in _free_submodule_keys(field, n, budget)]
+    return [Submodule(_key_pair(field, key)) for key in _free_submodule_keys(field, n)]
 
 
 class OrbitSummary:
@@ -450,15 +487,15 @@ def _decompose(keys, generators, p):
     return [groups[root] for root in sorted(groups)]
 
 
-def orbit_decomposition(n, p, budget=None):
+def orbit_decomposition(n, p):
     """Decompose the free submodules at (n, p) into group orbits."""
-    report, _ = _build_report(n, p, budget)
+    report, _ = _build_report(n, p)
     return report
 
 
-def _build_report(n, p, budget=None):
+def _build_report(n, p):
     field = GF(p)
-    keys = _free_submodule_keys(field, n, budget)
+    keys = _free_submodule_keys(field, n)
     orbits = _decompose(keys, orbit_generators(field, n), p)
 
     canonical_pairs = enumerate_canonical(n, field) if n >= 2 else []
@@ -509,10 +546,12 @@ def random_free_pairs(field, n, count, seed):
     getrandbits(k) with k = p.bit_length(), drawn again while r >= p.  So
     the sample is the stream of A's entries then B's entries, pair after
     pair, that ``randrange`` gives for the seed, and each entry lies in
-    [0, p), so the constructor's checks could only pass.
+    [0, p), so the constructor's checks could only pass.  The sample list
+    is charged to the budget before the first draw.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension {n} < 1")
+    _check_budget("the sample count", count.bit_length() - 1, lambda: count)
     getrandbits = random.Random(seed).getrandbits
     m = n * (n + 1) // 2
     p = field.p
@@ -532,8 +571,7 @@ def random_free_pairs(field, n, count, seed):
     return out
 
 
-def verify_classification(n, p, budget=None, samples=2000, seed=0,
-                          exhaustive_check_cap=8192):
+def verify_classification(n, p, samples=2000, seed=0, exhaustive_check_cap=8192):
     """Run the full exhaustive verification and return the OrbitReport.
 
     The canonicalizer check covers every free pair when their number is at
@@ -543,7 +581,7 @@ def verify_classification(n, p, budget=None, samples=2000, seed=0,
     no pair and pass.  A failing check is reported in the verdicts, with a
     counterexample, and is not raised.
     """
-    report, (keys, orbits, orbit_of, _) = _build_report(n, p, budget)
+    report, (keys, orbits, orbit_of, _) = _build_report(n, p)
     field = GF(p)
 
     report.verdicts["orbit_count_equals_bell"] = report.orbit_count == report.bell

@@ -14,7 +14,7 @@ import itertools
 
 from .errors import InvalidPartition, NotCanonical
 from .field import GF
-from .modpairs import ModulePair, _canonical_pair, _check_budget, enumeration_budget
+from .modpairs import ModulePair, _canonical_pair, _check_budget
 from .trimat import _decimal
 
 
@@ -119,11 +119,11 @@ def bell(n: int) -> int:
     return row[-1]
 
 
-def enumerate_partitions(n: int, budget=None):
+def enumerate_partitions(n: int):
     """All partitions of {1..n} via restricted growth strings, in RGS order."""
     if n < 1:
         raise InvalidPartition("n must be >= 1")
-    _check_budget(enumeration_budget(budget), f"B_{n}", n - 1, lambda: bell(n))
+    _check_budget(f"B_{n}", n - 1, lambda: bell(n))
     out = []
     rgs = [0] * n
 

@@ -1122,7 +1122,7 @@ def _key_unit_pairs(n, p, per_key):
     f = GF(p)
     units = list(unit_matrices(f, n))
     rng = random.Random(n * p)
-    for key in _free_submodule_keys(f, n, None):
+    for key in _free_submodule_keys(f, n):
         pair = _key_pair(f, key)
         for u in rng.sample(units, per_key):
             yield ModulePair(u * pair.A, u * pair.B)

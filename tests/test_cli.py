@@ -268,10 +268,11 @@ def test_verify_over_budget_exits_2(capsys):
     ("verify", "--n", "125", "--p", "2"),
     ("enumerate", "--n", "2000"),
     ("convert", "partition-to-pair", "--n", "3", "--partition", "{1}{2}{1000000000000}"),
+    ("verify", "--n", "2", "--p", "2", "--samples", "1000000000000"),
 ])
 def test_oversized_input_exits_2_with_one_error_line(capsys, monkeypatch, argv):
     # Each is refused before a count of its size is built or printed:
-    # 2^15750 pairs, B_2000 and an element 10^12.
+    # 2^15750 pairs, B_2000, an element 10^12 and 10^12 samples.
     monkeypatch.delenv("TRIORBIT_BUDGET", raising=False)
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -198,7 +198,7 @@ def test_orbit_generators_give_the_same_orbits(n, p):
     from triorbit.oracle import _decompose, _free_submodule_keys
 
     f = GF(p)
-    keys = _free_submodule_keys(f, n, None)
+    keys = _free_submodule_keys(f, n)
     # Keys are tuples of n packed rows, one int per row of [A|B].
     assert all(len(key) == n and all(type(row) is int for row in key) for key in keys)
     assert (_decompose(keys, orbit_generators(f, n), p)

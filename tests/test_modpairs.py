@@ -130,11 +130,12 @@ def test_submodule_key_requires_freeness(gf2):
         cyclic_submodule(ModulePair(Z, Z))
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     f = GF(2)
     pair = ModulePair(LowerTriMatrix.identity(f, 4), LowerTriMatrix.zero(f, 4))
+    monkeypatch.setenv("TRIORBIT_BUDGET", "16")
     with pytest.raises(BudgetExceeded):
-        is_free_oracle(pair, budget=16)
+        is_free_oracle(pair)
 
 
 def test_total_order_on_pairs(gf2):

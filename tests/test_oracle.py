@@ -9,6 +9,7 @@ from triorbit import (
     GL2Element,
     LowerTriMatrix,
     ModulePair,
+    Submodule,
     act_right,
     augmented_rank,
     bell,
@@ -24,7 +25,7 @@ from triorbit import (
     verify_classification,
 )
 from triorbit.errors import InconsistentDecomposition, InvalidSampleCount, TriOrbitError
-from triorbit.modpairs import ring_matrices
+from triorbit.modpairs import ring_matrices, unit_matrices
 from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _mover,
                              _normal_form, _pair_key, _Trie, random_free_pairs)
 
@@ -51,9 +52,13 @@ def test_free_submodules_agree_with_high_level_keys(n, p):
     assert len(keys) == len(subs)
     for sub, key in zip(sorted(subs), sorted(keys)):
         assert sub.generator == key.generator
-    # The normal form of every free pair is its brute-force least generator.
+    # The normal form of every free pair is its least unit multiple, found
+    # here by brute force over T_n*.
+    units = list(unit_matrices(GF(p), n))
     for pair in free_pairs_by_brute_force(n, p):
-        assert _key_pair(pair.field, _pair_key(pair)) == cyclic_submodule(pair).generator
+        least = min(ModulePair(u * pair.A, u * pair.B) for u in units)
+        assert _key_pair(pair.field, _pair_key(pair)) == least
+        assert cyclic_submodule(pair).generator == least
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
@@ -80,18 +85,19 @@ def test_budget_exceeded_on_large_configurations():
 
 
 def test_budget_check_refuses_from_a_lower_bound(monkeypatch):
-    # The six budget sites share one check.  A count whose lower bound
-    # exceeds the cap is refused without being computed, and the message
-    # names only the bound; B_2000 and 2^15750 have hundreds and thousands
-    # of digits, and each call returns at once.
+    # The six budget sites share one check, which reads the cap from
+    # TRIORBIT_BUDGET alone.  A count whose lower bound exceeds the cap is
+    # refused without being computed, and the message names only the
+    # bound; B_2000 and 2^15750 have hundreds and thousands of digits, and
+    # each call returns at once.
     monkeypatch.delenv("TRIORBIT_BUDGET", raising=False)
     identity = ModulePair(LowerTriMatrix.identity(GF(2), 60), LowerTriMatrix.zero(GF(2), 60))
     calls = [
         (lambda: enumerate_free_submodules(125, 2), r"n=125, p=2 is at least 2\^15750,"),
         (lambda: enumerate_canonical(2000), r"B_2000 is at least 2\^1999,"),
         (lambda: enumerate_partitions(2000), r"B_2000 is at least 2\^1999,"),
-        (lambda: cyclic_submodule(identity), r"\|T_60\^\*\| is at least 2\^1770,"),
         (lambda: is_free_oracle(identity), r"\|T_60\| is at least 2\^1830,"),
+        (lambda: random_free_pairs(GF(2), 2, 10 ** 12, 0), r"sample count is at least 2\^39,"),
         (lambda: is_outlier_oracle(identity), r"products is at least 2\^5490,"),
     ]
     for call, message in calls:
@@ -101,9 +107,49 @@ def test_budget_check_refuses_from_a_lower_bound(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"p=3 is 3486784401, which exceeds the cap 16777216"):
         enumerate_free_submodules(4, 3)
     # At p = 2 the bound is exact: 2^12 pairs at n = 3 pass a cap of 2^12.
-    assert len(enumerate_free_submodules(3, 2, budget=2 ** 12)) == 315
+    monkeypatch.setenv("TRIORBIT_BUDGET", str(2 ** 12))
+    assert len(enumerate_free_submodules(3, 2)) == 315
+    monkeypatch.setenv("TRIORBIT_BUDGET", str(2 ** 12 - 1))
     with pytest.raises(BudgetExceeded, match=r"is at least 2\^12, which exceeds the cap 4095"):
-        enumerate_free_submodules(3, 2, budget=2 ** 12 - 1)
+        enumerate_free_submodules(3, 2)
+
+
+def test_every_budget_site_reads_a_lowered_cap(monkeypatch):
+    # Each call passes under a cap equal to its count and is refused one
+    # below it.  The passing call comes first, so a cache it fills (the
+    # outlier oracle's table) must not skip the refusal after it.
+    identity = ModulePair(LowerTriMatrix.identity(GF(2), 2), LowerTriMatrix.zero(GF(2), 2))
+    calls = [
+        (lambda: enumerate_free_submodules(2, 2), 2 ** 6),
+        (lambda: orbit_decomposition(2, 2), 2 ** 6),
+        (lambda: verify_classification(2, 2), 2 ** 6),
+        (lambda: enumerate_canonical(3), 5),
+        (lambda: enumerate_partitions(3), 5),
+        (lambda: is_free_oracle(identity), 2 ** 3),
+        (lambda: is_outlier_oracle(identity), 2 ** 9),
+        (lambda: random_free_pairs(GF(2), 2, 10, 0), 10),
+    ]
+    for call, count in calls:
+        monkeypatch.setenv("TRIORBIT_BUDGET", str(count))
+        call()
+        monkeypatch.setenv("TRIORBIT_BUDGET", str(count - 1))
+        with pytest.raises(BudgetExceeded, match=f"exceeds the cap {count - 1}$"):
+            call()
+
+
+def test_sample_count_is_charged_before_the_first_draw(monkeypatch):
+    # Drawing 2^24 + 1 pairs would take minutes; the refusal comes first.
+    monkeypatch.delenv("TRIORBIT_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded, match=r"sample count is 16777217, which exceeds"):
+        random_free_pairs(GF(2), 2, 2 ** 24 + 1, 0)
+
+
+def test_cyclic_submodule_enumerates_nothing(monkeypatch):
+    # The key is the normal form, so n = 60, where |T_n^*| = 2^1770,
+    # returns at once and under the smallest cap.
+    monkeypatch.setenv("TRIORBIT_BUDGET", "1")
+    identity = ModulePair(LowerTriMatrix.identity(GF(2), 60), LowerTriMatrix.zero(GF(2), 60))
+    assert cyclic_submodule(identity) == Submodule(identity)
 
 
 @pytest.mark.parametrize("n,p,expected_orbits", [(2, 2, 2), (2, 3, 2), (3, 2, 5)])
@@ -195,7 +241,7 @@ def test_extra_orbit_is_closed_under_the_group(gf2):
 def test_orbit_decomposition_deterministic_under_generator_order():
     # The orbits as sets of keys do not depend on the generators' order,
     # nor on which generating set is walked.
-    keys = _free_submodule_keys(GF(2), 3, None)
+    keys = _free_submodule_keys(GF(2), 3)
     gens = gl2_generators(GF(2), 3)
     base = _decompose(keys, orbit_generators(GF(2), 3), 2)
     assert sorted(_decompose(keys, list(reversed(gens)), 2)) == sorted(base)
@@ -376,7 +422,7 @@ def test_decompose_matches_reference_exhaustively(n, p, generators):
     # the reference reduces every key's image under every generator.
     # gl2_generators adds elements that fix many rows and keys.
     field = GF(p)
-    keys = _free_submodule_keys(field, n, None)
+    keys = _free_submodule_keys(field, n)
     gens = generators(field, n)
     assert _decompose(keys, gens, p) == reference_decomposition(keys, gens, p)
 
@@ -384,7 +430,7 @@ def test_decompose_matches_reference_exhaustively(n, p, generators):
 @pytest.mark.parametrize("n,p", [(3, 2), (2, 3), (2, 5), (3, 3)])
 def test_normal_form_fixes_every_key(n, p):
     # The lemma behind the trie's key edges: keys are exactly the normal forms.
-    for key in _free_submodule_keys(GF(p), n, None):
+    for key in _free_submodule_keys(GF(p), n):
         assert type(key) is tuple and len(key) == n
         assert all(type(row) is int for row in key)
         assert _normal_form(list(key), p) == key
@@ -402,7 +448,7 @@ def test_trie_transitions_are_the_normal_form(n, p):
     # supported on the next row's columns and independent of the node's
     # rows.  A node's edges are exactly the key rows after its prefix.
     field = GF(p)
-    keys = _free_submodule_keys(field, n, None)
+    keys = _free_submodule_keys(field, n)
     trie = _Trie(keys, p)
     heads = {key[:d] for key in keys for d in range(1, n + 1)}
     misses = 0
@@ -434,7 +480,7 @@ def test_generators_fix_the_rows_they_cannot_move(n, p, generators):
     # Rows 1..f(g) of every key are fixed by g, checked on the image that
     # act_right computes; the mover's image of every row agrees with it.
     field = GF(p)
-    keys = _free_submodule_keys(field, n, None)
+    keys = _free_submodule_keys(field, n)
     for g in generators(field, n):
         fixed, move = _mover(g, p)
         block = [g.X.row(i) + g.Y.row(i) for i in range(1, n + 1)]

@@ -70,3 +70,35 @@ def test_every_import_is_used():
     paths = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     assert len(paths) >= 20
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def _scoped(tree, scope=()):
+    """Each node below ``tree``, with the names of the classes and defs around it."""
+    for node in ast.iter_child_nodes(tree):
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(node, scope + (node.name,))
+        else:
+            yield from _scoped(node, scope)
+
+
+def test_the_budget_has_one_source():
+    # TRIORBIT_BUDGET is the only source of the enumeration cap: no
+    # function takes a budget or a cap, and the environment is read in
+    # modpairs.enumeration_budget alone.
+    root = Path(triorbit.__file__).parent
+    params, reads = [], []
+    for path in sorted(root.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            where = ".".join((path.stem, *scope))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                         + [a.vararg, a.kwarg] if x is not None]
+                params += [f"{where}.{getattr(node, 'name', '<lambda>')}:{x}" for x in names
+                           if x in ("budget", "cap")]
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"):
+                reads.append(where)
+    assert params == []
+    assert reads == ["modpairs.enumeration_budget"]
