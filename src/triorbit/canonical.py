@@ -169,14 +169,14 @@ def verify_certificate(inp: ModulePair, out: ModulePair, cert: Certificate) -> b
     if not isinstance(Q, GL2Element):
         return False
     f, n = inp.field, inp.n
-    if U.n != n or (U.field is not f and U.field != f):
+    if U.n != n or U.field is not f:
         return False
-    if Q.X.n != n or (Q.X.field is not f and Q.X.field != f):
+    if Q.X.n != n or Q.X.field is not f:
         raise DimensionMismatch("pair and group element must match")
     if not isinstance(out, ModulePair):
         return False
     o = out.A
-    return ((o.n == n and (o.field is f or o.field == f))
+    return ((o.n == n and o.field is f)
             and _certificate_image(U.entries, inp.A.entries, inp.B.entries, Q, n, f.p)
             == (o.entries, out.B.entries))
 
@@ -777,9 +777,7 @@ def _search_word(pair, generators, kinds):
     return None
 
 
-_CLOSED_FORM = {}
-
-
+@functools.cache
 def _closed_form_plan(field, n):
     """Per (p, n), on first use: getters, the moves' order, I, 0 and (I, 0).
 
@@ -787,18 +785,13 @@ def _closed_form_plan(field, n):
     packed slot's row or column, ``diagonal`` takes a packed diagonal, and
     ``order`` lists (i, j, slot) below it, rows ascending, j descending.
     """
-    key = (field.p, n)
-    plan = _CLOSED_FORM.get(key)
-    if plan is None:
-        slots = [(r, c) for r in range(n) for c in range(r + 1)]
-        plan = _CLOSED_FORM[key] = (
-            _gather([r for r, _ in slots]), _gather([c for _, c in slots]),
+    slots = [(r, c) for r in range(n) for c in range(r + 1)]
+    return (_gather([r for r, _ in slots]), _gather([c for _, c in slots]),
             _gather(_diagonal_offsets(n)),
             [(i, j, d - i + j) for i, d in enumerate(_diagonal_offsets(n))
              for j in range(i - 1, -1, -1)],
             LowerTriMatrix.identity(field, n), LowerTriMatrix.zero(field, n),
             _canonical_pair(field, range(1, n + 1)))
-    return plan
 
 
 def _closed_form(pair):

@@ -2,7 +2,8 @@
 
 Field elements are canonical integer residues in [0, p).  A ``GF`` instance
 carries the modulus and supplies all arithmetic, so matrices store plain
-ints and stay cheap to hash and compare.
+ints and stay cheap to hash and compare.  There is one ``GF`` object per
+prime, so fields compare by identity.
 """
 
 from .errors import NonPrimeModulus, ZeroInverse
@@ -13,6 +14,8 @@ from .errors import NonPrimeModulus, ZeroInverse
 # 12 bases stop at psi_12 ~ 3.2e23.  GF refuses moduli at or above it.
 MAX_MODULUS = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The one GF object of each accepted prime.
+_FIELDS = {}
 
 
 def is_prime(p: int) -> bool:
@@ -46,26 +49,35 @@ def is_prime(p: int) -> bool:
 
 
 class GF:
-    """The prime field GF(p), acting as a context for residue arithmetic."""
+    """The prime field GF(p), acting as a context for residue arithmetic.
+
+    ``GF(p)`` returns the one object registered for p, so two fields are
+    equal exactly when they are the same object, and ``is`` is the field
+    test.  The registry is read only for an exact ``int``: ``2.0 == 2``, and
+    ``GF(2.0)`` must be refused, not found.  A refused modulus registers
+    nothing, and copies and unpickled fields are the registered object.
+    """
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
+        if type(p) is int and p in _FIELDS:
+            return _FIELDS[p]
         if isinstance(p, int) and p >= MAX_MODULUS:
             raise NonPrimeModulus(
                 f"modulus {p} is too large: primality is exact only below {MAX_MODULUS}")
         if not isinstance(p, int) or p < 2 or not is_prime(p):
             raise NonPrimeModulus(f"modulus {p!r} is not prime")
-        self.p = p
+        field = super().__new__(cls)
+        field.p = p
+        # setdefault: of two threads registering p at once, both return the first.
+        return _FIELDS.setdefault(p, field)
+
+    def __reduce__(self):
+        return GF, (self.p,)
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
 
     def element(self, value: int) -> int:
         """Reduce an arbitrary integer to its canonical residue."""

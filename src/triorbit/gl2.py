@@ -22,9 +22,7 @@ from .trimat import LowerTriMatrix, _diagonal_offsets, _gather, _pos, _tri_len, 
 
 def gl2_is_invertible(X, Y, W, Z) -> bool:
     """Per-index 2x2 determinant test on the diagonals."""
-    if not (X.n == Y.n == W.n == Z.n
-            and (X.field is Y.field is W.field is Z.field
-                 or X.field == Y.field == W.field == Z.field)):
+    if not (X.n == Y.n == W.n == Z.n and X.field is Y.field is W.field is Z.field):
         raise DimensionMismatch("blocks must share dimension and field")
     p = X.field.p
     x, y, w, z = X.entries, Y.entries, W.entries, Z.entries
@@ -32,9 +30,6 @@ def gl2_is_invertible(X, Y, W, Z) -> bool:
         if (x[d] * z[d] - y[d] * w[d]) % p == 0:
             return False
     return True
-
-
-_IDENTITY = {}
 
 
 @functools.cache
@@ -155,15 +150,12 @@ class GL2Element:
         return self.X.field
 
     @classmethod
+    @functools.cache
     def identity(cls, field, n):
         """[I 0; 0 I], built once per (p, n); elements are immutable, so it is shared."""
-        key = (field.p, n)
-        one = _IDENTITY.get(key)
-        if one is None:
-            unit = LowerTriMatrix.identity(field, n)
-            zero = LowerTriMatrix.zero(field, n)
-            one = _IDENTITY[key] = cls(unit, zero, zero, unit)
-        return one
+        unit = LowerTriMatrix.identity(field, n)
+        zero = LowerTriMatrix.zero(field, n)
+        return cls(unit, zero, zero, unit)
 
     @classmethod
     def swap(cls, field, n):
@@ -272,7 +264,7 @@ def act_right(pair: ModulePair, g: GL2Element) -> ModulePair:
     """(A, B) [X Y; W Z] = (AX + BW, AY + BZ), run as g's column moves by ``_act``."""
     A, B = pair.A, pair.B
     f, n = A.field, A.n
-    if n != g.X.n or (f is not g.X.field and f != g.X.field):
+    if n != g.X.n or f is not g.X.field:
         raise DimensionMismatch("pair and group element must match")
     a, b = _act(A.entries, B.entries, g._column_moves(), f.p)
     return ModulePair(_trusted(f, n, a), _trusted(f, n, b))

@@ -123,13 +123,6 @@ def _diagonal_offsets(n):
     return [_pos(i, i) for i in range(1, n + 1)]
 
 
-# The package's caches keyed by (p, n), this one, ``GL2Element.identity``'s
-# and ``canonical._closed_form_plan``'s, stay dicts keyed on field.p:
-# functools.cache would hash the GF argument through its Python-level
-# __hash__, which about doubles the cost of a call.
-_IDENTITY = {}
-
-
 class LowerTriMatrix:
     """An element of T_n(GF(p)), immutable after construction."""
 
@@ -159,12 +152,9 @@ class LowerTriMatrix:
         return _trusted(field, n, (0,) * _tri_len(n))
 
     @classmethod
+    @functools.cache
     def identity(cls, field, n):
-        key = (field.p, n)
-        one = _IDENTITY.get(key)
-        if one is None:
-            one = _IDENTITY[key] = cls.diagonal(field, [1] * n)
-        return one
+        return cls.diagonal(field, [1] * n)
 
     @classmethod
     def diagonal(cls, field, diag):
@@ -253,8 +243,7 @@ class LowerTriMatrix:
     def _check_compatible(self, other):
         if not isinstance(other, LowerTriMatrix):
             raise DimensionMismatch(f"expected LowerTriMatrix, got {type(other)}")
-        if self.n != other.n or (self.field is not other.field
-                                 and self.field != other.field):
+        if self.n != other.n or self.field is not other.field:
             raise DimensionMismatch(
                 f"incompatible operands: n={self.n},p={self.field.p} vs "
                 f"n={other.n},p={other.field.p}"
@@ -343,7 +332,7 @@ class LowerTriMatrix:
         return (
             isinstance(other, LowerTriMatrix)
             and self.n == other.n
-            and self.field == other.field
+            and self.field is other.field
             and self.entries == other.entries
         )
 

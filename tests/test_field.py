@@ -1,8 +1,15 @@
+import copy
+import pickle
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
-from triorbit import GF, NonPrimeModulus, ZeroInverse, is_prime
-from triorbit.field import MAX_MODULUS
+from triorbit import GF, NonPrimeModulus, ZeroInverse, canonicalize, is_prime, verify_certificate
+from triorbit.field import _FIELDS, MAX_MODULUS
+from triorbit.oracle import random_free_pairs
+
+LARGEST_PRIME = 3317044064679887385961813
 
 
 def test_context_construction():
@@ -36,7 +43,7 @@ def test_inverse_values():
         assert GF(p).inv(1) == 1
 
 
-@pytest.mark.parametrize("p", [2**61 - 1, 3317044064679887385961813])
+@pytest.mark.parametrize("p", [2**61 - 1, LARGEST_PRIME])
 def test_inverse_at_large_primes(p):
     # The second is the largest prime GF accepts, just below MAX_MODULUS.
     assert p < MAX_MODULUS and is_prime(p)
@@ -103,3 +110,65 @@ def test_is_prime_large_values():
     # 2^89 - 1 is prime, but beyond the range where primality is exact.
     with pytest.raises(NonPrimeModulus):
         GF(2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**61 - 1, LARGEST_PRIME])
+def test_one_field_object_per_prime(p):
+    assert GF(p) is GF(p)
+    assert _FIELDS[p] is GF(p)
+
+
+@pytest.mark.parametrize("p, message", [
+    (0, "modulus 0 is not prime"),
+    (1, "modulus 1 is not prime"),
+    (4, "modulus 4 is not prime"),
+    (-3, "modulus -3 is not prime"),
+    (2.0, "modulus 2.0 is not prime"),
+    (True, "modulus True is not prime"),
+    ("7", "modulus '7' is not prime"),
+    (MAX_MODULUS, f"modulus {MAX_MODULUS} is too large: "
+                  f"primality is exact only below {MAX_MODULUS}"),
+])
+def test_refused_modulus_registers_nothing(p, message):
+    # 2.0 and True equal registered primes and hash alike; neither may find them.
+    GF(2)
+    before = dict(_FIELDS)
+    with pytest.raises(NonPrimeModulus) as info:
+        GF(p)
+    assert str(info.value) == message
+    assert _FIELDS == before  # GF has no __eq__: the values compare by identity
+
+
+def test_copies_keep_the_registered_field():
+    f = GF(3)
+    pair = random_free_pairs(f, 4, 1, seed=0)[0]
+    result, cert, _ = canonicalize(pair)
+    copiers = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for copier in copiers:
+        assert copier(f) is f
+        assert copier(pair.A).field is f
+        assert copier(pair).field is f
+        c = copier(cert)
+        assert c.U.field is f and c.Q.field is f
+        assert verify_certificate(copier(pair), result, c)
+    twin = copy.deepcopy(pair)
+    twin_result, twin_cert, _ = canonicalize(twin)
+    assert twin_result == result
+    assert (twin_cert.U, twin_cert.Q) == (cert.U, cert.Q)
+
+
+def test_concurrent_construction_registers_one_object():
+    p = next(q for q in range(10**15 + 1, 10**15 + 1000, 2) if is_prime(q) and q not in _FIELDS)
+    barrier = threading.Barrier(8)
+    fields = [None] * 8
+
+    def build(k):
+        barrier.wait()
+        fields[k] = GF(p)
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(f is _FIELDS[p] for f in fields)

@@ -20,6 +20,12 @@ from triorbit import (
 from triorbit.modpairs import ring_matrices, unit_matrices
 
 
+def test_identity_is_built_once():
+    one = GL2Element.identity(GF(3), 4)
+    assert one is GL2Element.identity(GF(3), 4)
+    assert one.X is LowerTriMatrix.identity(GF(3), 4)
+
+
 def test_invertibility_criterion(gf2):
     I = LowerTriMatrix.identity(gf2, 2)
     Z = LowerTriMatrix.zero(gf2, 2)

@@ -102,3 +102,30 @@ def test_the_budget_has_one_source():
                 reads.append(where)
     assert params == []
     assert reads == ["modpairs.enumeration_budget"]
+
+
+def _field_equalities(tree):
+    """Lines comparing by == or != an operand that is a ``.field`` or a ``GF(...)`` call."""
+    def is_field(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "field"
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "GF")
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for op, left, right in zip(node.ops, [node.left] + node.comparators, node.comparators)
+            if isinstance(op, (ast.Eq, ast.NotEq)) and (is_field(left) or is_field(right))]
+
+
+def test_fields_compare_by_identity():
+    # GF(p) is one registered object per prime, so `is` is the one field
+    # test: GF defines no __init__, __eq__ or __hash__, and no comparison in
+    # the library uses == or != on a field.
+    root = Path(triorbit.__file__).parent
+    field = ast.parse((root / "field.py").read_text(encoding="utf-8"))
+    gf, = [node for node in field.body if isinstance(node, ast.ClassDef) and node.name == "GF"]
+    methods = {node.name for node in gf.body if isinstance(node, ast.FunctionDef)}
+    assert methods & {"__init__", "__eq__", "__hash__"} == set()
+    assert _field_equalities(ast.parse("a.field == b\nif GF(3) != f is g: pass")) == [1, 2]
+    found = [f"{path.name}:{line}" for path in sorted(root.glob("*.py"))
+             for line in _field_equalities(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

@@ -19,6 +19,10 @@ from triorbit.paper import matrix_rank, solve_mod_p
 from triorbit.trimat import parse_matrix
 
 
+def test_identity_is_built_once():
+    assert LowerTriMatrix.identity(GF(3), 4) is LowerTriMatrix.identity(GF(3), 4)
+
+
 def test_identity_multiplication(gf5):
     M = LowerTriMatrix.from_rows(gf5, [[2, 0], [3, 4]])
     I = LowerTriMatrix.identity(gf5, 2)
