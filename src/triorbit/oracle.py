@@ -13,9 +13,14 @@ classification: orbit count equals the Bell number, each orbit holds
 exactly one canonical submodule, the canonicalizer lands on it, and
 exactly one orbit is unimodular.
 
-A key is a tuple of n packed rows.  Row i of [A|B] packs into one int:
-its 2n residues a_i1..a_in, b_i1..b_in are its base-p digits, a_i1 the
-most significant, so ints compare as the rows do.  Keys are listed in
+A key is a tuple of n packed rows.  Row i of [A|B] packs into one int
+of 2n fixed-width fields, its residues a_i1..a_in, b_i1..b_in, a_i1 in
+the top field; every field holds a residue below p, so ints compare as
+the rows do.  The width is fixed per (n, p) by ``_layout``: one bit at
+p = 2, where rows combine by exclusive or, and at odd p wide enough for
+every sum of rows times residues that the oracle forms, so rows combine
+by whole-int arithmetic and ``_reduce_fields`` takes all 2n fields mod p
+in one pass; no row is decoded into its residues.  Keys are listed in
 ModulePair order, so a submodule's ordinal is the rank of its least
 generating pair.
 """
@@ -35,28 +40,65 @@ from .partitions import bell
 from .trimat import LowerTriMatrix, _trusted
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _digits(row, p):
-    """Base-p digits of a packed row, least significant first, up to its lead.
+@functools.cache
+def _layout(n, p):
+    """(p, b, mask, s, m, qmask): a packed row's field width b at (n, p), and its reduction.
 
-    Cached: the oracle decodes the same key rows again and again.
+    Field k of a packed row (column k of [A|B], a_i1 first) is bits
+    (2n - 1 - k) b up to (2n - k) b, read by a shift and ``mask``,
+    2^b - 1.  At p = 2, b = 1, rows combine by exclusive or, and s, m
+    and qmask are unused.  At odd p the oracle sums rows times residues
+    below p and reduces afterwards: ``_reduce_row`` adds at most n - 1
+    key rows, each times a residue, to a row, which bounds a field by
+    (p - 1) + (n - 1)(p - 1)^2, and ``_mover`` sums 2n block rows, each
+    times a residue, which bounds it by 2n(p - 1)^2.  The larger,
+    D = 2n(p - 1)^2, bounds every field of every sum.  ``_reduce_fields``
+    takes each field a to a - p q, with q = floor(a m / 2^s),
+    m = ceil(2^s / p) and 2^s > D (p - 1).
+
+    Barrett.  Write m p = 2^s + e with 0 <= e < p, and a = t p + r with
+    0 <= r < p.  Then a m / 2^s = t + (r + a e / 2^s) / p, and
+    a e <= D (p - 1) < 2^s, so r + a e / 2^s < r + 1 <= p: q = t, and
+    a - p q = a mod p, for every 0 <= a <= D.
+
+    No carry.  b is the bit length of D m, so every field a of a sum has
+    a m < 2^b, and also a < 2^b.  For the field at bits t..t + b - 1 of
+    acc, the fields below it contribute less than 2^t to acc m, as each
+    of their products a m is below 2^b; so bits t..t + b - 1 of acc m
+    hold that field's a m exactly.  Shifting acc m right by s puts
+    q = floor(a m / 2^s) < 2^(b - s) at the field's low bits, and qmask
+    keeps the low b - s bits of every field, dropping the low bits of the
+    field above (b > s, as D m > p m >= 2^s, since 2n(p - 1)^2 > p).
+    As p q <= a < 2^b in every field, acc - p (that quotient int) borrows
+    across no field, and leaves every field a - p q.  So one
+    multiplication, one shift, one mask and one multiply-subtract reduce
+    all 2n fields; no bound is checked at run time.
     """
-    out = []
-    while row:
-        row, x = divmod(row, p)
-        out.append(x)
-    return tuple(out)
+    if p == 2:
+        return 2, 1, 1, 0, 0, 0
+    d = 2 * n * (p - 1) ** 2
+    s = (d * (p - 1)).bit_length()
+    m = -(-(1 << s) // p)
+    b = (d * m).bit_length()
+    ones = ((1 << 2 * n * b) - 1) // ((1 << b) - 1)
+    return p, b, (1 << b) - 1, s, m, ((1 << b - s) - 1) * ones
 
 
-def _pack(columns, p):
-    """The packed row of base-p digits listed most significant first."""
+def _reduce_fields(acc, layout):
+    """``acc`` with each of its fields, each at most D, taken mod p (proof in ``_layout``)."""
+    p, _, _, s, m, qmask = layout
+    return acc - p * (acc * m >> s & qmask)
+
+
+def _pack(columns, base):
+    """The packed row of the fields listed most significant first, ``base`` 2^b."""
     value = 0
     for x in columns:
-        value = value * p + x
+        value = value * base + x
     return value
 
 
-def _reduce_row(prefix, row, p):
+def _reduce_row(prefix, row, layout):
     """The next key row after the key rows ``prefix``; None if ``row`` is in their span.
 
     ``row`` is reduced top-down against the key rows, then scaled to 1 at
@@ -65,32 +107,33 @@ def _reduce_row(prefix, row, p):
     rows below keeps it 0 there: the result lies in ``row`` plus their span
     and is 0 at every lead of ``prefix``, and it is zero exactly when
     ``row`` lies in that span.
+
+    A key row's top bit is the low bit of its lead field, which holds 1.
+    At odd p, (p - c) v is added for each key row v, with c the sum's
+    field at v's lead taken mod p, which makes that field 0 mod p; the
+    fields stay unreduced, within the bound D of ``_layout``, until
+    ``_reduce_fields`` takes them all mod p at once.  A lead other than 1
+    is then scaled by its inverse, and the fields reduced once more.
     """
-    if p == 2:
+    if layout[0] == 2:
         # Subtraction is exclusive or, and the lead is the top bit.
         for v in prefix:
             if row >> (v.bit_length() - 1) & 1:
                 row ^= v
         return row or None
-    digits = _digits(row, p)
-    out = list(digits)
+    p, b, mask, s, m, qmask = layout
     for v in prefix:
-        w = _digits(v, p)
-        c = out[len(w) - 1] if len(w) <= len(out) else 0
+        c = (row >> (v.bit_length() - 1) & mask) % p
         if c:
-            for k, y in enumerate(w):
-                out[k] = (out[k] - c * y) % p
-    while out and not out[-1]:
-        out.pop()
-    if not out:
+            row += (p - c) * v
+    row -= p * (row * m >> s & qmask)  # _reduce_fields, inlined on the hottest call
+    if not row:
         return None
-    if out[-1] != 1:
-        c = pow(out[-1], p - 2, p)
-        out = [x * c % p for x in out]
-    return row if tuple(out) == digits else _pack(reversed(out), p)
+    lead = row >> (row.bit_length() - 1) // b * b
+    return row if lead == 1 else _reduce_fields(row * pow(lead, p - 2, p), layout)
 
 
-def _normal_form(rows, p):
+def _normal_form(rows, layout):
     """Key of the submodule generated by the packed rows of [A|B]; None if not free.
 
     Proof.  Row i of u(A, B), for a unit u, is u_i1 r_1 + ... + u_ii r_i
@@ -118,7 +161,7 @@ def _normal_form(rows, p):
     """
     key = ()
     for row in rows:
-        row = _reduce_row(key, row, p)
+        row = _reduce_row(key, row, layout)
         if row is None:
             return None
         key += (row,)
@@ -132,25 +175,26 @@ def _pair_key(pair):
     n - i zeros, read straight from the entries.
     """
     n, p = pair.n, pair.field.p
+    layout = _layout(n, p)
+    base = 1 << layout[1]
     a, b = pair.A.entries, pair.B.entries
     rows = []
     for i in range(n):
         start = i * (i + 1) // 2
         stop = start + i + 1
         pad = (0,) * (n - i - 1)
-        rows.append(_pack([*a[start:stop], *pad, *b[start:stop], *pad], p))
-    return _normal_form(rows, p)
+        rows.append(_pack([*a[start:stop], *pad, *b[start:stop], *pad], base))
+    return _normal_form(rows, layout)
 
 
 def _key_pair(field, key):
     """The least generating pair of the submodule with this key."""
-    n, p = len(key), field.p
+    n = len(key)
+    _, width, mask, *_ = _layout(n, field.p)
     A, B = [], []
     for i, row in enumerate(key):
-        digits = _digits(row, p)
-        columns = [0] * (2 * n - len(digits)) + list(reversed(digits))
-        A += columns[:i + 1]
-        B += columns[n:n + i + 1]
+        A += [row >> (2 * n - 1 - k) * width & mask for k in range(i + 1)]
+        B += [row >> (n - 1 - k) * width & mask for k in range(i + 1)]
     return ModulePair(LowerTriMatrix(field, n, A), LowerTriMatrix(field, n, B))
 
 
@@ -196,19 +240,22 @@ def _free_submodule_keys(field, n):
     """Every key at (n, p), in ModulePair order.
 
     A key is a tuple of n packed rows: row i of [A|B], the residues
-    a_i1..a_in, b_i1..b_in read as the base-p digits of one int, a_i1 the
-    most significant.  Row i is supported on the columns a_1..a_i,
-    b_1..b_i; it is 0 at the i - 1 leads of the rows above, so it is a
-    nonzero vector of the remaining i + 1 positions scaled to lead 1:
-    (p^(i+1) - 1)/(p - 1) choices, with its lead among those positions.
-    The choices depend only on the set of leads above, so the prefixes are
-    grouped by it and each row is built once per group.
+    a_i1..a_in, b_i1..b_in as the 2n fields of one int laid out by
+    ``_layout``, a_i1 in the top field, so ints compare as the rows do.
+    Row i is supported on the columns a_1..a_i, b_1..b_i; it is 0 at the
+    i - 1 leads of the rows above, so it is a nonzero vector of the
+    remaining i + 1 positions scaled to lead 1: (p^(i+1) - 1)/(p - 1)
+    choices, with its lead among those positions.  The choices depend
+    only on the set of leads above, so the prefixes are grouped by it and
+    each row is built once per group, as the sum of its residues times
+    the fields' places 2^(kb).
     """
     p = field.p
     e = n * (n + 1)
     _check_budget(f"the pair count p^(n(n+1)) at n={n}, p={p}",
                   e * (p.bit_length() - 1), lambda: p ** e)
-    place = [p ** (2 * n - 1 - k) for k in range(2 * n)]
+    width = _layout(n, p)[1]
+    place = [1 << (2 * n - 1 - k) * width for k in range(2 * n)]
     groups = {(): [()]}  # the key prefixes, by the set of their leads
     for i in range(n):
         support = [*range(i + 1), *range(n, n + i + 1)]
@@ -224,16 +271,17 @@ def _free_submodule_keys(field, n):
         groups = grown
     keys = [key for prefixes in groups.values() for key in prefixes]
 
-    q = p ** n
+    half = n * width
+    low = (1 << half) - 1
 
     def position(key):
-        # The pair's entries, A then B, as the digits of one base-p number,
-        # which orders keys as ModulePair does and keeps the sort small.
+        # The pair's entries, A then B, as the fields of one int, which
+        # orders keys as ModulePair does and keeps the sort small.
         value = 0
         for row in key:
-            value = value * q + row // q
+            value = value << half | row >> half
         for row in key:
-            value = value * q + row % q
+            value = value << half | row & low
         return value
 
     keys.sort(key=position)
@@ -350,20 +398,28 @@ def _mover(g, p):
     block += [g.W.row(i) + g.Z.row(i) for i in range(1, n + 1)]
     fixed = min((k % n for k, row in enumerate(block)
                  if any(v != (j == k) for j, v in enumerate(row))), default=n)
-    # The digit at place e is column 2n - 1 - e; its image is that block
-    # row, as (place, entry) pairs.
-    images = [[(2 * n - 1 - j, v) for j, v in enumerate(block[2 * n - 1 - e]) if v]
-              for e in range(2 * n)]
+    layout = _layout(n, p)
+    _, width, mask, *_ = layout
+    # Field k of a row, at bit (2n - 1 - k) width, moves to block row k,
+    # packed; a row's image is the sum of these times its fields.
+    images = [((2 * n - 1 - k) * width, _pack(row, 1 << width)) for k, row in enumerate(block)]
 
     def move(row):
-        out = [0] * (2 * n)
-        for x, entries in zip(_digits(row, p), images):
-            if x:
-                for e, v in entries:
-                    out[e] += x * v
-        return _pack([x % p for x in reversed(out)], p)
+        out = 0
+        for shift, image in images:
+            if row >> shift & 1:
+                out ^= image
+        return out
 
-    return fixed, move
+    def move_odd(row):
+        out = 0
+        for shift, image in images:
+            x = row >> shift & mask
+            if x:
+                out += x * image
+        return _reduce_fields(out, layout)
+
+    return fixed, move if p == 2 else move_odd
 
 
 class _Trie:
@@ -376,7 +432,7 @@ class _Trie:
     """
 
     def __init__(self, keys, p):
-        self.p = p
+        self.layout = _layout(len(keys[0]), p)
         self.edges = [{}]
         self.prefixes = [()]
         n = len(keys[0])
@@ -397,7 +453,7 @@ class _Trie:
         ``_reduce_row`` takes ``row`` to the next key row of the fold, a key
         row itself unchanged, and its edge is the node after it.
         """
-        return self.edges[node][_reduce_row(self.prefixes[node], row, self.p)]
+        return self.edges[node][_reduce_row(self.prefixes[node], row, self.layout)]
 
 
 def _decompose(keys, generators, p):
@@ -510,8 +566,9 @@ def _build_report(n, p):
     report.free_submodules = len(keys)
     report.orbit_count = len(orbits)
 
-    # Places of a_ii and b_ii in packed row i.
-    diagonal = [(p ** (2 * n - 1 - i), p ** (n - 1 - i)) for i in range(n)]
+    # The fields a_ii and b_ii of packed row i.
+    _, width, mask, *_ = _layout(n, p)
+    diagonal = [mask << (2 * n - 1 - i) * width | mask << (n - 1 - i) * width for i in range(n)]
     orbit_of = {}
     orbit_canonical = []
     for idx, members in enumerate(orbits):
@@ -520,8 +577,7 @@ def _build_report(n, p):
             orbit_of[keys[i]] = idx
             canon.extend(canonical_of.get(keys[i], []))
         # Unimodular: a_ii or b_ii is nonzero in every row i.
-        flags = {all(row // a % p or row // b % p for row, (a, b) in zip(keys[i], diagonal))
-                 for i in members}
+        flags = {all(row & d for row, d in zip(keys[i], diagonal)) for i in members}
         summary = OrbitSummary(
             size=len(members),
             canonical_count=len(canon),

@@ -26,8 +26,8 @@ from triorbit import (
 )
 from triorbit.errors import InconsistentDecomposition, InvalidSampleCount, TriOrbitError
 from triorbit.modpairs import ring_matrices, unit_matrices
-from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _mover,
-                             _normal_form, _pair_key, _Trie, random_free_pairs)
+from triorbit.oracle import (_decompose, _free_submodule_keys, _key_pair, _layout, _mover,
+                             _normal_form, _pair_key, _reduce_fields, _Trie, random_free_pairs)
 
 
 def test_free_submodule_enumeration_counts():
@@ -273,15 +273,20 @@ def test_unimodular_orbit_size_matches_pointwise_count(gf2):
 
 
 def encode_row(columns, p):
-    """A row of residues a_i1..a_in, b_i1..b_in as one int, a_i1 the top base-p digit."""
-    return sum(x * p ** k for k, x in enumerate(reversed(columns)))
+    """A row of residues a_i1..a_in, b_i1..b_in as one int, a_i1 the top field.
+
+    The field width is the oracle's layout at (n, p), n = len(columns) / 2.
+    """
+    width = _layout(len(columns) // 2, p)[1]
+    return sum(x << width * k for k, x in enumerate(reversed(columns)))
 
 
 def decode_row(row, p, n):
-    """The 2n residues of a packed row, a_i1 first."""
+    """The 2n residues of a packed row, a_i1 first, in the oracle's layout at (n, p)."""
+    width = _layout(n, p)[1]
     columns = []
     for _ in range(2 * n):
-        row, x = divmod(row, p)
+        row, x = divmod(row, 1 << width)
         columns.append(x)
     assert row == 0, "a packed row has at most 2n digits"
     return tuple(reversed(columns))
@@ -316,10 +321,74 @@ def test_packed_pair_key_matches_row_reference(n, p):
             pair = ModulePair(A, B)
             rows = [A.row(i) + B.row(i) for i in range(1, n + 1)]
             key = _pair_key(pair)
-            assert key == _normal_form([encode_row(row, p) for row in rows], p)
+            assert key == _normal_form([encode_row(row, p) for row in rows], _layout(n, p))
             expected = reference_normal_form(rows, p)
             assert (key if key is None
                     else tuple(decode_row(row, p, n) for row in key)) == expected
+
+
+def seeded_pairs(field, n, count, seed):
+    """Seeded pairs with their rows of [A|B]; every third has a row that is
+    zero or a combination of the rows above it, so it is not free."""
+    rng = random.Random(seed)
+    p = field.p
+    out = []
+    for t in range(count):
+        rows = [[rng.randrange(p) if k % n <= i else 0 for k in range(2 * n)]
+                for i in range(n)]
+        if t % 3 == 0:
+            r = rng.randrange(n)
+            coefficients = [rng.randrange(p) for _ in range(r)]
+            rows[r] = [sum(c * row[k] for c, row in zip(coefficients, rows)) % p
+                       for k in range(2 * n)]
+        A = [x for i, row in enumerate(rows) for x in row[:i + 1]]
+        B = [x for i, row in enumerate(rows) for x in row[n:n + i + 1]]
+        out.append((ModulePair(LowerTriMatrix(field, n, A), LowerTriMatrix(field, n, B)),
+                    rows))
+    return out
+
+
+def check_pair_keys_against_reference(field, n, count, seed):
+    p = field.p
+    free = 0
+    for pair, rows in seeded_pairs(field, n, count, seed):
+        key = _pair_key(pair)
+        expected = reference_normal_form(rows, p)
+        assert (key if key is None
+                else tuple(decode_row(row, p, n) for row in key)) == expected
+        assert (key is None) == (not pair.is_free())
+        free += key is not None
+    assert 0 < free < count
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 251])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pair_key_matches_row_reference_on_seeded_pairs(n, p):
+    # Free pairs and pairs that are not free, at primes whose fields need
+    # from 9 to 31 bits.
+    check_pair_keys_against_reference(GF(p), n, 60, seed=n * p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_pair_key_matches_row_reference_at_a_61_bit_prime(n):
+    # At p = 2^61 - 1 a field is hundreds of bits wide.
+    check_pair_keys_against_reference(GF(2 ** 61 - 1), n, 12, seed=n)
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 3), (3, 3), (4, 3), (3, 5), (3, 7), (5, 251),
+                                 (60, 3), (8, 2 ** 61 - 1)])
+def test_one_pass_field_reduction_matches_mod_p(n, p):
+    # Every field of a sum the oracle forms is at most D; the reduction
+    # must agree with % p in every field at D, just below it and between.
+    bound = max((p - 1) + (n - 1) * (p - 1) ** 2, 2 * n * (p - 1) ** 2)
+    layout = _layout(n, p)
+    assert bound < 1 << layout[1]
+    rng = random.Random(n * p)
+    for fields in ([bound] * (2 * n), [bound - 1] * (2 * n),
+                   [(bound, bound - 1, 0, p, p - 1)[k % 5] for k in range(2 * n)],
+                   [rng.randrange(bound + 1) for _ in range(2 * n)]):
+        reduced = _reduce_fields(encode_row(fields, p), layout)
+        assert decode_row(reduced, p, n) == tuple(x % p for x in fields)
 
 
 def _random_free_pairs_by_constructor(field, n, count, seed):
@@ -413,6 +482,7 @@ def identity_and_repeat(field, n):
 @pytest.mark.parametrize("n,p,generators", [
     (1, 2, orbit_generators), (1, 3, orbit_generators),
     (2, 2, orbit_generators), (2, 3, orbit_generators), (2, 5, orbit_generators),
+    (2, 7, orbit_generators),
     (3, 2, orbit_generators), (3, 3, orbit_generators), (4, 2, orbit_generators),
     (2, 3, gl2_generators), (2, 5, gl2_generators), (3, 2, gl2_generators),
     (1, 3, identity_and_repeat), (2, 3, identity_and_repeat), (3, 2, identity_and_repeat),
@@ -433,7 +503,7 @@ def test_normal_form_fixes_every_key(n, p):
     for key in _free_submodule_keys(GF(p), n):
         assert type(key) is tuple and len(key) == n
         assert all(type(row) is int for row in key)
-        assert _normal_form(list(key), p) == key
+        assert _normal_form(list(key), _layout(n, p)) == key
         rows = tuple(decode_row(row, p, n) for row in key)
         assert reference_normal_form(rows, p) == rows
 
@@ -468,7 +538,7 @@ def test_trie_transitions_are_the_normal_form(n, p):
             row = encode_row(columns, p)
             child = trie.child(node, row)
             reached = keys[child] if d == n - 1 else trie.prefixes[child]
-            assert reached == _normal_form(prefix + (row,), p)
+            assert reached == _normal_form(prefix + (row,), _layout(n, p))
             assert tuple(decode_row(r, p, n) for r in reached) == expected
             misses += row not in trie.edges[node]
     assert misses > 0  # some rows are not key rows
