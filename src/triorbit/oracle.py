@@ -27,7 +27,10 @@ generating pair.
 
 import functools
 import itertools
+import os
 import random
+import signal
+import threading
 
 from .canonical import canonicalize, enumerate_canonical
 from .errors import (CanonicalizationFailed, DimensionMismatch, InconsistentDecomposition,
@@ -627,6 +630,137 @@ def random_free_pairs(field, n, count, seed):
     return out
 
 
+# The fewest pairs a cross-check process takes.  A fork, its pipe and its
+# reap took 1-2 ms in a warmed 19 MB process (after a verify at (4,2), on
+# a 2-core x86-64 guest), and 500 pairs take about 33 ms of canonicalize
+# at (4,2) (130 ms for 2000), so a child costs at most a few per cent of
+# the slice it runs; smaller slices would spend more on forks than they
+# save.
+MIN_SLICE = 500
+
+
+def _processes(count):
+    """How many processes check ``count`` pairs: one per available CPU, each with MIN_SLICE or more.
+
+    One where ``os.fork`` is missing, and one while another thread runs:
+    the child of a fork holds only the forking thread, and a lock held by
+    any other thread would stay held in it.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, count // MIN_SLICE))
+
+
+def _check_slice(pairs, start, stop, orbits, orbit_of):
+    """The cross-check of ``pairs[start:stop]``: (agreed, failures, steps, failed, mismatch).
+
+    agreed is 1 when every pair canonicalized to its orbit's canonical
+    pair and 0 otherwise; failures counts the pairs that raised
+    CanonicalizationFailed and steps sums the others' search steps;
+    failed is the last index that raised and mismatch the first index
+    that canonicalized elsewhere, each -1 when there is none.
+    """
+    agreed, failures, steps, failed, mismatch = 1, 0, 0, -1, -1
+    for i in range(start, stop):
+        pair = pairs[i]
+        try:
+            result, _, trace = canonicalize(pair)
+        except CanonicalizationFailed:
+            agreed, failures, failed = 0, failures + 1, i
+            continue
+        steps += trace.search_steps
+        # The result is canonical (canonicalize checks it), and so is the
+        # orbit's canonical pair.  A canonical pair's rows are distinct unit
+        # vectors, each 0 at the other rows' leads and 1 at its own: the one
+        # shape of a key's rows (``_normal_form``), so the pair is its own
+        # key's least pair, ``_key_pair`` of its key.  Two canonical pairs
+        # with equal keys are therefore equal, and comparing the pairs
+        # decides what comparing their keys did.
+        expected = orbits[orbit_of[_pair_key(pair)]]
+        if expected.canonical_count != 1 or result != expected.canonical_pair:
+            agreed = 0
+            if mismatch < 0:
+                mismatch = i
+    return agreed, failures, steps, failed, mismatch
+
+
+def _fork_slice(pairs, start, stop, orbits, orbit_of):
+    """(pid, fd): a child running ``_check_slice``, and the pipe its five ints come back on.
+
+    The child inherits the pairs and the orbit tables from the fork, so
+    nothing is copied to it.  It writes its result as text and leaves by
+    ``os._exit``, 0 once the write is done and 1 on any exception, so it
+    never runs the caller's code or its exit handlers.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            result = _check_slice(pairs, start, stop, orbits, orbit_of)
+            os.write(write, " ".join(map(str, result)).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _check_pairs(pairs, orbits, orbit_of):
+    """``_check_slice`` of each contiguous slice of ``pairs``, in order, one process a slice.
+
+    The caller runs slice 0 and a forked child each other slice
+    (``_processes`` gives their number).  A slice whose child exits other
+    than 0 or sends anything but five ints runs again here, in slice
+    order, so the result, or the exception raised, is the one that a
+    single process gives.  No child outlives the call: on every way out,
+    an exception or KeyboardInterrupt included, each child not yet
+    reaped is killed and reaped.
+    """
+    count = _processes(len(pairs))
+    bounds = [len(pairs) * k // count for k in range(count + 1)]
+    slices = list(zip(bounds, bounds[1:]))
+    children, pipes = {}, {}
+    try:
+        for k, (start, stop) in enumerate(slices[1:], 1):
+            try:
+                children[k], pipes[k] = _fork_slice(pairs, start, stop, orbits, orbit_of)
+            except OSError:
+                break  # no more processes: the slices left run here
+        results = [_check_slice(pairs, *slices[0], orbits, orbit_of)]
+        for k, (start, stop) in enumerate(slices[1:], 1):
+            result = ()
+            if k in children:
+                with open(pipes.pop(k), "rb") as pipe:
+                    payload = pipe.read()
+                status = os.waitpid(children[k], 0)[1]
+                del children[k]
+                try:
+                    result = tuple(map(int, payload.split())) if status == 0 else ()
+                except ValueError:
+                    pass
+            if len(result) != 5:
+                result = _check_slice(pairs, start, stop, orbits, orbit_of)
+            results.append(result)
+        return results
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def verify_classification(n, p, samples=2000, seed=0, exhaustive_check_cap=8192):
     """Run the full exhaustive verification and return the OrbitReport.
 
@@ -670,30 +804,18 @@ def verify_classification(n, p, samples=2000, seed=0, exhaustive_check_cap=8192)
         to_check = random_free_pairs(field, n, samples, seed)
         report.sampled = True
         report.seed = seed
-    agreed = True
-    for pair in to_check:
-        try:
-            result, cert, trace = canonicalize(pair)
-        except CanonicalizationFailed:
-            report.canonicalization_failures += 1
-            report.counterexample = pair
-            agreed = False
-            continue
-        report.search_activations += trace.search_steps
-        # The result is canonical (canonicalize checks it), and so is the
-        # orbit's canonical pair.  A canonical pair's rows are distinct unit
-        # vectors, each 0 at the other rows' leads and 1 at its own: the one
-        # shape of a key's rows (``_normal_form``), so the pair is its own
-        # key's least pair, ``_key_pair`` of its key.  Two canonical pairs
-        # with equal keys are therefore equal, and comparing the pairs
-        # decides what comparing their keys did.
-        expected = report.orbits[orbit_of[_pair_key(pair)]]
-        if expected.canonical_count != 1 or result != expected.canonical_pair:
-            agreed = False
-            if report.counterexample is None:
-                report.counterexample = pair
+    # The slices' results merge into what one pass in order gives: a
+    # failing pair always became the counterexample, a mismatching one
+    # only while there was none.
+    agreed, failures, steps, failed, mismatch = zip(*_check_pairs(to_check, report.orbits, orbit_of))
+    report.canonicalization_failures = sum(failures)
+    report.search_activations = sum(steps)
+    if max(failed) >= 0:
+        report.counterexample = to_check[max(failed)]
+    elif max(mismatch) >= 0:
+        report.counterexample = to_check[min(i for i in mismatch if i >= 0)]
     report.checked_pairs = len(to_check)
-    report.verdicts["canonicalize_matches_orbits"] = agreed
+    report.verdicts["canonicalize_matches_orbits"] = all(agreed)
     report.verdicts["no_canonicalization_failures"] = (
         report.canonicalization_failures == 0)
 
