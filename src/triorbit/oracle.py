@@ -25,6 +25,7 @@ ModulePair order, so a submodule's ordinal is the rank of its least
 generating pair.
 """
 
+from array import array
 import functools
 import itertools
 import os
@@ -460,7 +461,12 @@ class _Trie:
 
 
 def _decompose(keys, generators, p):
-    """Union-find orbit decomposition of the submodule keys.
+    """Union-find orbit decomposition of the submodule keys: ``_orbits`` of ``_union_find``."""
+    return _orbits(_union_find(keys, generators, p))
+
+
+def _union_find(keys, generators, p):
+    """The root of every submodule key, by ordinal: the least ordinal of its orbit.
 
     (A, B) g = (AX + BW, AY + BZ), so each row of [A|B] moves to itself
     times [X Y; W Z].  Keys share most of their rows, so the image of a
@@ -497,11 +503,11 @@ def _decompose(keys, generators, p):
 
     Union-find on ``parent``, with path halving.  The union keeps the
     lower root as the root, so each root is the least member of its
-    component, and grouping by root and sorting give the same orbit list
-    for any order of unions.  Every link points down, parent[x] <= x, as
-    a union links a root to a lower one and halving links x to its
-    grandparent; so the final sweep, in ascending order, sets each
-    parent[x] to its root from the root already set at parent[x].
+    component, whatever the order of unions.  Every link points down,
+    parent[x] <= x, as a union links a root to a lower one and halving
+    links x to its grandparent; so the final sweep, in ascending order,
+    sets each parent[x] to its root from the root already set at
+    parent[x], and the array it returns holds only roots.
     """
     trie = _Trie(keys, p)
     edges = trie.edges
@@ -539,11 +545,32 @@ def _decompose(keys, generators, p):
                     elif y < x:
                         parent[x] = y
             level = mapped
-    groups = {}
     for x, up in enumerate(parent):
-        parent[x] = root = parent[up]
-        groups.setdefault(root, []).append(x)
-    return [groups[root] for root in sorted(groups)]
+        parent[x] = parent[up]
+    return parent
+
+
+def _orbits(roots):
+    """The orbits of the roots that ``_union_find`` gives; None unless each is a root.
+
+    The orbits are lists of key ordinals, each ascending, in ascending
+    order of their roots, the same list for any order of unions.  Each
+    entry must be a root of its ordinal x, an r <= x with roots[r] = r.
+    Read in ascending order, an x with roots[x] = x opens its orbit, and
+    any other x joins the orbit of roots[x], which is open exactly when
+    roots[x] is a root below x; so each orbit opens at its least member,
+    and a lookup fails exactly when an entry is not a root of its ordinal.
+    """
+    groups = {}
+    try:
+        for x, root in enumerate(roots):
+            if root == x:
+                groups[x] = [x]
+            else:
+                groups[root].append(x)
+    except KeyError:
+        return None
+    return list(groups.values())
 
 
 def orbit_decomposition(n, p):
@@ -555,8 +582,12 @@ def orbit_decomposition(n, p):
 def _build_report(n, p):
     field = GF(p)
     keys = _free_submodule_keys(field, n)
-    orbits = _decompose(keys, orbit_generators(field, n), p)
+    return _report(field, n, keys, _decompose(keys, orbit_generators(field, n), p))
 
+
+def _report(field, n, keys, orbits):
+    """The OrbitReport of the keys at (n, p) and their orbits, and the tables it was read from."""
+    p = field.p
     canonical_pairs = enumerate_canonical(n, field) if n >= 2 else []
     canonical_of = {}
     for cp in canonical_pairs:
@@ -630,17 +661,29 @@ def random_free_pairs(field, n, count, seed):
     return out
 
 
-# The fewest pairs a cross-check process takes.  A fork, its pipe and its
+# The fewest pairs a cross-check process takes, and the fewest keys whose
+# union-find runs in a child beside the sample.  A fork, its pipe and its
 # reap took 1-2 ms in a warmed 19 MB process (after a verify at (4,2), on
-# a 2-core x86-64 guest), and 500 pairs take about 33 ms of canonicalize
-# at (4,2) (130 ms for 2000), so a child costs at most a few per cent of
-# the slice it runs; smaller slices would spend more on forks than they
-# save.
+# a 2-core x86-64 guest).  500 pairs take about 33 ms of canonicalize at
+# (4,2) (130 ms for 2000), so a child costs at most a few per cent of the
+# slice it runs; and the union-find takes 3 ms over the 456 keys of (2,7),
+# against 15 ms over the 1596 of (2,11) and 25 ms over the 9765 of (4,2).
+# Fewer pairs or keys would spend more on forks than they save.
 MIN_SLICE = 500
 
+# The most keys whose union-find runs in a child.  The overlap saves at
+# most the sample's time, 6-35 ms for 2000 pairs up to n = 4, while the
+# fork, the roots sent back and the caller's heap left cold by the child
+# cost more with each key (same guest, alternated calls): the child's
+# union-find saved 10-15 % of a verify call at the 9765 keys of (4,2),
+# and tied at (2,17), (2,19) and the 13272 keys of (2,23), but lost
+# 0-50 ms of 330-430 at the 29016 keys of (3,5) and 80 ms of 280 at the
+# 26130 of (2,29).
+MAX_CHILD_KEYS = 16384
 
-def _processes(count):
-    """How many processes check ``count`` pairs: one per available CPU, each with MIN_SLICE or more.
+
+def _cpus():
+    """How many CPUs forked children may use: those available, or 1 where a fork is unsafe.
 
     One where ``os.fork`` is missing, and one while another thread runs:
     the child of a fork holds only the forking thread, and a lock held by
@@ -649,10 +692,94 @@ def _processes(count):
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, count // MIN_SLICE))
+        return os.cpu_count() or 1
+
+
+def _processes(count):
+    """How many processes check ``count`` pairs: one per CPU of ``_cpus``, each with MIN_SLICE or more."""
+    return max(1, min(_cpus(), count // MIN_SLICE))
+
+
+def _decompose_in_child(count):
+    """Whether a forked child runs the union-find over ``count`` keys while the caller samples.
+
+    Only on two or more CPUs of ``_cpus``, and for MIN_SLICE to
+    MAX_CHILD_KEYS keys, where the overlap saves more than the fork costs.
+    """
+    return _cpus() > 1 and MIN_SLICE <= count <= MAX_CHILD_KEYS
+
+
+class _Children:
+    """Forked children, each running a task that returns ints; a context manager.
+
+    ``start(task)`` forks a child that runs ``task()`` and writes its ints
+    back over a pipe as ``array('q')`` bytes.  The child inherits what the
+    task reads from the fork, so nothing is copied to it, and it leaves by
+    ``os._exit``, 0 once the write is done and 1 on any exception, so it
+    never runs the caller's code or its exit handlers.  ``result`` joins a
+    task's child.  No child outlives the ``with`` block: on every way out,
+    an exception or KeyboardInterrupt included, each child not yet joined
+    is killed and reaped.
+    """
+
+    def __enter__(self):
+        self.pids, self.pipes = {}, {}
+        return self
+
+    def start(self, task):
+        """Fork a child that runs ``task``; False when the fork fails, which leaves the task here."""
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException as error:
+            os.close(read)
+            os.close(write)
+            if isinstance(error, OSError):
+                return False
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    pipe.write(array("q", task()).tobytes())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.pids[task], self.pipes[task] = pid, read
+        return True
+
+    def result(self, task, size, decode):
+        """``decode`` of the ``size`` ints that ``task``'s child sent, or of ``task()`` run here.
+
+        The task runs here when it has no child, when its child exited
+        other than 0 or sent other than ``size`` ints, or when ``decode``
+        returns None on them; so the result, or the exception raised, is
+        the one that the caller alone gives.
+        """
+        if task in self.pids:
+            pid = self.pids[task]
+            with open(self.pipes.pop(task), "rb") as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del self.pids[task]
+            if status == 0 and len(payload) == 8 * size:
+                ints = array("q")
+                ints.frombytes(payload)
+                decoded = decode(ints)
+                if decoded is not None:
+                    return decoded
+        return decode(task())
+
+    def __exit__(self, *exc):
+        for fd in self.pipes.values():
+            os.close(fd)
+        for pid in self.pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _check_slice(pairs, start, stop, orbits, orbit_of):
@@ -688,77 +815,38 @@ def _check_slice(pairs, start, stop, orbits, orbit_of):
     return agreed, failures, steps, failed, mismatch
 
 
-def _fork_slice(pairs, start, stop, orbits, orbit_of):
-    """(pid, fd): a child running ``_check_slice``, and the pipe its five ints come back on.
-
-    The child inherits the pairs and the orbit tables from the fork, so
-    nothing is copied to it.  It writes its result as text and leaves by
-    ``os._exit``, 0 once the write is done and 1 on any exception, so it
-    never runs the caller's code or its exit handlers.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            result = _check_slice(pairs, start, stop, orbits, orbit_of)
-            os.write(write, " ".join(map(str, result)).encode())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
 def _check_pairs(pairs, orbits, orbit_of):
     """``_check_slice`` of each contiguous slice of ``pairs``, in order, one process a slice.
 
     The caller runs slice 0 and a forked child each other slice
-    (``_processes`` gives their number).  A slice whose child exits other
-    than 0 or sends anything but five ints runs again here, in slice
-    order, so the result, or the exception raised, is the one that a
-    single process gives.  No child outlives the call: on every way out,
-    an exception or KeyboardInterrupt included, each child not yet
-    reaped is killed and reaped.
+    (``_processes`` gives their number); a slice whose child fails runs
+    again here, in slice order (``_Children.result``).
     """
     count = _processes(len(pairs))
     bounds = [len(pairs) * k // count for k in range(count + 1)]
-    slices = list(zip(bounds, bounds[1:]))
-    children, pipes = {}, {}
-    try:
-        for k, (start, stop) in enumerate(slices[1:], 1):
-            try:
-                children[k], pipes[k] = _fork_slice(pairs, start, stop, orbits, orbit_of)
-            except OSError:
+    tasks = [functools.partial(_check_slice, pairs, start, stop, orbits, orbit_of)
+             for start, stop in zip(bounds, bounds[1:])]
+    with _Children() as children:
+        for task in tasks[1:]:
+            if not children.start(task):
                 break  # no more processes: the slices left run here
-        results = [_check_slice(pairs, *slices[0], orbits, orbit_of)]
-        for k, (start, stop) in enumerate(slices[1:], 1):
-            result = ()
-            if k in children:
-                with open(pipes.pop(k), "rb") as pipe:
-                    payload = pipe.read()
-                status = os.waitpid(children[k], 0)[1]
-                del children[k]
-                try:
-                    result = tuple(map(int, payload.split())) if status == 0 else ()
-                except ValueError:
-                    pass
-            if len(result) != 5:
-                result = _check_slice(pairs, start, stop, orbits, orbit_of)
-            results.append(result)
-        return results
-    finally:
-        for fd in pipes.values():
-            os.close(fd)
-        for pid in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        results = [tasks[0]()]
+        results += [children.result(task, 5, tuple) for task in tasks[1:]]
+    return results
+
+
+def _pairs_to_check(field, n, keys, exhaustive, samples, seed):
+    """The pairs that the cross-check canonicalizes: every free pair, or ``samples`` drawn with ``seed``."""
+    if exhaustive:
+        units = list(unit_matrices(field, n))
+        to_check = []
+        for key in keys:
+            pair = _key_pair(field, key)
+            to_check.extend(ModulePair(u * pair.A, u * pair.B) for u in units)
+        return to_check
+    if samples < 1:
+        raise InvalidSampleCount(f"the sampled check needs samples >= 1, got {samples}")
+    return random_free_pairs(field, n, samples, seed)
 
 
 def verify_classification(n, p, samples=2000, seed=0, exhaustive_check_cap=8192):
@@ -770,9 +858,34 @@ def verify_classification(n, p, samples=2000, seed=0, exhaustive_check_cap=8192)
     InvalidSampleCount when ``samples`` is below 1, since it would check
     no pair and pass.  A failing check is reported in the verdicts, with a
     counterexample, and is not raised.
+
+    The keys are enumerated first, so the budget refuses an (n, p) before
+    anything else runs.  The pairs to check do not depend on the orbits:
+    where ``_decompose_in_child`` allows, a forked child runs the
+    union-find while the caller lists them, and the caller groups the
+    child's roots (``_orbits``); elsewhere ``_decompose`` runs here first.
+    The report is the same either way.
     """
-    report, (keys, orbits, orbit_of, _) = _build_report(n, p)
     field = GF(p)
+    keys = _free_submodule_keys(field, n)
+    generators = orbit_generators(field, n)
+    exhaustive = len(keys) * unit_count(field, n) <= exhaustive_check_cap
+    if _decompose_in_child(len(keys)):
+        # A sample that raises leaves the with block, which kills and reaps
+        # the child, and the one-process order raises the same: building
+        # the report raises only InconsistentDecomposition, which the
+        # orbits of ``_union_find``'s roots, one for every key, never give.
+        union_find = functools.partial(_union_find, keys, generators, p)
+        with _Children() as children:
+            children.start(union_find)
+            to_check = _pairs_to_check(field, n, keys, exhaustive, samples, seed)
+            orbits = children.result(union_find, len(keys), _orbits)
+    else:
+        orbits = _decompose(keys, generators, p)
+        to_check = _pairs_to_check(field, n, keys, exhaustive, samples, seed)
+    report, (_, _, orbit_of, _) = _report(field, n, keys, orbits)
+    if not exhaustive:
+        report.sampled, report.seed = True, seed
 
     report.verdicts["orbit_count_equals_bell"] = report.orbit_count == report.bell
     report.verdicts["one_canonical_per_orbit"] = all(
@@ -791,19 +904,6 @@ def verify_classification(n, p, samples=2000, seed=0, exhaustive_check_cap=8192)
     # Canonicalizer agreement with the orbit decomposition.  canonicalize
     # checks the canonical shape of its result itself and raises
     # CanonicalizationFailed otherwise, also under python -O.
-    if report.free_pairs <= exhaustive_check_cap:
-        units = list(unit_matrices(field, n))
-        to_check = []
-        for key in keys:
-            pair = _key_pair(field, key)
-            to_check.extend(ModulePair(u * pair.A, u * pair.B) for u in units)
-        report.sampled = False
-    else:
-        if samples < 1:
-            raise InvalidSampleCount(f"the sampled check needs samples >= 1, got {samples}")
-        to_check = random_free_pairs(field, n, samples, seed)
-        report.sampled = True
-        report.seed = seed
     # The slices' results merge into what one pass in order gives: a
     # failing pair always became the counterexample, a mismatching one
     # only while there was none.
